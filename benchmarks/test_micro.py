@@ -196,15 +196,21 @@ def test_full_solve_small_instance(benchmark):
 
 
 @pytest.mark.benchmark(group="micro")
-@pytest.mark.parametrize("engine", ["array", "array-numpy"])
-def test_full_solve_small_instance_array(benchmark, engine):
-    """The same instance through the array engines (compare groups)."""
+@pytest.mark.parametrize(
+    "native", [True, False], ids=["array", "array-no-native"]
+)
+def test_full_solve_small_instance_array(benchmark, monkeypatch, native):
+    """The same instance through the array engine's two tiers (compare groups)."""
+    from repro.core import _native
     from repro.workload import scaled_spec
 
+    if not native:
+        monkeypatch.setattr(_native, "_LIB", None)
+        monkeypatch.setattr(_native, "_LIB_TRIED", True)
     graph = generate_task_graph(scaled_spec(), seed=11)
     prob = compile_problem(graph, shared_bus_platform(2))
     params = BnBParameters.paper_default(
-        resources=ResourceBounds(max_vertices=100_000), engine=engine
+        resources=ResourceBounds(max_vertices=100_000), engine="array"
     )
 
     def solve_once():

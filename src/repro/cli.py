@@ -18,10 +18,6 @@ Subcommands
 ``report``
     Render a JSONL search trace (written by ``solve --trace-jsonl``):
     event inventory, anytime profile, phase table, final stats.
-``bench``
-    Run the regression-tracked hot-path benchmark suite: fused vs
-    reference engine on fixed-seed instances, with golden vertex-count
-    checking and a JSON throughput report.
 ``list``
     List registered experiments.
 """
@@ -156,9 +152,8 @@ def _search_flags() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine", choices=ENGINES, default="object",
         help="search-core implementation: 'array' (struct-of-arrays "
-        "arena + compiled chunk driver where eligible), 'array-numpy' "
-        "(arena + numpy batch expansion only) or 'object' (default); "
-        "results are identical across engines",
+        "arena + compiled chunk driver where eligible) or 'object' "
+        "(default); results are identical across engines",
     )
     p.add_argument("--br", type=float, default=0.0, help="inaccuracy limit")
     p.add_argument("--time-limit", type=float, default=None)
@@ -442,123 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="render a JSONL search trace written by solve"
     )
     rep.add_argument("trace", help="path to a .jsonl trace file")
-
-    ben = sub.add_parser(
-        "bench", help="run the regression-tracked hot-path benchmark suite"
-    )
-    ben.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke subset (one instance per preset)",
-    )
-    ben.add_argument(
-        "--repeats", type=_positive_int, default=None,
-        help="timing repetitions per configuration (best-of; "
-             "default 3, or 1 for the parallel suite)",
-    )
-    ben.add_argument(
-        "--out", "-o", default=None,
-        help="write the JSON report to this path (e.g. BENCH_PR2.json)",
-    )
-    ben.add_argument(
-        "--golden", default="benchmarks/golden_counts.json",
-        help="golden vertex-count file (default benchmarks/golden_counts.json)",
-    )
-    ben.add_argument(
-        "--baseline", default=None,
-        help="pre-PR throughput baseline JSON "
-             "(default benchmarks/baseline_pre_pr.json when present)",
-    )
-    ben.add_argument(
-        "--parallel", action="store_true",
-        help="run the parallel suite instead: deterministic-replay "
-             "parity gates plus throughput-mode timings (BENCH_PR3)",
-    )
-    ben.add_argument(
-        "--transposition", action="store_true",
-        help="run the duplicate-detection suite instead: per-cell "
-             "vertex-reduction and wall-clock deltas with the "
-             "transposition table on vs off, cost-parity gated "
-             "(BENCH_PR4)",
-    )
-    ben.add_argument(
-        "--tt-bytes", type=_positive_int, default=64 << 20, metavar="BYTES",
-        help="table budget for the transposition suite (default 64 MiB, "
-             "sized so the table never fills on the committed cells)",
-    )
-    ben.add_argument(
-        "--tt-policy", choices=TT_POLICIES, default="depth",
-        help="replacement policy for the transposition suite",
-    )
-    ben.add_argument(
-        "--split-depth", type=_positive_int, default=2,
-        help="frontier split depth for the parallel suite (default 2)",
-    )
-    ben.add_argument(
-        "--array", action="store_true",
-        help="run the array-engine suite instead: every cell "
-             "quadruple-solved (reference oracle, fused object engine, "
-             "numpy batch expander, compiled chunk driver) with all "
-             "four parity-gated, plus the ablation speedup geomeans "
-             "(BENCH_PR7)",
-    )
-    ben.add_argument(
-        "--target-speedup", type=float, default=3.0,
-        help="geomean array-vs-object speedup the --array suite must "
-             "reach for a zero exit (default 3.0, the PR contract)",
-    )
-    ben.add_argument(
-        "--dupfree", action="store_true",
-        help="run the duplicate-free head-to-head suite instead: "
-             "default+TT vs the allocation-ordered tree (plus its "
-             "memory-limited variant) on the same exhaustive cells, "
-             "cost-parity and zero-duplicate gated (BENCH_PR8)",
-    )
-    ben.add_argument(
-        "--ml-cap", type=_positive_int, default=256, metavar="K",
-        help="open-vertex cap for the memory-limited run of the "
-             "--dupfree suite (default 256)",
-    )
-    ben.add_argument(
-        "--live", action="store_true",
-        help="run the live-monitor overhead suite instead: each cell "
-             "bare vs with LiveMonitor attached, gated on a geomean "
-             "overhead budget (BENCH_PR6)",
-    )
-    ben.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
-        help="sampling interval for the live overhead suite (default 1.0)",
-    )
-    ben.add_argument(
-        "--compare", nargs=2, metavar=("OLD.json", "NEW.json"),
-        default=None,
-        help="diff two committed bench reports instead of running "
-             "anything: per-cell wall-clock and vertex ratios, geomean "
-             "summary, nonzero exit on regression",
-    )
-    ben.add_argument(
-        "--time-threshold", type=float, default=0.20,
-        help="fractional wall-clock increase tolerated per cell by "
-             "--compare (default 0.20)",
-    )
-    ben.add_argument(
-        "--vertex-threshold", type=float, default=0.01,
-        help="fractional generated-vertex increase tolerated per cell "
-             "by --compare (default 0.01; counts are deterministic)",
-    )
-    ben.add_argument(
-        "--strict-cells", action="store_true",
-        help="make --compare treat cells present in only one report as "
-             "regressions instead of warnings (use when both reports "
-             "cover the same suite)",
-    )
-    ben.add_argument(
-        "--check", action="store_true",
-        help="fail when vertex counts drift from the golden file",
-    )
-    ben.add_argument(
-        "--update-golden", action="store_true",
-        help="rewrite the golden file from this run's counts",
-    )
 
     sub.add_parser("list", help="list registered experiments")
     return parser
@@ -913,326 +791,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from .bench import (
-        BASELINE_PATH,
-        check_against_golden,
-        golden_from_report,
-        load_baseline,
-        load_golden,
-        pin_thread_env,
-        run_suite,
-        write_json,
-    )
-
-    # Satellite contract: every timed suite runs with the BLAS/OpenMP
-    # pools pinned (single-core numbers must not depend on machine-wide
-    # thread defaults).  --compare only reads files, so it is exempt.
-    if not args.compare:
-        pin_thread_env()
-    if args.compare:
-        return _cmd_bench_compare(args)
-    if args.parallel:
-        return _cmd_bench_parallel(args)
-    if args.transposition:
-        return _cmd_bench_transposition(args)
-    if args.dupfree:
-        return _cmd_bench_dupfree(args)
-    if args.live:
-        return _cmd_bench_live(args)
-    if args.array:
-        return _cmd_bench_array(args)
-    baseline = load_baseline(args.baseline or BASELINE_PATH)
-    if args.baseline and baseline is None:
-        print(
-            f"error: cannot read baseline file {args.baseline!r}",
-            file=sys.stderr,
-        )
-        return 2
-    report = run_suite(
-        quick=args.quick, repeats=args.repeats or 3, baseline=baseline
-    )
-    report["thread_env"] = pin_thread_env()
-    header = (
-        f"{'instance':28s} {'gen':>9s} {'ref s':>8s} {'opt s':>8s} "
-        f"{'speedup':>7s} {'opt v/s':>9s} {'vs pre-PR':>9s}"
-    )
-    print(header)
-    print("-" * len(header))
-    for row in report["instances"]:
-        vs = row.get("speedup_vs_pre_pr")
-        vs_s = f"{vs:>8.2f}x" if vs is not None else f"{'-':>9s}"
-        print(
-            f"{row['name']:28s} {row['generated']:>9d} "
-            f"{row['ref_seconds']:>8.3f} {row['opt_seconds']:>8.3f} "
-            f"{row['speedup']:>6.2f}x {row['opt_vertices_per_sec']:>9d} "
-            f"{vs_s}"
-        )
-    s = report["summary"]
-    print(
-        f"total: {s['total_generated']} vertices, "
-        f"{s['ref_seconds']:.3f}s reference vs {s['opt_seconds']:.3f}s fused "
-        f"({s['overall_speedup']:.2f}x)"
-    )
-    for preset, geo in s.get("speedup_vs_pre_pr_geomean", {}).items():
-        print(f"vs pre-PR engine, {preset}: {geo:.2f}x geomean")
-    if args.out:
-        write_json(report, args.out)
-        print(f"wrote {args.out}")
-    if args.update_golden:
-        write_json(golden_from_report(report), args.golden)
-        print(f"wrote {args.golden}")
-    elif args.check:
-        try:
-            golden = load_golden(args.golden)
-        except OSError as exc:
-            print(f"error: cannot read golden file: {exc}", file=sys.stderr)
-            return 2
-        drift = check_against_golden(report, golden)
-        if drift:
-            for line in drift:
-                print(f"golden drift: {line}", file=sys.stderr)
-            return 1
-        print(f"golden counts OK ({args.golden})")
-    return 0
-
-
-def _cmd_bench_parallel(args) -> int:
-    from .bench import pin_thread_env, run_parallel_suite, write_json
-
-    report = run_parallel_suite(
-        quick=args.quick,
-        split_depth=args.split_depth,
-        repeats=args.repeats or 1,
-    )
-    report["thread_env"] = pin_thread_env()
-    header = (
-        f"{'instance':28s} {'gen':>9s} {'seq s':>8s} {'det s':>8s} "
-        f"{'replay':>12s} {'thr@4 s':>8s} {'speedup':>7s}"
-    )
-    print(header)
-    print("-" * len(header))
-    for row in report["instances"]:
-        det = row["deterministic"]
-        thr = (row["throughput"] or {}).get("4")
-        thr_s = f"{thr['seconds']:>8.3f}" if thr else f"{'-':>8s}"
-        sp = (
-            f"{thr['speedup']:>6.2f}x"
-            if thr and thr["speedup"] is not None
-            else f"{'-':>7s}"
-        )
-        print(
-            f"{row['name']:28s} {row['generated']:>9d} "
-            f"{row['seq_seconds']:>8.3f} {det['seconds']:>8.3f} "
-            f"{det['replay']:>12s} {thr_s} {sp}"
-        )
-    s = report["summary"]
-    print(
-        f"{s['cells']} cells deterministic-verified "
-        f"({s['exact_replay_cells']} bit-identical, rest reproducible); "
-        f"{s['throughput_cells']} cells timed in throughput mode "
-        f"on {report['cpus']} cpu(s)"
-    )
-    if s["best_throughput"]:
-        b = s["best_throughput"]
-        print(
-            f"best throughput: {b['speedup']:.2f}x on {b['name']} "
-            f"at {b['workers']} workers"
-        )
-    if args.out:
-        write_json(report, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_bench_transposition(args) -> int:
-    from .bench import pin_thread_env, run_transposition_suite, write_json
-
-    report = run_transposition_suite(
-        quick=args.quick,
-        table_bytes=args.tt_bytes,
-        policy=args.tt_policy,
-        repeats=args.repeats or 3,
-    )
-    report["thread_env"] = pin_thread_env()
-    header = (
-        f"{'instance':28s} {'base gen':>9s} {'tt gen':>9s} {'reduct':>7s} "
-        f"{'base s':>8s} {'tt s':>8s} {'ratio':>6s} {'dups':>8s}"
-    )
-    print(header)
-    print("-" * len(header))
-    for row in report["instances"]:
-        red = row["vertex_reduction"]
-        print(
-            f"{row['name']:28s} {row['base']['generated']:>9d} "
-            f"{row['tt']['generated']:>9d} "
-            f"{red:>6.2f}x "
-            f"{row['base']['seconds']:>8.3f} {row['tt']['seconds']:>8.3f} "
-            f"{row['time_ratio']:>6.2f} {row['tt']['duplicates_pruned']:>8d}"
-            f"{'  [capped]' if row['capped'] else ''}"
-            f"{'  [filled]' if row['table_filled'] else ''}"
-        )
-    s = report["summary"]
-    print(
-        f"{s['cells']} cells parity-verified (table on, fused == "
-        f"reference); {s['duplicates_pruned']} duplicates pruned"
-    )
-    if s["vertex_reduction_geomean"] is not None:
-        print(
-            f"vertex reduction geomean (exhaustive cells): "
-            f"{s['vertex_reduction_geomean']:.2f}x"
-        )
-    if s["time_ratio_geomean_unfilled"] is not None:
-        print(
-            f"wall-clock ratio geomean (table never filled): "
-            f"{s['time_ratio_geomean_unfilled']:.2f}"
-        )
-    if args.out:
-        write_json(report, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_bench_array(args) -> int:
-    from .bench import run_array_suite, write_json
-
-    report = run_array_suite(
-        quick=args.quick,
-        repeats=args.repeats or 3,
-        target=args.target_speedup,
-    )
-    header = (
-        f"{'instance':28s} {'gen':>9s} {'obj s':>8s} {'numpy s':>8s} "
-        f"{'array s':>8s} {'arr v/s':>10s} {'numpy x':>8s} {'array x':>8s}"
-    )
-    print(header)
-    print("-" * len(header))
-    for row in report["instances"]:
-        print(
-            f"{row['name']:28s} {row['generated']:>9d} "
-            f"{row['object_seconds']:>8.3f} {row['numpy_seconds']:>8.3f} "
-            f"{row['opt_seconds']:>8.3f} {row['opt_vertices_per_sec']:>10d} "
-            f"{row['numpy_speedup_vs_object']:>7.2f}x "
-            f"{row['speedup_vs_object']:>7.2f}x"
-            f"{'  [capped]' if row['capped'] else ''}"
-        )
-    s = report["summary"]
-    ab = s["ablation"]
-    print(
-        f"{s['cells']} cells quadruple-solved, all parity-gated against "
-        f"the reference oracle"
-    )
-    print(
-        f"ablation geomeans vs fused object engine: arena+numpy "
-        f"{ab['arena_numpy_speedup_geomean']:.2f}x, arena+native driver "
-        f"{ab['arena_native_speedup_geomean']:.2f}x "
-        f"(target {s['target_speedup']:.1f}x -> "
-        f"{'MET' if s['target_met'] else 'MISSED'})"
-    )
-    if args.out:
-        write_json(report, args.out)
-        print(f"wrote {args.out}")
-    return 0 if s["target_met"] else 1
-
-
-def _cmd_bench_dupfree(args) -> int:
-    from .bench import pin_thread_env, run_dupfree_suite, write_json
-
-    report = run_dupfree_suite(
-        quick=args.quick,
-        table_bytes=args.tt_bytes,
-        policy=args.tt_policy,
-        ml_cap=args.ml_cap,
-        repeats=args.repeats or 3,
-    )
-    report["thread_env"] = pin_thread_env()
-    header = (
-        f"{'instance':16s} {'tt gen':>8s} {'ao gen':>8s} {'reduct':>7s} "
-        f"{'tt s':>8s} {'ao s':>8s} {'ratio':>6s} {'ml gen':>8s} "
-        f"{'ml peak':>7s}"
-    )
-    print(header)
-    print("-" * len(header))
-    for row in report["instances"]:
-        red = row["vertex_reduction"]
-        print(
-            f"{row['name']:16s} {row['tt']['generated']:>8d} "
-            f"{row['ao']['generated']:>8d} "
-            f"{red:>6.2f}x "
-            f"{row['tt']['seconds']:>8.3f} {row['ao']['seconds']:>8.3f} "
-            f"{row['time_ratio']:>6.2f} {row['ao_ml']['generated']:>8d} "
-            f"{row['ao_ml']['peak_active']:>7d}"
-            f"{'' if row['expect_win'] else '  [no gate]'}"
-        )
-    s = report["summary"]
-    print(
-        f"{s['cells']} cells exhaustive, cost-parity and zero-duplicate "
-        f"verified (array fallback bit-for-bit); TT pruned "
-        f"{s['duplicates_pruned_by_tt']} duplicates, AO pruned 0"
-    )
-    print(
-        f"vertex reduction geomean: all cells "
-        f"{s['vertex_reduction_geomean']:.2f}x, gated cells "
-        f"{s['vertex_reduction_geomean_wins']:.2f}x "
-        f"(ML cap {report['ml_cap']}, peak open {s['ml_peak_active_max']})"
-    )
-    if args.out:
-        write_json(report, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_bench_compare(args) -> int:
-    from .bench import compare_benchmarks, render_comparison
-
-    old_path, new_path = args.compare
-    comparison = compare_benchmarks(
-        old_path,
-        new_path,
-        time_threshold=args.time_threshold,
-        vertex_threshold=args.vertex_threshold,
-        strict_cells=args.strict_cells,
-    )
-    print(render_comparison(comparison))
-    return 0 if comparison.ok else 1
-
-
-def _cmd_bench_live(args) -> int:
-    from .bench import pin_thread_env, run_live_overhead_suite, write_json
-
-    report = run_live_overhead_suite(
-        quick=args.quick,
-        repeats=args.repeats or 3,
-        interval=args.interval,
-    )
-    report["thread_env"] = pin_thread_env()
-    header = (
-        f"{'instance':28s} {'gen':>9s} {'bare s':>8s} {'live s':>8s} "
-        f"{'overhead':>8s} {'samples':>7s}"
-    )
-    print(header)
-    print("-" * len(header))
-    for row in report["instances"]:
-        ov = row["overhead"]
-        ov_s = f"{ov * 100:>7.2f}%" if ov is not None else f"{'-':>8s}"
-        print(
-            f"{row['name']:28s} {row['generated']:>9d} "
-            f"{row['base_seconds']:>8.3f} {row['live_seconds']:>8.3f} "
-            f"{ov_s} {row['samples']:>7d}"
-        )
-    s = report["summary"]
-    if s["geomean_overhead"] is not None:
-        print(
-            f"geomean overhead: {s['geomean_overhead'] * 100:.2f}% "
-            f"(budget {s['budget'] * 100:.0f}%) -> "
-            f"{'OK' if s['within_budget'] else 'OVER BUDGET'}"
-        )
-    if args.out:
-        write_json(report, args.out)
-        print(f"wrote {args.out}")
-    return 0 if s["within_budget"] else 1
-
-
 def _cmd_experiment(args) -> int:
     kwargs = {"profile": args.profile, "base_seed": args.seed}
     if args.graphs is not None:
@@ -1274,8 +832,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_experiment(args)
         if args.command == "report":
             return _cmd_report(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "list":
             return _cmd_list()
     except ReproError as exc:

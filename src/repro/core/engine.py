@@ -770,7 +770,6 @@ class BranchAndBound:
             driver_open_min = None
             if (
                 type(expander) is BatchExpander
-                and params.engine == "array"
                 and resume is None
                 and subtree is None
                 and dispatcher is None

@@ -47,7 +47,7 @@ CHILD_ORDERS = ("generation", "best-last", "best-first")
 #: an implementation detail: it never changes results or counters, so it
 #: is deliberately excluded from ``describe()`` and the checkpoint
 #: problem fingerprint.
-ENGINES = ("object", "array", "array-numpy")
+ENGINES = ("object", "array")
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,11 @@ class BnBParameters:
     #: matching the paper.
     break_symmetry: bool = False
     #: Search-core implementation: ``object`` (per-vertex SearchState
-    #: objects), ``array`` (struct-of-arrays arena + native chunk driver
-    #: where eligible) or ``array-numpy`` (arena + numpy batch expansion
-    #: without the compiled driver).  Array engines silently fall back
-    #: to the object core for configurations they cannot replicate
-    #: bit-for-bit, so results are engine-independent by construction.
+    #: objects) or ``array`` (struct-of-arrays arena + native chunk
+    #: driver where eligible, numpy batch expansion otherwise).  The
+    #: array engine silently falls back to the object core for
+    #: configurations it cannot replicate bit-for-bit, so results are
+    #: engine-independent by construction.
     engine: str = "object"
 
     def __post_init__(self) -> None:

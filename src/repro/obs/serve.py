@@ -36,6 +36,11 @@ from .metrics import MetricsRegistry
 
 __all__ = ["MonitorServer", "DASHBOARD_HTML"]
 
+#: Seconds between the serve loop's shutdown checks.  ``stop`` waits up
+#: to one interval; the stdlib default of 0.5 s delayed every monitored
+#: solve's exit by about that much.
+_POLL_INTERVAL = 0.05
+
 
 class _MonitorHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
@@ -164,6 +169,7 @@ class MonitorServer:
         self._server = server
         self._thread = threading.Thread(
             target=server.serve_forever,
+            args=(_POLL_INTERVAL,),
             name="repro-monitor",
             daemon=True,
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 
@@ -133,6 +134,17 @@ def bus3():
 @pytest.fixture
 def diamond_problem(diamond, bus2):
     return compile_problem(diamond, bus2)
+
+
+@contextlib.contextmanager
+def native_disabled():
+    """Run ``engine='array'`` on its numpy batch path, without the C driver."""
+    from repro.core import _native
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "_LIB", None)
+        mp.setattr(_native, "_LIB_TRIED", True)
+        yield
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Struct-of-arrays arena: slots, growth, adoption and the cost domain.
 
-The arena is the array engines' state store; these tests pin its three
+The arena is the array engine's state store; these tests pin its three
 contracts in isolation from any engine:
 
 * *round-trip* — ``adopt`` followed by ``materialize`` reproduces the
@@ -32,6 +32,7 @@ from repro.core import (
     SolveStatus,
     root_state,
 )
+from repro.core import _native
 from repro.core.arena import (
     ArenaProblem,
     ArenaState,
@@ -44,7 +45,7 @@ from repro.core.state import SearchState
 from repro.model import Task, TaskGraph, compile_problem, shared_bus_platform
 from repro.workload import WorkloadSpec, generate_task_graph
 
-from conftest import make_diamond, make_forkjoin
+from conftest import make_diamond, make_forkjoin, native_disabled
 
 SPEC = WorkloadSpec(num_tasks=(6, 9), depth=(2, 4))
 
@@ -178,18 +179,25 @@ def test_arena_state_pickles_as_flat_search_state():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["array", "array-numpy"])
-def test_array_engine_checkpoint_resumes_on_any_engine(tmp_path, engine):
+@pytest.mark.parametrize(
+    "native", [True, False], ids=["array", "array-no-native"]
+)
+def test_array_engine_checkpoint_resumes_on_any_engine(
+    tmp_path, monkeypatch, native
+):
     """Kill-resume differential across engines.
 
-    A checkpoint captured mid-search under an array engine must resume
-    to the full-run answer — on the object engine too, since snapshots
-    carry flat states only.
+    A checkpoint captured mid-search under the array engine, with or
+    without its compiled driver, must resume to the full-run answer —
+    on the object engine too, since snapshots carry flat states only.
     """
+    if not native:
+        monkeypatch.setattr(_native, "_LIB", None)
+        monkeypatch.setattr(_native, "_LIB_TRIED", True)
     problem = _problem(5)
     # The trivial bound barely prunes, so the 60-vertex cap genuinely
     # interrupts the search mid-frontier (~7.8k vertices uncapped).
-    base = BnBParameters(engine=engine, lower_bound=TrivialBound())
+    base = BnBParameters(engine="array", lower_bound=TrivialBound())
     full = BranchAndBound(base).solve(problem)
 
     path = tmp_path / "cp.pkl"
@@ -200,7 +208,7 @@ def test_array_engine_checkpoint_resumes_on_any_engine(tmp_path, engine):
     assert partial.status is SolveStatus.TRUNCATED
     snap = load_checkpoint(str(path))
     assert snap.frontier
-    for resume_engine in ("object", engine):
+    for resume_engine in ("object", "array"):
         resumed = BranchAndBound(
             base.evolve(engine=resume_engine)
         ).solve(problem, resume=snap)
@@ -281,12 +289,13 @@ def test_certificate_never_blocks_solving():
     problem = compile_problem(
         _graph_with_wcets(0.1, deadline=1.0), shared_bus_platform(2)
     )
+    solve = BranchAndBound(BnBParameters(engine="array")).solve
     results = {
-        engine: BranchAndBound(
-            BnBParameters(engine=engine)
-        ).solve(problem)
-        for engine in ("object", "array", "array-numpy")
+        "object": BranchAndBound(BnBParameters()).solve(problem),
+        "array": solve(problem),
     }
+    with native_disabled():
+        results["array-no-native"] = solve(problem)
     costs = {r.best_cost for r in results.values()}
     gens = {r.stats.generated for r in results.values()}
     assert len(costs) == 1 and len(gens) == 1

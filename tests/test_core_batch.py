@@ -1,6 +1,6 @@
 """Batch expansion kernels: differential tests against the scalar path.
 
-Every vectorized kernel behind the array engines is a small pure
+Every vectorized kernel behind the array engine is a small pure
 function; each one is tested here against the scalar reference it
 claims to replicate, with Hypothesis driving the inputs:
 
@@ -8,7 +8,7 @@ claims to replicate, with Hypothesis driving the inputs:
   ``CompiledProblem.earliest_start`` on random DAG instances (uniform
   *and* heterogeneous interconnects), at arbitrary reachable states —
   equality is exact (``==``), not approximate, because bit-for-bit
-  counter parity is the array engines' contract;
+  counter parity is the array engine's contract;
 * :func:`~repro.core.expand.batch_admission`,
   :func:`~repro.core.expand.batch_lmin` and
   :func:`~repro.core.expand.batch_lb_fast` against scalar

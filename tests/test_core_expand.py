@@ -41,6 +41,8 @@ from repro.model.platform import shared_bus_platform
 from repro.workload.generator import generate_task_graph
 from repro.workload.suites import spec_for_profile
 
+from conftest import native_disabled
+
 #: Cap so that weak configurations (TrivialBound, NoElimination) stay
 #: cheap; truncation is fine — both paths must truncate identically.
 _CAPPED = ResourceBounds(max_vertices=20_000, fail_on_exhaustion=False)
@@ -150,24 +152,25 @@ def test_fused_matches_reference_scaled_llb():
 
 
 # ---------------------------------------------------------------------------
-# Array engines: the same equivalence sweep, engine-parametrized
+# Array engine: the same equivalence sweep, on both of its tiers
 # ---------------------------------------------------------------------------
 #
-# The array engines (numpy batch expansion, and the compiled chunk
-# driver where eligible) carry the same contract as the fused path:
-# search-order invisible, every counter identical.  Configurations the
-# batch factory refuses (LB2, dominance, filters) must degrade to the
-# fused path silently — the engine parameter is then a no-op, which
-# these sweeps verify just as strictly.
+# The array engine (the compiled chunk driver where eligible, and its
+# numpy batch fallback with the driver disabled) carries the same
+# contract as the fused path: search-order invisible, every counter
+# identical.  Configurations the batch factory refuses (LB2, dominance,
+# filters) must degrade to the fused path silently — the engine
+# parameter is then a no-op, which these sweeps verify just as strictly.
 
 
 def _assert_engines_equivalent(params: BnBParameters, problem, label: str):
     want = _fingerprint(BranchAndBound(params).solve(problem))
-    for engine in ("array", "array-numpy"):
-        got = _fingerprint(
-            BranchAndBound(params.evolve(engine=engine)).solve(problem)
-        )
-        assert got == want, f"{label} engine={engine}"
+    array = params.evolve(engine="array")
+    got = _fingerprint(BranchAndBound(array).solve(problem))
+    assert got == want, f"{label} native"
+    with native_disabled():
+        got = _fingerprint(BranchAndBound(array).solve(problem))
+    assert got == want, f"{label} numpy batch"
 
 
 @pytest.mark.parametrize(
@@ -202,13 +205,12 @@ def test_array_engines_match_object_rule_variants(variant):
         _assert_engines_equivalent(params, _problem(seed), f"seed={seed}")
 
 
-def test_array_engine_survives_forced_numpy_fallback(monkeypatch):
-    """With the native driver disabled, engine='array' equals numpy."""
+def test_array_engine_survives_forced_numpy_fallback():
+    """With the native driver disabled, engine='array' runs numpy batches."""
     from repro.core import _native
 
-    monkeypatch.setattr(_native, "_LIB", None)
-    monkeypatch.setattr(_native, "_LIB_TRIED", True)
-    assert not _native.native_available()
+    with native_disabled():
+        assert not _native.native_available()
     params = BnBParameters(resources=_CAPPED, lower_bound=TrivialBound())
     _assert_engines_equivalent(params, _problem(0), "no-native")
 

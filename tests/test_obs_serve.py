@@ -130,6 +130,14 @@ class TestEndpoints:
         server.stop()
         server.stop()
 
+    def test_stop_without_clients_is_prompt(self):
+        # ``repro solve --serve-status`` pays for stop() at every exit.
+        server = MonitorServer(TelemetryBus())
+        t0 = time.perf_counter()
+        server.start()
+        server.stop()
+        assert time.perf_counter() - t0 < 0.2
+
 
 class TestServingARunningSolve:
     def test_status_reflects_live_then_terminal_state(self):
