@@ -1,17 +1,20 @@
 """The cluster coordinator: shallow collect, dispatch, survive.
 
-:class:`ClusterCoordinator` is the networked generalization of the
-throughput supervisor in :mod:`repro.core.parallel`: the same shallow
-:class:`~repro.core.shards.FrontierCollector` pass decomposes the tree,
-the same :class:`~repro.core.shards.RetryQueue` re-queues shards whose
-worker died (capped exponential backoff with decorrelated jitter) and
-quarantines poison shards so the run ends TRUNCATED instead of falsely
-OPTIMAL.  What is new is everything a network demands:
+:class:`ClusterCoordinator` is the one shard supervisor of the package.
+A shallow :class:`~repro.core.shards.FrontierCollector` pass decomposes
+the tree, a :class:`~repro.core.shards.RetryQueue` re-queues shards
+whose worker died (capped exponential backoff with decorrelated jitter)
+and quarantines poison shards so the run ends TRUNCATED instead of
+falsely OPTIMAL.  Workers are remote ``repro cluster worker`` processes
+dialling a TCP address, or, with ``local_workers=N`` (throughput-mode
+:class:`~repro.core.parallel.ParallelBnB`), N processes the coordinator
+spawns itself over socketpairs, respawning any that die.  On top of
+that:
 
 * **Leases, not pipes.**  Workers prove liveness by sending frames;
-  a silent worker's lease expires and its shards go back to the queue.
-  A lease is the PR 5 heartbeat watchdog made symmetric — the monotonic
-  clock on the coordinator is the only clock that matters.
+  a silent worker's lease expires and its shards go back to the queue
+  (a local worker's process is terminated first).  The monotonic clock
+  on the coordinator is the only clock that matters.
 * **Safe incumbent broadcast.**  The broadcast bound is the CAS-min of
   every *acknowledged* cost (schedule in hand) and every cost published
   by a shard still in flight.  When a worker dies with published-but-
@@ -28,7 +31,7 @@ OPTIMAL.  What is new is everything a network demands:
   finishing twice, a hung worker waking up — are deduplicated by index;
   the first result counts, identical cost either way.
 * **Checkpoint-backed recovery.**  The pending + in-flight frontier is
-  periodically written as a PR 5 :class:`~repro.core.checkpoint.SearchCheckpoint`
+  periodically written as a :class:`~repro.core.checkpoint.SearchCheckpoint`
   (unacknowledged shards conservatively included), so a SIGKILLed
   coordinator resumes to the same optimal cost, re-exploring at most
   what was in flight.
@@ -37,6 +40,7 @@ OPTIMAL.  What is new is everything a network demands:
 from __future__ import annotations
 
 import math
+import multiprocessing
 import random
 import time
 from dataclasses import dataclass
@@ -52,11 +56,17 @@ from ..core.engine import BnBResult, BranchAndBound, SolveStatus
 from ..core.params import BnBParameters
 from ..core.shards import BackoffPolicy, FrontierCollector, RetryQueue, Shard
 from ..core.stats import SearchStats
+from ..core.transposition import (
+    PayloadCodec,
+    SharedTranspositionTable,
+    find_transposition,
+)
 from ..errors import CheckpointError, ClusterError, ConfigurationError, TransportClosed
 from ..obs import Observability
 from . import protocol
 from .membership import Member, MembershipTable
-from .transport import TcpTransport, Transport
+from .transport import SocketPairListener, TcpTransport, Transport
+from .worker import run_local_worker
 
 __all__ = ["ClusterCoordinator", "ClusterReport"]
 
@@ -78,6 +88,11 @@ class ClusterReport:
     quarantined: tuple
     resumed: bool
     checkpoint_writes: int
+    #: Local worker processes respawned after their member was dropped.
+    worker_restarts: int = 0
+    #: Transposition telemetry summed over the coordinator and every
+    #: worker's ``bye`` (None without a transposition rule).
+    tt_stats: dict | None = None
 
     def summary(self) -> str:
         extra = ""
@@ -108,10 +123,17 @@ class _Loop:
         self.shard_retries = 0
         self.quarantined: list[int] = []
         self.handshakes: list[tuple] = []  # (conn, deadline)
+        self.worker_restarts = 0
+        self.worker_tt: list[dict] = []  # telemetry from bye frames
 
 
 class ClusterCoordinator:
-    """Owns the solve; dispatches frontier shards to remote workers."""
+    """Owns the solve; dispatches frontier shards to workers.
+
+    ``local_workers=0`` serves remote workers joining at ``bind``;
+    ``local_workers=N`` spawns N worker processes over socketpairs once
+    the shallow pass leaves live shards, and binds no address.
+    """
 
     def __init__(
         self,
@@ -127,14 +149,13 @@ class ClusterCoordinator:
         prefetch: int = 2,
         max_shard_attempts: int = 3,
         retry_backoff: float = 0.05,
-        backoff_rng: random.Random | None = None,
         steal: bool = True,
-        steal_rng: random.Random | None = None,
         checkpoint_path: str | None = None,
         checkpoint_every: float = 5.0,
         resume: SearchCheckpoint | None = None,
         obs: Observability | None = None,
         stop: StopToken | None = None,
+        local_workers: int = 0,
     ) -> None:
         if split_depth < 1:
             raise ConfigurationError(f"split_depth must be >= 1, got {split_depth}")
@@ -148,6 +169,10 @@ class ClusterCoordinator:
             raise ConfigurationError(
                 f"max_shard_attempts must be >= 1, got {max_shard_attempts}"
             )
+        if local_workers < 0:
+            raise ConfigurationError(
+                f"local_workers must be >= 0, got {local_workers}"
+            )
         self.params = params or BnBParameters()
         self.bind = bind
         self.transport = transport if transport is not None else TcpTransport()
@@ -159,14 +184,16 @@ class ClusterCoordinator:
         self.prefetch = prefetch
         self.max_shard_attempts = max_shard_attempts
         self.retry_backoff = retry_backoff
-        self.backoff_rng = backoff_rng
         self.steal = steal
-        self._steal_rng = steal_rng if steal_rng is not None else random.Random()
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         self.resume = resume
         self.obs = obs
         self.stop = stop
+        self.local_workers = local_workers
+        #: Test-only :class:`~repro.core.parallel.FaultPlan` handed to
+        #: spawned local workers.
+        self.fault_plan = None
         self.last_report: ClusterReport | None = None
         #: The actual listen address (useful with port 0); set by
         #: :meth:`bind_now` or at solve time.
@@ -189,8 +216,34 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
 
     def solve(self, problem) -> BnBResult:
+        tt_rule = find_transposition(self.params.dominance)
+        shared_tt = None
+        if tt_rule is not None and self.local_workers:
+            # One lock-striped shared table for the whole solve: the
+            # shallow pass seeds it, local workers prune against (and
+            # feed) it.  The coordinator owns its lifetime.
+            shared_tt = SharedTranspositionTable.create(
+                tt_rule.table_bytes,
+                PayloadCodec.for_problem(problem),
+                tt_rule.policy,
+            )
+            tt_rule.bind_shared(shared_tt)
+        try:
+            return self._solve(problem, tt_rule, shared_tt)
+        finally:
+            # Also closes a listener bind_now() opened for a solve the
+            # shallow pass finished: a waiting worker sees EOF at once.
+            if self._listener is not None:
+                self._listener.close()
+                self._listener = None
+            if shared_tt is not None:
+                tt_rule.bind_shared(None)
+                shared_tt.close()
+
+    def _solve(self, problem, tt_rule, shared_tt) -> BnBResult:
         t0 = time.perf_counter()
         params = self.params
+        tt_mark = tt_rule.spawn_mark() if tt_rule is not None else 0
         fingerprint = problem_fingerprint(problem, params)
         merged = SearchStats()
         elapsed_base = 0.0
@@ -224,7 +277,12 @@ class ClusterCoordinator:
             shards = collector.shards
             if not shards or shallow.status is SolveStatus.TARGET_REACHED:
                 self.last_report = ClusterReport(
-                    0, 0, 0, 0, 0, len(shards), 0, 0, (), False, 0
+                    0, 0, 0, 0, 0, len(shards), 0, 0, (), False, 0,
+                    tt_stats=(
+                        tt_rule.telemetry_total(tt_mark)
+                        if tt_rule is not None
+                        else None
+                    ),
                 )
                 return shallow
             best_cost = shallow.best_cost
@@ -248,12 +306,7 @@ class ClusterCoordinator:
         loop = _Loop()
         pending = RetryQueue(
             max_attempts=self.max_shard_attempts,
-            backoff=BackoffPolicy(
-                base=self.retry_backoff,
-                rng=self.backoff_rng
-                if self.backoff_rng is not None
-                else random.Random(),
-            ),
+            backoff=BackoffPolicy(base=self.retry_backoff, rng=random.Random()),
         )
 
         if live and budget > 0:
@@ -261,6 +314,7 @@ class ClusterCoordinator:
                 problem, fingerprint, live, budget, incumbent0,
                 (best_cost, best_proc, best_start),
                 merged, elapsed_base, t0, members, loop, pending, resumed,
+                shared_tt,
             )
             best_cost, best_proc, best_start = outcome
         elif budget <= 0:
@@ -274,6 +328,17 @@ class ClusterCoordinator:
 
         found = best_proc is not None
         status = BranchAndBound._status(params, merged, loop.target, found)
+        tt_stats = None
+        if tt_rule is not None:
+            tt_stats = tt_rule.telemetry_total(tt_mark)
+            for worker_tt in loop.worker_tt:
+                for k, v in worker_tt.items():
+                    # Every hit/miss/insert/fill happens in exactly one
+                    # process, so process-local counts sum to the total.
+                    if k == "tt_capacity":
+                        tt_stats[k] = v
+                    else:
+                        tt_stats[k] = tt_stats.get(k, 0) + v
         monitor = self.obs.live if self.obs is not None else None
         if monitor is not None:
             monitor.bus.update(
@@ -283,6 +348,7 @@ class ClusterCoordinator:
                 explored=merged.explored,
                 generated=merged.generated,
                 elapsed=round(merged.elapsed, 3),
+                vps=round(merged.vertices_per_second or 0.0, 1),
             )
             monitor.bus.record_event(
                 "cluster_done",
@@ -300,6 +366,8 @@ class ClusterCoordinator:
             quarantined=tuple(loop.quarantined),
             resumed=resumed,
             checkpoint_writes=getattr(self, "_ckpt_writes", 0),
+            worker_restarts=loop.worker_restarts,
+            tt_stats=tt_stats,
         )
         return BnBResult(
             problem=problem,
@@ -322,7 +390,7 @@ class ClusterCoordinator:
     def _run(
         self, problem, fingerprint, live, budget, incumbent0, best,
         merged, elapsed_base, t0, members: MembershipTable, loop: _Loop,
-        pending: RetryQueue, resumed: bool,
+        pending: RetryQueue, resumed: bool, shared_tt,
     ):
         """The event loop; returns the final (cost, proc, start)."""
         params = self.params
@@ -350,13 +418,30 @@ class ClusterCoordinator:
             if metrics is not None:
                 metrics.counter(name).inc()
 
-        listener = (
-            self._listener
-            if self._listener is not None
-            else self.transport.listen(self.bind)
-        )
-        self._listener = None  # consumed; a later solve rebinds
+        if self._listener is None:
+            self._listener = (
+                SocketPairListener()
+                if self.local_workers
+                else self.transport.listen(self.bind)
+            )
+        listener = self._listener
         self.bound_address = listener.address
+        tt_handle = shared_tt.handle() if shared_tt is not None else None
+        local: dict = {}  # worker id -> live local worker process
+
+        def spawn_local() -> None:
+            worker_id = f"local-{len(local) + loop.worker_restarts}"
+            child = listener.pair()
+            proc = multiprocessing.Process(
+                target=run_local_worker,
+                args=(child, worker_id, self.fault_plan, tt_handle),
+                name=worker_id,
+                daemon=True,
+            )
+            proc.start()
+            child.close()
+            local[worker_id] = proc
+
         checkpointer = None
         self._ckpt_writes = 0
         if self.checkpoint_path is not None:
@@ -396,6 +481,11 @@ class ClusterCoordinator:
 
         def drop_member(member: Member, cause: str, *, expired: bool) -> None:
             members.remove(member.worker_id, expired=expired)
+            proc = local.pop(member.worker_id, None)
+            if proc is not None:
+                # Dead, hung or cut off: it must never finish its shard.
+                proc.kill()
+                proc.join()
             try:
                 member.conn.close()
             except Exception:
@@ -454,6 +544,23 @@ class ClusterCoordinator:
                             "cause": cause,
                         },
                     )
+            if proc is not None:
+                shard, attempt = next(
+                    iter(member.assigned.values()), (None, None)
+                )
+                count("bnb_worker_restart_total")
+                emit(
+                    "worker_restart",
+                    {
+                        "worker": member.worker_id,
+                        "shard": shard.index if shard is not None else None,
+                        "attempt": attempt,
+                        "cause": cause,
+                    },
+                )
+                if not loop.halt:
+                    loop.worker_restarts += 1
+                    spawn_local()
             member.assigned.clear()
             if requeued:
                 recompute_broadcast()
@@ -582,6 +689,15 @@ class ClusterCoordinator:
                 loop.published.pop(idx, None)
                 member.stale += 1
                 merged.pruned_active += 1
+            elif kind == "error":
+                if frame["fingerprint"] != fingerprint:
+                    return
+                error = frame["error"]
+                if not isinstance(error, Exception):
+                    raise ClusterError(
+                        f"worker {member.worker_id} sent a malformed error"
+                    )
+                raise error
             elif kind == "bye":
                 raise TransportClosed("worker said bye")
 
@@ -648,6 +764,7 @@ class ClusterCoordinator:
                             count("bnb_cluster_join_total")
                 except TransportClosed:
                     done = True
+                    conn.close()
                 except ClusterError as exc:
                     done = True
                     try:
@@ -701,7 +818,7 @@ class ClusterCoordinator:
             if not idle or not victims:
                 return
             thief = idle[0]
-            victim = self._steal_rng.choice(victims)
+            victim = random.choice(victims)
             idx, (shard, attempt) = list(victim.assigned.items())[-1]
             try:
                 thief.conn.send(
@@ -732,6 +849,8 @@ class ClusterCoordinator:
                 pass  # revoke is advisory; duplicates dedupe anyway
 
         try:
+            for _ in range(min(self.local_workers, total)):
+                spawn_local()
             while True:
                 accounted = (
                     len(loop.completed)
@@ -810,11 +929,13 @@ class ClusterCoordinator:
                                 retried=m.retried,
                                 stolen=m.stolen_from,
                             )
+                        _, vps_total = monitor.bus.worker_totals()
                         monitor.bus.update(
                             phase="solving",
                             incumbent=None if math.isinf(inc) else inc,
                             open_lower_bound=open_lb,
                             gap=gap,
+                            vps=round(vps_total, 1),
                             workers_alive=len(members),
                             queue_depth=len(pending),
                             shards_done=len(loop.completed),
@@ -832,7 +953,6 @@ class ClusterCoordinator:
                                 "retries": loop.shard_retries,
                             },
                         )
-                        _, vps_total = monitor.bus.worker_totals()
                         monitor.bus.add_sample(
                             elapsed_base + time.perf_counter() - t0,
                             gap,
@@ -848,7 +968,8 @@ class ClusterCoordinator:
                             gap=gap,
                             workers_alive=len(members),
                         )
-                # The accept timeout doubles as the loop tick.
+                # The accept timeout doubles as the loop tick (a
+                # socketpair listener also wakes on worker frames).
                 conn = listener.accept(timeout=0.005)
                 if conn is not None:
                     loop.handshakes.append((conn, time.monotonic() + 10.0))
@@ -872,7 +993,11 @@ class ClusterCoordinator:
                         frame = member.conn.recv(
                             timeout=max(0.0, deadline - time.monotonic())
                         )
-                        if frame is None or protocol.frame_type(frame) == "bye":
+                        if frame is None:
+                            break
+                        if protocol.frame_type(frame) == "bye":
+                            if frame.get("tt"):
+                                loop.worker_tt.append(frame["tt"])
                             break
                 except (TransportClosed, ClusterError):
                     pass
@@ -880,5 +1005,9 @@ class ClusterCoordinator:
                     member.conn.close()
                 except Exception:
                     pass
-            listener.close()
+            for proc in local.values():
+                proc.join(timeout=1.0)
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
         return best_cost, best_proc, best_start

@@ -8,6 +8,9 @@ failure matrix is unit-testable without networking:
 * :class:`TcpTransport` frames pickled dicts with a 4-byte big-endian
   length prefix over stdlib sockets.  ``recv`` buffers partial reads
   across calls, so a timeout mid-frame never loses stream sync.
+* :class:`SocketPairListener` links a coordinator to worker processes
+  it spawns itself over ``socket.socketpair()`` with the same framing,
+  and binds no address (:class:`SocketPairTransport` is the worker end).
 * :class:`MemoryTransport` connects endpoints through thread-safe
   in-process queues.  Every frame still takes a pickle round-trip
   (serialization bugs surface in unit tests, not deployments), and a
@@ -21,12 +24,13 @@ everywhere, which the cluster layer treats as a membership event.
 from __future__ import annotations
 
 import pickle
+import select
 import socket
 import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ClusterError, TransportClosed
 
@@ -35,6 +39,8 @@ __all__ = [
     "LinkFaults",
     "Listener",
     "MemoryTransport",
+    "SocketPairListener",
+    "SocketPairTransport",
     "TcpTransport",
     "Transport",
     "parse_address",
@@ -102,7 +108,8 @@ class Transport:
 
 class _TcpConnection(Connection):
     def __init__(self, sock: socket.socket) -> None:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if sock.family != socket.AF_UNIX:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._buf = bytearray()
         self._closed = False
@@ -238,6 +245,62 @@ class TcpTransport(Transport):
             ) from exc
         sock.settimeout(None)
         return _TcpConnection(sock)
+
+
+# ---------------------------------------------------------------------------
+# Socket pairs: workers the coordinator spawns itself
+# ---------------------------------------------------------------------------
+
+
+class SocketPairListener(Listener):
+    """Accepts the coordinator ends of ``socket.socketpair()`` links.
+
+    :meth:`pair` makes one link per spawned worker process: the parent
+    end queues for :meth:`accept`, the child end goes to the worker
+    (wrapped in :class:`SocketPairTransport`).  Nothing listens on an
+    address, so no other local user can join the solve and submit a
+    forged result.  ``accept(timeout)`` also returns early, with None,
+    as soon as bytes arrive on any open link, so a coordinator that
+    ticks on it wakes on frames instead of sleeping out the tick.
+    """
+
+    address = "socketpair"
+
+    def __init__(self) -> None:
+        self._backlog: deque = deque()
+        self._links: list[_TcpConnection] = []
+
+    def pair(self) -> socket.socket:
+        """A new link; returns the child end for the worker process."""
+        parent, child = socket.socketpair()
+        conn = _TcpConnection(parent)
+        self._backlog.append(conn)
+        self._links.append(conn)
+        return child
+
+    def accept(self, timeout: float | None = None) -> Connection | None:
+        if self._backlog:
+            return self._backlog.popleft()
+        self._links = [c for c in self._links if not c._closed]
+        if self._links:
+            select.select([c._sock for c in self._links], [], [], timeout)
+        elif timeout:
+            time.sleep(timeout)
+        return None
+
+    def close(self) -> None:
+        while self._backlog:
+            self._backlog.popleft().close()
+
+
+class SocketPairTransport(Transport):
+    """The worker end of a :class:`SocketPairListener` link."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+
+    def connect(self, address: str) -> Connection:
+        return _TcpConnection(self._sock)
 
 
 # ---------------------------------------------------------------------------

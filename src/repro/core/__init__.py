@@ -56,7 +56,6 @@ from .parallel import (
     FaultPlan,
     ParallelBnB,
     ParallelReport,
-    SharedIncumbent,
     ShardFault,
     default_worker_count,
     solve_parallel,
@@ -154,7 +153,6 @@ __all__ = [
     "SearchState",
     "SearchStats",
     "SelectionRule",
-    "SharedIncumbent",
     "SharedTranspositionTable",
     "Shard",
     "ShardFault",

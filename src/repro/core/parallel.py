@@ -27,78 +27,60 @@ reproducible counters, but the counters legitimately differ from the
 sequential interleaving (see ``docs/PARALLEL.md`` for the full
 contract).
 
-**Throughput mode** (``deterministic=False``) hands the depth-d
-frontier shard-by-shard to long-lived supervised worker processes and
-lets them race: the incumbent lives in a ``multiprocessing.Value`` that
-workers poll every 64 explored vertices and publish improvements to (a
-compare-and-set-min under the value's lock), so U/DBAS pruning stays
-effective across shards.  Only the optimal *cost* is guaranteed (any
-complete-search mode finds it: the shard containing an optimal goal
-either reaches it or prunes its path only because an equally good cost
-was already published); which equal-cost schedule wins depends on
-cross-process timing.
+**Throughput mode** (``deterministic=False``) runs the solve as a
+:class:`~repro.cluster.ClusterCoordinator` with ``workers`` local
+:class:`~repro.cluster.ClusterWorker` processes on socketpairs: the
+depth-d frontier goes out one shard per worker at a time, and every
+incumbent improvement is broadcast (epoch-fenced) so U/DBAS pruning
+stays effective across shards.  Only the optimal *cost* is guaranteed
+(any complete-search mode finds it: the shard containing an optimal
+goal either reaches it or prunes its path only because an equally good
+cost was already published); which equal-cost schedule wins depends on
+cross-process timing.  With a transposition rule, all shards share one
+:class:`~repro.core.transposition.SharedTranspositionTable`.
 
-Statistics merge by summation (:meth:`SearchStats.absorb`), worker
-event streams can be folded into the coordinator's sink with per-worker
-tags (:class:`~repro.obs.TaggedSink`), and the compiled problem ships
-by pickling — it serializes as its source (graph, platform) pair and
-recompiles on the other side.
+Statistics merge by summation (:meth:`SearchStats.absorb`), and the
+compiled problem ships by pickling — it serializes as its source
+(graph, platform) pair and recompiles on the other side.
 
 Fault tolerance
 ---------------
 Worker processes die (OOM killers, preemption, plain bugs); the driver
-survives them.  Throughput mode runs its own supervisor: each worker is
-a dedicated process fed shards over a pipe, stamping a heartbeat slot
-on every bound-channel poll.  A dead pipe, a dead process, or a stale
-heartbeat triggers a worker restart; the in-flight shard is re-queued
-with exponential backoff and a bounded attempt budget, after which it
-is *quarantined* (the run completes, reports the loss, and is marked
-TRUNCATED — never silently wrong).  Deterministic mode retries a
-broken process pool the same bounded way, rebuilding the pool and
-re-running the shard exactly; :class:`~repro.errors.WorkerCrashed` is
-raised only when the budget is exhausted.  An injectable
-:class:`FaultPlan` drives the fault-injection test suite (crash a
-worker on a given shard/attempt, hang it, or kill it mid-search).
+survives them.  Throughput mode inherits the coordinator's supervision:
+a worker whose link closes or whose lease (``heartbeat_timeout``)
+expires is killed and respawned, its shard is re-queued with
+exponential backoff and a bounded attempt budget, after which it is
+*quarantined* (the run completes, reports the loss, and is marked
+TRUNCATED — never silently wrong).  Deterministic mode retries a broken
+process pool the same bounded way, rebuilding the pool and re-running
+the shard exactly; :class:`~repro.errors.WorkerCrashed` is raised only
+when the budget is exhausted.  An injectable :class:`FaultPlan` drives
+the fault-injection test suite (crash a worker on a given
+shard/attempt, hang it, or kill it mid-search).
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-import random
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _conn_wait
+from dataclasses import dataclass
 
-from ..errors import ConfigurationError, ResourceLimitExceeded, WorkerCrashed
+from ..errors import ConfigurationError, WorkerCrashed
 from ..model.compile import CompiledProblem
-from ..obs import MemorySink, Observability, TaggedSink
-from .elimination import pruning_threshold
-from .engine import (
-    BnBResult,
-    BranchAndBound,
-    SolveStatus,
-    SubtreeDispatcher,
-    SubtreeSpec,
-)
+from ..obs import Observability
+from .engine import BnBResult, BranchAndBound, SubtreeDispatcher, SubtreeSpec
 from .params import BnBParameters
-from .shards import BackoffPolicy, FrontierCollector, RetryQueue, Shard, shard_state
+from .shards import shard_state
 from .state import SearchState
-from .stats import SearchStats
-from .transposition import (
-    PayloadCodec,
-    SharedTranspositionTable,
-    find_transposition,
-)
+from .transposition import find_transposition
 from .vertex import Vertex
 
 __all__ = [
     "FaultPlan",
     "ParallelBnB",
     "ParallelReport",
-    "SharedIncumbent",
     "ShardFault",
     "default_worker_count",
     "solve_parallel",
@@ -111,51 +93,6 @@ def default_worker_count() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # pragma: no cover - non-Linux
         return max(1, os.cpu_count() or 1)
-
-
-# ---------------------------------------------------------------------------
-# Shared incumbent
-# ---------------------------------------------------------------------------
-
-
-class SharedIncumbent:
-    """Cross-process minimum over published incumbent costs.
-
-    Wraps a ``multiprocessing.Value('d')``; ``publish`` is a
-    compare-and-set-min under the value's lock, ``poll`` a locked read.
-    Implements the engine's ``bound_channel`` protocol, so a worker's
-    search publishes every local improvement and adopts any smaller
-    cost it polls — pruning power propagates between shards at the
-    engine's 64-explored-vertex polling cadence.
-    """
-
-    def __init__(self, value) -> None:
-        self._value = value
-
-    @classmethod
-    def create(
-        cls, initial: float = math.inf, ctx=None
-    ) -> "SharedIncumbent":
-        ctx = ctx if ctx is not None else multiprocessing.get_context()
-        return cls(ctx.Value("d", initial))
-
-    @property
-    def raw(self):
-        """The underlying synchronized value (for process inheritance)."""
-        return self._value
-
-    def poll(self) -> float:
-        v = self._value
-        with v.get_lock():
-            return v.value
-
-    def publish(self, cost: float) -> bool:
-        v = self._value
-        with v.get_lock():
-            if cost < v.value:
-                v.value = cost
-                return True
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +109,20 @@ _FAULT_EXIT = 57
 class ShardFault:
     """One planted failure: fires when ``shard`` runs on ``attempt``.
 
-    ``shard`` is the shard index (throughput mode) or the resolution
-    ordinal (deterministic mode); ``-1`` matches any shard.  ``attempt``
-    is 1-based, so the default plants the fault on the first try and
-    lets the retry succeed.
+    ``shard`` is the shard index (throughput mode and the cluster) or
+    the resolution ordinal (deterministic mode); ``-1`` matches any
+    shard.  ``attempt`` is 1-based, so the default plants the fault on
+    the first try and lets the retry succeed.
 
     Kinds:
 
-    * ``"crash"`` — the worker process exits hard (``os._exit``) before
-      touching the shard, as if the OOM killer got it between tasks.
+    * ``"crash"`` — the worker dies before touching the shard, as if the
+      OOM killer got it between tasks.
     * ``"crash-mid"`` — the worker dies *during* the sub-search, after
       ``after_polls`` bound-channel polls: state is torn mid-expansion,
       the strictest recovery case.
-    * ``"hang"`` — the worker sleeps ``hang_seconds`` without stamping
-      its heartbeat; only the watchdog can reclaim the shard.
+    * ``"hang"`` — the worker sleeps ``hang_seconds`` without sending a
+      heartbeat; in throughput mode only lease expiry reclaims the shard.
     """
 
     kind: str
@@ -218,79 +155,6 @@ class FaultPlan:
             if fault.shard in (-1, shard) and fault.attempt == attempt:
                 return fault
         return None
-
-
-class _HeartbeatChannel:
-    """Bound-channel wrapper stamping a liveness beat on every poll.
-
-    The engine polls its bound channel every 64 explored vertices, so
-    the beat doubles as a progress signal: a worker that stops stamping
-    for ``heartbeat_timeout`` seconds is either hung or dead slow, and
-    the supervisor reclaims its shard either way.
-    """
-
-    def __init__(self, inner, beats, slot: int) -> None:
-        self._inner = inner
-        self._beats = beats
-        self._slot = slot
-
-    def poll(self) -> float:
-        self._beats[self._slot] = time.monotonic()
-        return self._inner.poll()
-
-    def publish(self, cost: float) -> bool:
-        return self._inner.publish(cost)
-
-
-class _StatsReportingChannel:
-    """Bound-channel wrapper shipping periodic WorkerStats frames.
-
-    Piggybacks on the engine's bound poll (every 64 explored vertices):
-    when ``interval`` seconds have passed it sends ``("stats",
-    shard_index, approx_explored, windowed_vps)`` up the supervision
-    pipe.  Counts are approximate — one poll ≈ 64 explored vertices;
-    the engine's exact counters are invisible mid-solve and the exact
-    stats still arrive with the shard's ``done`` message.  Sends share
-    the worker's single thread with result sends, so frames never
-    interleave mid-message.
-    """
-
-    #: The engine polls its bound channel every 64 explored vertices.
-    _VERTICES_PER_POLL = 64
-
-    def __init__(self, inner, conn, shard_index: int, interval: float) -> None:
-        self._inner = inner
-        self._conn = conn
-        self._shard = shard_index
-        self._interval = interval
-        self._polls = 0
-        self._last_t = time.monotonic()
-        self._last_polls = 0
-
-    def poll(self) -> float:
-        self._polls += 1
-        now = time.monotonic()
-        if now - self._last_t >= self._interval:
-            window = now - self._last_t
-            delta = self._polls - self._last_polls
-            vps = delta * self._VERTICES_PER_POLL / window if window > 0 else 0.0
-            self._last_t = now
-            self._last_polls = self._polls
-            try:
-                self._conn.send(
-                    (
-                        "stats",
-                        self._shard,
-                        self._polls * self._VERTICES_PER_POLL,
-                        vps,
-                    )
-                )
-            except (BrokenPipeError, OSError):
-                pass  # supervisor gone; the search still finishes
-        return self._inner.poll()
-
-    def publish(self, cost: float) -> bool:
-        return self._inner.publish(cost)
 
 
 class _CrashAfterPolls:
@@ -375,123 +239,9 @@ def _run_shard(
     )
 
 
-def _supervised_worker(
-    conn,
-    slot: int,
-    beats,
-    shared,
-    problem: CompiledProblem,
-    params: BnBParameters,
-    fused: bool | None,
-    collect_events: bool,
-    tt_handle,
-    fault_plan: FaultPlan | None,
-    stats_interval: float | None = None,
-) -> None:
-    """Supervised throughput worker: one shard per pipe message.
-
-    Protocol (all tuples, kind first):
-
-    * recv ``("run", shard_index, state, lower_bound, attempt, budget)``
-      → send ``("stale", shard_index)`` if a polled incumbent already
-      prunes the shard, else ``("done", shard_index, stats, best_cost,
-      proc_of, start, target_reached, events)``.
-    * recv ``("stop",)`` → send ``("bye", tt_telemetry)`` and exit.
-
-    With ``stats_interval`` set (the coordinator has a live monitor
-    attached) the worker additionally ships ``("stats", shard_index,
-    approx_explored, vps)`` frames mid-shard at that cadence — see
-    :class:`_StatsReportingChannel`.
-
-    The heartbeat slot is stamped on receipt and then on every
-    bound-channel poll inside the sub-search; a worker that stops
-    stamping is presumed hung and reclaimed by the supervisor.
-    """
-    channel = SharedIncumbent(shared)
-    tt_rule = find_transposition(params.dominance)
-    if tt_rule is not None and tt_handle is not None:
-        tt_rule.bind_shared(SharedTranspositionTable.from_handle(tt_handle))
-    elim = params.elimination
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            # Supervisor vanished; nothing sensible left to do.
-            return
-        if msg[0] == "stop":
-            try:
-                conn.send(
-                    (
-                        "bye",
-                        tt_rule.telemetry_total()
-                        if tt_rule is not None
-                        else None,
-                    )
-                )
-            except (BrokenPipeError, OSError):
-                pass
-            return
-        _, shard_index, state, lower_bound, attempt, budget = msg
-        beats[slot] = time.monotonic()
-        fault = None
-        if fault_plan is not None:
-            fault = _fire_fault(fault_plan.match(shard_index, attempt))
-        incumbent = channel.poll()
-        if elim.should_prune(
-            lower_bound, pruning_threshold(incumbent, params.inaccuracy)
-        ):
-            conn.send(("stale", shard_index))
-            continue
-        run_channel = _HeartbeatChannel(channel, beats, slot)
-        if stats_interval is not None:
-            run_channel = _StatsReportingChannel(
-                run_channel, conn, shard_index, stats_interval
-            )
-        if fault is not None:  # crash-mid
-            run_channel = _CrashAfterPolls(run_channel, fault.after_polls)
-        sink = MemorySink() if collect_events else None
-        engine = BranchAndBound(
-            params,
-            obs=Observability(sink=sink) if sink is not None else None,
-            fused=fused,
-        )
-        try:
-            result = engine.solve(
-                problem,
-                subtree=SubtreeSpec(state, lower_bound, incumbent, budget),
-                bound_channel=run_channel,
-            )
-        except ResourceLimitExceeded as exc:
-            # fail_on_exhaustion semantics must survive supervision: the
-            # exception travels home over the pipe (its __reduce__ drops
-            # the unpicklable partial result) and the supervisor
-            # re-raises it, exactly like the unsupervised pool did.
-            conn.send(("error", shard_index, exc))
-            continue
-        conn.send(
-            (
-                "done",
-                shard_index,
-                result.stats,
-                result.best_cost if result.proc_of is not None else math.inf,
-                result.proc_of,
-                result.start,
-                result.status is SolveStatus.TARGET_REACHED,
-                sink.events if sink is not None else None,
-            )
-        )
-
-
 # ---------------------------------------------------------------------------
 # Coordinator-side dispatchers
 # ---------------------------------------------------------------------------
-
-
-# Frontier decomposition now lives in :mod:`repro.core.shards`, shared
-# with the cluster coordinator; the old private names stay as aliases.
-_shard_state = shard_state
-_Shard = Shard
-_FrontierCollector = FrontierCollector
 
 
 @dataclass
@@ -608,7 +358,7 @@ class _ReplayDispatcher(SubtreeDispatcher):
     def offer(
         self, vertex: Vertex, incumbent_cost: float, budget: float
     ) -> None:
-        state = _shard_state(vertex)
+        state = shard_state(vertex)
         try:
             future = self._submit(
                 state, vertex.lower_bound, incumbent_cost, budget
@@ -669,7 +419,7 @@ class _ReplayDispatcher(SubtreeDispatcher):
             while True:
                 try:
                     result = self._submit(
-                        _shard_state(vertex),
+                        shard_state(vertex),
                         vertex.lower_bound,
                         incumbent_cost,
                         budget,
@@ -718,44 +468,6 @@ class _ReplayDispatcher(SubtreeDispatcher):
 
 
 # ---------------------------------------------------------------------------
-# Throughput-mode supervision
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _WorkerHandle:
-    """One supervised worker process and its command pipe."""
-
-    proc: object
-    conn: object
-    slot: int
-    #: ``(shard, attempt)`` in flight, or None when idle.
-    task: tuple | None = None
-
-
-@dataclass
-class _SuperviseOutcome:
-    """Everything the supervisor learned from one throughput run."""
-
-    best_cost: float = math.inf
-    best_proc: tuple | None = None
-    best_start: tuple | None = None
-    target: bool = False
-    truncated: bool = False
-    shards_stale: int = 0
-    worker_restarts: int = 0
-    shard_retries: int = 0
-    quarantined: list = field(default_factory=list)
-    #: Per-slot merged counters (a restarted slot keeps accumulating).
-    slot_stats: list = field(default_factory=list)
-    #: ``(slot, shard_index, [(kind, payload), ...])`` per executed shard.
-    events: list = field(default_factory=list)
-    #: Per-worker transposition telemetry collected at shutdown; crashed
-    #: workers lose theirs (documented undercount).
-    worker_tt: list = field(default_factory=list)
-
-
-# ---------------------------------------------------------------------------
 # The driver
 # ---------------------------------------------------------------------------
 
@@ -775,8 +487,6 @@ class ParallelReport:
     speculative_hits: int = 0
     #: Deterministic mode: speculations discarded and re-run exactly.
     reruns: int = 0
-    #: Throughput mode: per-worker merged counters, in worker order.
-    worker_stats: tuple = ()
     #: Worker processes replaced after a crash, hang or pool breakage.
     worker_restarts: int = 0
     #: Shards re-queued (with backoff) after their worker died.
@@ -814,11 +524,8 @@ class ParallelBnB:
         deterministic: bool = True,
         fused: bool | None = None,
         obs: Observability | None = None,
-        collect_worker_events: bool = False,
-        mp_context=None,
         max_shard_attempts: int = 3,
         retry_backoff: float = 0.05,
-        backoff_rng: random.Random | None = None,
         heartbeat_timeout: float = 30.0,
         fault_plan: FaultPlan | None = None,
     ) -> None:
@@ -846,13 +553,9 @@ class ParallelBnB:
         self.deterministic = deterministic
         self.fused = fused
         self.obs = obs
-        self.collect_worker_events = collect_worker_events
-        self._mp_context = mp_context
         self.max_shard_attempts = max_shard_attempts
         self.retry_backoff = retry_backoff
-        #: RNG for decorrelated-jitter retry backoff; None seeds a fresh
-        #: one (tests inject a seeded instance to pin delays).
-        self.backoff_rng = backoff_rng
+        #: Throughput mode: the worker lease, in seconds.
         self.heartbeat_timeout = heartbeat_timeout
         self.fault_plan = fault_plan
         self.last_report: ParallelReport | None = None
@@ -870,11 +573,6 @@ class ParallelBnB:
         return self.solve(compile_problem(graph, platform))
 
     # ------------------------------------------------------------------
-
-    def _ctx(self):
-        if self._mp_context is not None:
-            return self._mp_context
-        return multiprocessing.get_context()
 
     def _solve_deterministic(self, problem: CompiledProblem) -> BnBResult:
         rb = self.params.resources
@@ -902,9 +600,7 @@ class ParallelBnB:
         metrics = self.obs.metrics if self.obs is not None else None
 
         def make_executor() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self._ctx()
-            )
+            return ProcessPoolExecutor(max_workers=self.workers)
 
         dispatcher = _ReplayDispatcher(
             make_executor, problem, self.params, self.fused,
@@ -931,492 +627,34 @@ class ParallelBnB:
         return result
 
     def _solve_throughput(self, problem: CompiledProblem) -> BnBResult:
-        t0 = time.perf_counter()
-        params = self.params
-        tt_rule = find_transposition(params.dominance)
-        shared_tt = None
-        tt_mark = 0
-        if tt_rule is not None:
-            # One lock-striped shared segment for the whole solve: the
-            # coordinator's shallow pass seeds it, worker shards prune
-            # against (and feed) it.  The coordinator owns its lifetime.
-            shared_tt = SharedTranspositionTable.create(
-                tt_rule.table_bytes,
-                PayloadCodec.for_problem(problem),
-                tt_rule.policy,
-                ctx=self._ctx(),
-            )
-            tt_rule.bind_shared(shared_tt)
-            tt_mark = tt_rule.spawn_mark()
-        try:
-            return self._throughput_run(
-                problem, t0, tt_rule, shared_tt, tt_mark
-            )
-        finally:
-            if shared_tt is not None:
-                tt_rule.bind_shared(None)
-                shared_tt.close()
+        from ..cluster import ClusterCoordinator
 
-    def _throughput_run(
-        self, problem: CompiledProblem, t0, tt_rule, shared_tt, tt_mark
-    ) -> BnBResult:
-        params = self.params
-        collector = _FrontierCollector(self.split_depth, problem, params)
-        engine = BranchAndBound(params, obs=self.obs, fused=self.fused)
-        shallow = engine.solve(problem, dispatcher=collector)
-        shards = collector.shards
-        if not shards or shallow.status is SolveStatus.TARGET_REACHED:
-            # The shallow pass already completed the search (tiny tree,
-            # everything pruned, or early stop before any dispatch).
-            self.last_report = ParallelReport(
-                mode="throughput",
-                workers=self.workers,
-                split_depth=self.split_depth,
-                shards=len(shards),
-                tt_stats=(
-                    tt_rule.telemetry_total(tt_mark)
-                    if tt_rule is not None
-                    else None
-                ),
-            )
-            return shallow
-
-        incumbent0 = min(shallow.best_cost, shallow.initial_upper_bound)
-        threshold0 = pruning_threshold(incumbent0, params.inaccuracy)
-        elim = params.elimination
-        live = [
-            s
-            for s in shards
-            if not elim.should_prune(s.lower_bound, threshold0)
-        ]
-        merged = SearchStats()
-        merged.absorb(shallow.stats)
-        # Shards collected before a later shallow incumbent improvement
-        # would have been swept by the sequential engine; count them so.
-        merged.pruned_active += len(shards) - len(live)
-
-        budget = params.resources.max_vertices - shallow.stats.generated
-        best_cost = shallow.best_cost
-        best_proc = shallow.proc_of
-        best_start = shallow.start
-        target = False
-        worker_stats: tuple = ()
-        sup: _SuperviseOutcome | None = None
-        if live and budget > 0:
-            sup = self._supervise(
-                problem, live, budget, incumbent0, shared_tt
-            )
-            for slot_stats in sup.slot_stats:
-                merged.absorb(slot_stats)
-            worker_stats = tuple(sup.slot_stats)
-            target = sup.target
-            if sup.truncated:
-                merged.truncated = True
-            if sup.best_proc is not None and sup.best_cost < best_cost:
-                best_cost = sup.best_cost
-                best_proc = sup.best_proc
-                best_start = sup.best_start
-        elif budget <= 0:
-            merged.truncated = True
-
-        sink = self.obs.sink if self.obs is not None else None
-        if sink is not None and self.collect_worker_events and sup is not None:
-            for slot, shard_index, shard_events in sup.events:
-                tagged = TaggedSink(sink, worker=slot, shard=shard_index)
-                for kind, payload in shard_events:
-                    if tagged.accepts(kind):
-                        tagged.emit(kind, payload)
-
-        merged.elapsed = time.perf_counter() - t0
-        found = best_proc is not None
-        status = BranchAndBound._status(params, merged, target, found)
-        monitor = self.obs.live if self.obs is not None else None
-        if monitor is not None:
-            monitor.bus.update(
-                phase="done",
-                result_status=status.value,
-                incumbent=best_cost if found else None,
-                explored=merged.explored,
-                generated=merged.generated,
-                elapsed=round(merged.elapsed, 3),
-                vps=round(merged.vertices_per_second or 0.0, 1),
-            )
-            monitor.bus.record_event(
-                "parallel_done",
-                {"status": status.value, "workers": self.workers},
-            )
-        incumbent_source = (
-            "search"
-            if found and best_cost < shallow.initial_upper_bound
-            else shallow.incumbent_source
+        coordinator = ClusterCoordinator(
+            self.params,
+            local_workers=self.workers,
+            split_depth=self.split_depth,
+            fused=self.fused,
+            lease=self.heartbeat_timeout,
+            prefetch=1,  # one shard per worker, as shards are accounted
+            max_shard_attempts=self.max_shard_attempts,
+            retry_backoff=self.retry_backoff,
+            obs=self.obs,
         )
-        tt_stats = None
-        if tt_rule is not None:
-            tt_stats = tt_rule.telemetry_total(tt_mark)
-            for worker_tt in sup.worker_tt if sup is not None else ():
-                if not worker_tt:
-                    continue
-                for k, v in worker_tt.items():
-                    if k == "tt_capacity":
-                        tt_stats[k] = v
-                    else:
-                        # Process-local views sum to the global count:
-                        # every hit/miss/insert/fill happens in exactly
-                        # one process.
-                        tt_stats[k] = tt_stats.get(k, 0) + v
+        coordinator.fault_plan = self.fault_plan
+        result = coordinator.solve(problem)
+        rep = coordinator.last_report
         self.last_report = ParallelReport(
             mode="throughput",
             workers=self.workers,
             split_depth=self.split_depth,
-            shards=len(shards),
-            shards_stale=(len(shards) - len(live))
-            + (sup.shards_stale if sup is not None else 0),
-            worker_stats=worker_stats,
-            worker_restarts=sup.worker_restarts if sup is not None else 0,
-            shard_retries=sup.shard_retries if sup is not None else 0,
-            quarantined=tuple(sup.quarantined) if sup is not None else (),
-            tt_stats=tt_stats,
+            shards=rep.shards,
+            shards_stale=rep.shards_stale,
+            worker_restarts=rep.worker_restarts,
+            shard_retries=rep.shard_retries,
+            quarantined=rep.quarantined,
+            tt_stats=rep.tt_stats,
         )
-        return BnBResult(
-            problem=problem,
-            params=params,
-            status=status,
-            best_cost=best_cost if found else math.inf,
-            proc_of=best_proc,
-            start=best_start,
-            incumbent_source=incumbent_source,
-            initial_upper_bound=shallow.initial_upper_bound,
-            stats=merged,
-        )
-
-    def _supervise(
-        self,
-        problem: CompiledProblem,
-        live: list[_Shard],
-        budget: float,
-        incumbent0: float,
-        shared_tt,
-    ) -> _SuperviseOutcome:
-        """Run the live shards under worker supervision.
-
-        Shards are handed to idle workers one at a time (dynamic load
-        balancing — no static blocks to strand behind a slow shard).  A
-        worker that dies, breaks its pipe, or stops stamping its
-        heartbeat is replaced; its shard is re-queued with capped
-        exponential backoff plus decorrelated jitter (shards orphaned
-        together must not retry in lockstep — see
-        :class:`~repro.core.shards.BackoffPolicy`), and after
-        ``max_shard_attempts`` failures the shard is quarantined: the
-        run finishes without it, reports it, and is marked TRUNCATED.
-        The incumbent can never be lost to a crash — improvements are
-        published to the shared value the moment a worker finds them.
-        """
-        ctx = self._ctx()
-        nslots = max(1, min(self.workers, len(live)))
-        shared = ctx.Value("d", incumbent0)
-        beats = ctx.Array("d", nslots, lock=False)
-        tt_handle = shared_tt.handle() if shared_tt is not None else None
-        out = _SuperviseOutcome(
-            slot_stats=[SearchStats() for _ in range(nslots)]
-        )
-        user_sink = self.obs.sink if self.obs is not None else None
-        monitor = self.obs.live if self.obs is not None else None
-        progress = self.obs.progress if self.obs is not None else None
-        # Coordinator events (worker_restart/shard_retry/quarantine)
-        # mirror into the live bus exactly like engine events do.
-        sink = (
-            user_sink if monitor is None
-            else monitor.compose_sink(user_sink)
-        )
-        metrics = self.obs.metrics if self.obs is not None else None
-        stats_interval = monitor.interval if monitor is not None else None
-        restarts_by_slot = [0] * nslots
-        sup_t0 = time.monotonic()
-        next_coord_sample = 0.0
-        last_incumbent_seen = incumbent0
-        pending = RetryQueue(
-            max_attempts=self.max_shard_attempts,
-            backoff=BackoffPolicy(
-                base=self.retry_backoff,
-                rng=self.backoff_rng
-                if self.backoff_rng is not None
-                else random.Random(),
-            ),
-        )
-        for s in live:
-            pending.add(s)
-        remaining = budget
-        stop = False
-
-        def spawn(slot: int) -> _WorkerHandle:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_supervised_worker,
-                args=(
-                    child, slot, beats, shared, problem, self.params,
-                    self.fused, self.collect_worker_events, tt_handle,
-                    self.fault_plan, stats_interval,
-                ),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            beats[slot] = time.monotonic()
-            return _WorkerHandle(proc=proc, conn=parent, slot=slot)
-
-        def reclaim(worker: _WorkerHandle, cause: str) -> _WorkerHandle:
-            """Restart a dead/hung worker's slot; requeue or quarantine
-            the shard it was holding."""
-            shard, attempt = worker.task
-            worker.task = None
-            out.worker_restarts += 1
-            restarts_by_slot[worker.slot] += 1
-            if monitor is not None:
-                monitor.on_worker_down(
-                    worker.slot, restarts_by_slot[worker.slot]
-                )
-            if metrics is not None:
-                metrics.counter("bnb_worker_restart_total").inc()
-            if sink is not None and sink.accepts("worker_restart"):
-                sink.emit(
-                    "worker_restart",
-                    {
-                        "mode": "throughput",
-                        "slot": worker.slot,
-                        "shard": shard.index,
-                        "attempt": attempt,
-                        "cause": cause,
-                    },
-                )
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            delay = pending.requeue(shard, attempt, time.monotonic())
-            if delay is None:
-                out.quarantined.append(shard.index)
-                out.truncated = True  # search incomplete: never report OPTIMAL
-                if sink is not None and sink.accepts("quarantine"):
-                    sink.emit(
-                        "quarantine",
-                        {
-                            "shard": shard.index,
-                            "attempts": attempt,
-                            "cause": cause,
-                        },
-                    )
-            else:
-                out.shard_retries += 1
-                if metrics is not None:
-                    metrics.counter("bnb_shard_retry_total").inc()
-                if sink is not None and sink.accepts("shard_retry"):
-                    sink.emit(
-                        "shard_retry",
-                        {
-                            "shard": shard.index,
-                            "attempt": attempt + 1,
-                            "delay": delay,
-                            "cause": cause,
-                        },
-                    )
-            return spawn(worker.slot)
-
-        workers = [spawn(i) for i in range(nslots)]
-        try:
-            while True:
-                for i, worker in enumerate(workers):
-                    if worker.task is not None or stop:
-                        continue
-                    task = pending.pop_eligible(time.monotonic())
-                    if task is None:
-                        break
-                    shard, attempt = task
-                    worker.task = (shard, attempt)
-                    beats[worker.slot] = time.monotonic()
-                    try:
-                        worker.conn.send(
-                            (
-                                "run", shard.index, shard.state,
-                                shard.lower_bound, attempt, remaining,
-                            )
-                        )
-                    except (BrokenPipeError, OSError):
-                        workers[i] = reclaim(worker, "pipe closed")
-                busy = [w for w in workers if w.task is not None]
-                if not busy:
-                    if stop or not pending:
-                        break
-                    time.sleep(0.01)  # everything pending is backing off
-                    continue
-                ready = _conn_wait([w.conn for w in busy], timeout=0.05)
-                now = time.monotonic()
-                for i, worker in enumerate(workers):
-                    if worker.task is None:
-                        continue
-                    if worker.conn in ready:
-                        try:
-                            msg = worker.conn.recv()
-                        except (EOFError, OSError):
-                            workers[i] = reclaim(worker, "worker died")
-                            continue
-                        kind = msg[0]
-                        if kind == "stats":
-                            # Mid-shard WorkerStats frame: per-worker
-                            # gauges only; the shard stays in flight.
-                            _, shard_index, explored_approx, vps = msg
-                            if monitor is not None:
-                                monitor.on_worker_frame(
-                                    worker.slot,
-                                    shard=shard_index,
-                                    explored=explored_approx,
-                                    vps=vps,
-                                    restarts=restarts_by_slot[worker.slot],
-                                )
-                            continue
-                        if kind == "stale":
-                            # Count exactly like the sequential sweep
-                            # dropping a now-dominated active vertex.
-                            out.shards_stale += 1
-                            out.slot_stats[worker.slot].pruned_active += 1
-                            worker.task = None
-                        elif kind == "error":
-                            raise msg[2]
-                        elif kind == "done":
-                            (
-                                _, shard_index, wstats, bcost, bproc,
-                                bstart, treached, shard_events,
-                            ) = msg
-                            out.slot_stats[worker.slot].absorb(wstats)
-                            remaining -= wstats.generated
-                            if bproc is not None and bcost < out.best_cost:
-                                out.best_cost = bcost
-                                out.best_proc = bproc
-                                out.best_start = bstart
-                            if shard_events is not None:
-                                out.events.append(
-                                    (worker.slot, shard_index, shard_events)
-                                )
-                            if treached:
-                                out.target = True
-                                stop = True
-                            if remaining <= 0:
-                                out.truncated = True
-                                stop = True
-                            worker.task = None
-                    elif not worker.proc.is_alive():
-                        workers[i] = reclaim(
-                            worker, f"exit code {worker.proc.exitcode}"
-                        )
-                    elif now - beats[worker.slot] > self.heartbeat_timeout:
-                        worker.proc.terminate()
-                        worker.proc.join(timeout=5.0)
-                        workers[i] = reclaim(worker, "heartbeat timeout")
-                if (monitor is not None or progress is not None) and (
-                    time.monotonic() >= next_coord_sample
-                ):
-                    # Coordinator-side sample: aggregate worker gauges,
-                    # the open shard bound (pending + in-flight shards
-                    # bound everything the run has not yet explored) and
-                    # the shared incumbent into the bus and heartbeat.
-                    next_coord_sample = time.monotonic() + (
-                        monitor.interval
-                        if monitor is not None
-                        else progress.interval
-                    )
-                    alive_count = sum(
-                        1 for w in workers if w.proc.is_alive()
-                    )
-                    inc_now = shared.value
-                    open_lb = pending.min_lower_bound()
-                    for w in workers:
-                        if w.task is not None:
-                            lb = w.task[0].lower_bound
-                            if open_lb is None or lb < open_lb:
-                                open_lb = lb
-                    gap = None
-                    if open_lb is not None and not math.isinf(inc_now):
-                        gap = max(0.0, inc_now - open_lb)
-                    explored_done = sum(s.explored for s in out.slot_stats)
-                    generated_done = sum(
-                        s.generated for s in out.slot_stats
-                    )
-                    if monitor is not None:
-                        if inc_now < last_incumbent_seen:
-                            last_incumbent_seen = inc_now
-                            monitor.bus.record_event(
-                                "incumbent",
-                                {
-                                    "cost": inc_now,
-                                    "elapsed": round(
-                                        time.monotonic() - sup_t0, 3
-                                    ),
-                                    "source": "worker",
-                                },
-                            )
-                        _, vps_total = monitor.bus.worker_totals()
-                        elapsed_sup = time.monotonic() - sup_t0
-                        monitor.bus.update(
-                            phase="solving",
-                            incumbent=(
-                                None if math.isinf(inc_now) else inc_now
-                            ),
-                            open_lower_bound=open_lb,
-                            gap=gap,
-                            vps=round(vps_total, 1),
-                            workers_alive=alive_count,
-                            queue_depth=len(pending),
-                            explored=explored_done,
-                            generated=generated_done,
-                            elapsed=round(elapsed_sup, 3),
-                        )
-                        monitor.bus.add_sample(elapsed_sup, gap, vps_total)
-                        monitor.last_gap = gap
-                    if progress is not None:
-                        progress.maybe_emit(
-                            explored=explored_done,
-                            generated=generated_done,
-                            active=len(pending)
-                            + sum(
-                                1 for w in workers if w.task is not None
-                            ),
-                            incumbent=inc_now,
-                            gap=gap,
-                            workers_alive=alive_count,
-                        )
-            if pending and not out.target:
-                # Budget ran out with shards still queued: they are
-                # deliberately unexplored, exactly like the sequential
-                # engine truncating its sweep.
-                out.truncated = True
-        finally:
-            for worker in workers:
-                try:
-                    worker.conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-            deadline = time.monotonic() + 5.0
-            for worker in workers:
-                try:
-                    while worker.conn.poll(
-                        max(0.0, deadline - time.monotonic())
-                    ):
-                        msg = worker.conn.recv()
-                        if msg[0] == "bye":
-                            if msg[1]:
-                                out.worker_tt.append(msg[1])
-                            break
-                except (EOFError, OSError):
-                    pass
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
-            for worker in workers:
-                worker.proc.join(timeout=2.0)
-                if worker.proc.is_alive():
-                    worker.proc.terminate()
-                    worker.proc.join(timeout=2.0)
-        return out
+        return result
 
 
 def solve_parallel(

@@ -1,12 +1,11 @@
-"""Shard bookkeeping shared by the parallel and cluster drivers.
+"""Shard bookkeeping for the shard supervisor.
 
-Both the single-machine throughput supervisor
-(:mod:`repro.core.parallel`) and the networked coordinator
-(:mod:`repro.cluster`) decompose a solve the same way: a shallow
-sequential pass collects the depth-d frontier as :class:`Shard` roots,
-and a dispatch loop hands shards to workers, re-queues the ones whose
-worker died, and quarantines shards that keep killing workers.  This
-module holds that machinery once:
+The coordinator in :mod:`repro.cluster` (which also runs
+throughput-mode :mod:`repro.core.parallel` solves) decomposes a solve
+this way: a shallow sequential pass collects the depth-d frontier as
+:class:`Shard` roots, and a dispatch loop hands shards to workers,
+re-queues the ones whose worker died, and quarantines shards that keep
+killing workers.  This module holds that machinery:
 
 * :class:`Shard` — one frontier root, frozen with the incumbent and
   budget it entered with.

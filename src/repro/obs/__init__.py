@@ -40,7 +40,6 @@ from .events import (
     JsonlSink,
     MemorySink,
     MultiSink,
-    TaggedSink,
 )
 from .live import LiveMonitor, TelemetryBus, WorkerStats, write_flight_dump
 from .metrics import (
@@ -66,7 +65,6 @@ __all__ = [
     "MemorySink",
     "CallbackSink",
     "MultiSink",
-    "TaggedSink",
     # profile
     "PHASES",
     "PhaseProfiler",

@@ -35,7 +35,6 @@ __all__ = [
     "MemorySink",
     "CallbackSink",
     "MultiSink",
-    "TaggedSink",
 ]
 
 #: Event kinds subject to sampling (one per explored/generated vertex).
@@ -195,30 +194,6 @@ class CallbackSink(BaseSink):
 
     def emit(self, kind: str, payload: dict[str, Any]) -> None:
         self.fn(kind, payload)
-
-
-class TaggedSink(BaseSink):
-    """Wraps a sink, stamping fixed fields onto every event's payload.
-
-    The parallel driver gives each worker's event stream a ``worker``
-    (and ``shard``) tag before folding it into the coordinator's sink,
-    so one merged trace still attributes every event to its origin.
-    Sampling decisions are delegated to the wrapped sink; ``close`` is
-    *not* forwarded (the coordinator owns the underlying sink and may
-    tag several streams into it).
-    """
-
-    def __init__(self, inner: EventSink, **tags: Any) -> None:
-        self.inner = inner
-        self.tags = dict(tags)
-
-    def accepts(self, kind: str) -> bool:
-        return self.inner.accepts(kind)
-
-    def emit(self, kind: str, payload: dict[str, Any]) -> None:
-        record = dict(payload)
-        record.update(self.tags)
-        self.inner.emit(kind, record)
 
 
 class MultiSink(BaseSink):

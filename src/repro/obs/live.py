@@ -47,13 +47,13 @@ _MAX_DEPTH_BUCKETS = 64
 
 
 class WorkerStats:
-    """Per-worker gauges aggregated by the parallel coordinator.
+    """Per-worker gauges aggregated by the cluster coordinator.
 
-    Built from the periodic ``("stats", …)`` frames throughput workers
-    ship over their supervision pipes (see
-    :func:`repro.core.parallel._supervised_worker`): approximate counts
-    derived from bound-channel polls, a windowed vertices/second rate,
-    plus coordinator-side facts (restarts, heartbeat age, liveness).
+    Built from the heartbeat frames every cluster worker sends (remote,
+    or local in throughput mode; see :mod:`repro.cluster.worker`):
+    approximate counts derived from bound-channel polls, the
+    vertices/second rate over the window since the previous heartbeat,
+    plus coordinator-side facts (lease age, shard accounting, liveness).
     """
 
     __slots__ = (
@@ -405,26 +405,6 @@ class LiveMonitor:
         return True
 
     # -- parallel coordinator hooks ------------------------------------
-
-    def on_worker_frame(
-        self,
-        slot: int,
-        *,
-        shard: int | None,
-        explored: int,
-        vps: float,
-        restarts: int = 0,
-    ) -> None:
-        """Absorb one worker ``("stats", …)`` frame."""
-        self.bus.set_worker(
-            WorkerStats(
-                slot,
-                shard=shard,
-                explored=explored,
-                vps=vps,
-                restarts=restarts,
-            )
-        )
 
     def on_worker_down(self, slot: int, restarts: int) -> None:
         """Mark a slot dead-until-respawned after a reclaim."""

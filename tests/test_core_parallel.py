@@ -4,14 +4,17 @@ The deterministic-mode contract (exact replay of the sequential LIFO
 search: cost, schedule, shard-summed counters, status — and exact
 MAXVERT budget replay) is asserted against the sequential engine on
 every fixture; throughput mode is held to its weaker contract (optimal
-cost, valid schedule).  The supporting machinery — frontier export
-order, shared-incumbent semantics, sub-search resumption, worker event
-tagging, the parallel report — is covered piecewise.
+cost, valid schedule) and to its worker lifecycle (no process when the
+shallow pass closes the search, no listening socket, no leftover child).
+The supporting machinery — frontier export order, sub-search
+resumption, the parallel report — is covered piecewise.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import socket
 from types import SimpleNamespace
 
 import pytest
@@ -22,7 +25,6 @@ from repro.core import (
     LIFOSelection,
     ParallelBnB,
     ResourceBounds,
-    SharedIncumbent,
     SolveStatus,
     Vertex,
     root_state,
@@ -30,7 +32,7 @@ from repro.core import (
 )
 from repro.core.engine import SubtreeSpec
 from repro.core.expand import FusedExpander
-from repro.core.parallel import default_worker_count
+from repro.core.parallel import FaultPlan, ShardFault, default_worker_count
 from repro.core.selection import SELECTION_RULES
 from repro.errors import ConfigurationError, ResourceLimitExceeded
 from repro.model import compile_problem, shared_bus_platform
@@ -201,41 +203,68 @@ def test_throughput_with_no_shards_returns_the_shallow_result():
     assert solver.last_report.shards == 0
 
 
-def test_worker_events_are_tagged():
+def test_throughput_closed_by_the_shallow_pass_starts_no_worker(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"started worker process {self.name}")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     problem = PROBLEMS[-1]
-    sink = MemorySink()
+    solver = ParallelBnB(
+        LIFO, workers=2, split_depth=problem.n + 1, deterministic=False
+    )
+    thr = solver.solve(problem)
+    assert thr.best_cost == BranchAndBound(LIFO).solve(problem).best_cost
+    assert solver.last_report.shards == 0
+
+
+def test_throughput_opens_no_listening_socket(monkeypatch):
+    # Local workers talk over socketpairs: no local user can connect.
+    def refuse(self, *args):
+        raise AssertionError("throughput mode called listen()")
+
+    monkeypatch.setattr(socket.socket, "listen", refuse)
+    problem = PROBLEMS[-1]
+    solver = ParallelBnB(LIFO, workers=2, split_depth=2, deterministic=False)
+    thr = solver.solve(problem)
+    assert thr.best_cost == BranchAndBound(LIFO).solve(problem).best_cost
+    assert solver.last_report.shards > 0
+
+
+def test_throughput_more_workers_than_cores_keeps_the_optimum():
+    # Four local workers and depth-3 shards race on the broadcast
+    # incumbent; a lost or misordered bound update would show as a
+    # wrong cost or a shard never accounted for.
+    problem = PROBLEMS[-1]
+    solver = ParallelBnB(LIFO, workers=4, split_depth=3, deterministic=False)
+    thr = solver.solve(problem)
+    assert thr.best_cost == BranchAndBound(LIFO).solve(problem).best_cost
+    assert thr.status is SolveStatus.OPTIMAL
+    report = solver.last_report
+    assert report.shards > 4
+    assert report.worker_restarts == 0 and report.quarantined == ()
+
+
+def test_throughput_hang_leaves_no_live_child():
+    before = set(multiprocessing.active_children())
+    problem = PROBLEMS[-1]
     solver = ParallelBnB(
         LIFO,
         workers=2,
         split_depth=2,
         deterministic=False,
-        obs=Observability(sink=sink),
-        collect_worker_events=True,
+        heartbeat_timeout=0.3,
+        retry_backoff=0.001,
+        fault_plan=FaultPlan((ShardFault("hang", shard=0, attempt=1),)),
     )
-    solver.solve(problem)
-    tagged = [p for _k, p in sink.events if "worker" in p]
-    assert tagged, "expected per-worker tagged events in the merged trace"
-    workers_seen = {p["worker"] for p in tagged}
-    assert workers_seen <= set(range(solver.last_report.workers))
-    for payload in tagged:
-        assert "shard" in payload
-    # The coordinator's own shallow-pass events stay untagged.
-    assert any("worker" not in p for _k, p in sink.events)
+    thr = solver.solve(problem)
+    assert thr.best_cost == BranchAndBound(LIFO).solve(problem).best_cost
+    assert solver.last_report.worker_restarts >= 1
+    assert set(multiprocessing.active_children()) <= before
 
 
 # ---------------------------------------------------------------------------
 # Machinery
 # ---------------------------------------------------------------------------
-
-
-def test_shared_incumbent_is_a_cross_process_min():
-    shared = SharedIncumbent.create()
-    assert math.isinf(shared.poll())
-    assert shared.publish(5.0)
-    assert not shared.publish(7.0)  # worse: rejected
-    assert shared.poll() == 5.0
-    assert shared.publish(-1.0)
-    assert shared.poll() == -1.0
 
 
 def test_subtree_resume_reproduces_the_root_evaluation():

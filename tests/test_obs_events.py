@@ -14,7 +14,6 @@ from repro.obs import (
     MemorySink,
     MultiSink,
     Observability,
-    TaggedSink,
 )
 from repro.workload import generate_task_graph, scaled_spec
 
@@ -196,54 +195,3 @@ class TestObservabilityBundle:
         ).solve(hard_problem)
         assert res.profile is None
         assert res.stats.generated > 0
-
-
-class TestTaggedSink:
-    def test_stamps_tags_without_mutating_the_payload(self):
-        inner = MemorySink()
-        tagged = TaggedSink(inner, worker=3, shard=7)
-        payload = {"lb": 1.5}
-        tagged.emit("explore", payload)
-        assert payload == {"lb": 1.5}  # caller's dict untouched
-        kind, record = inner.events[0]
-        assert kind == "explore"
-        assert record == {"lb": 1.5, "worker": 3, "shard": 7}
-
-    def test_tags_win_on_key_collision(self):
-        inner = MemorySink()
-        TaggedSink(inner, worker=1).emit("x", {"worker": 99})
-        assert inner.events[0][1]["worker"] == 1
-
-    def test_accepts_delegates_to_the_wrapped_sink(self):
-        class Picky(EventSink):
-            def accepts(self, kind):
-                return kind == "shard"
-
-            def emit(self, kind, payload):
-                pass
-
-        tagged = TaggedSink(Picky(), worker=0)
-        assert tagged.accepts("shard")
-        assert not tagged.accepts("explore")
-
-    def test_close_is_not_forwarded(self):
-        closed = []
-
-        class Tracking(MemorySink):
-            def close(self):
-                closed.append(True)
-                super().close()
-
-        inner = Tracking()
-        TaggedSink(inner, worker=0).close()
-        # The coordinator owns the inner sink; several tagged streams may
-        # share it, so the wrapper must never close it.
-        assert closed == []
-
-    def test_tagged_stream_through_jsonl(self, tmp_path):
-        path = tmp_path / "tagged.jsonl"
-        with JsonlSink(str(path)) as sink:
-            TaggedSink(sink, worker=2).emit("shard", {"lb": 0.0})
-        record = json.loads(path.read_text())
-        assert record["ev"] == "shard"
-        assert record["worker"] == 2

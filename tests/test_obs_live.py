@@ -350,7 +350,7 @@ class TestParallelWorkerStats:
     def test_parallel_done_event_recorded(self):
         monitor, result = self._solve()
         kinds = [e["ev"] for e in monitor.bus.flight_events()]
-        assert "parallel_done" in kinds
+        assert "cluster_done" in kinds
 
     def test_crash_marks_slot_down_then_recovers(self):
         plan = FaultPlan((ShardFault("crash", shard=0, attempt=1),))
