@@ -87,7 +87,9 @@ def finish(coord: subprocess.Popen, timeout: float = 180.0) -> str:
 
 
 def test_tcp_cluster_matches_sequential(graph_file, sequential_lmax):
-    coord, address = start_coordinator(graph_file)
+    # Dispatch waits for both workers; otherwise the first to connect
+    # can finish the small solve before the second joins.
+    coord, address = start_coordinator(graph_file, "--min-workers", "2")
     workers = [spawn_worker(address, "--id", f"w{i}") for i in range(2)]
     out = finish(coord)
     for w in workers:
