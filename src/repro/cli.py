@@ -43,6 +43,7 @@ from .core.checkpoint import (
     load_checkpoint,
 )
 from .core.engine import BranchAndBound, SolveStatus
+from .core.stats import describe_engine
 from .core.transposition import (
     TT_POLICIES,
     TranspositionDominance,
@@ -732,6 +733,12 @@ def _cmd_solve(args) -> int:
         if tt_tel:
             print(_tt_summary(tt_tel))
     print(result.summary())
+    print(
+        "engine: "
+        + describe_engine(
+            result.stats.engine_path, result.stats.engine_fallback
+        )
+    )
     schedule = result.schedule() if result.found_solution else None
     if args.gantt and schedule is not None:
         print(schedule.as_table())

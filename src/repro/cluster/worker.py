@@ -13,7 +13,7 @@ process the coordinator spawns itself over a socketpair
 worker also binds the coordinator's shared transposition table.
 
 Liveness is woven into the search itself: the engine polls its bound
-channel every 64 explored vertices, and the cluster channel uses that
+channel at every chunk boundary, and the cluster channel uses that
 hook to (a) send a heartbeat every ``lease/3`` seconds, carrying the
 vertices/second rate over the window since the previous one, (b) drain
 incoming frames — adopting epoch-valid incumbent bounds mid-search,

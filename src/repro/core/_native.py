@@ -3,12 +3,12 @@
 The numpy batch expander removes per-child bound recursions, but the
 engine's Python loop still costs microseconds per explored vertex
 (frontier heap ops, Vertex objects, counter updates).  This module
-compiles — at import time, with the system C compiler — a small C
-kernel that owns the *whole* pop → expand → push loop over the
-:class:`~repro.core.arena.StateArena` columns, returning to Python only
-at the points where the engine would do something the kernel cannot
-(time/memory checks, arena/frontier growth, limit handling, branching
-errors).
+compiles — on first use, with the system C compiler, cached by source
+digest — a small C kernel that owns the *whole* pop → expand → push
+loop over the :class:`~repro.core.arena.StateArena` columns, returning
+to Python only at chunk boundaries, incumbent improvements the caller
+asked to hear about, arena/frontier growth, resource caps and branching
+errors.
 
 Parity contract
 ---------------
@@ -23,12 +23,15 @@ code performs, in the same association order.  Sequence numbers, all
 exploration order are bit-identical to the object engine; the
 equivalence sweep and the exhaustive oracle gate this per commit.
 
-The driver only engages for configurations it replicates exactly
+The driver engages for the configurations it replicates exactly
 (uniform interconnect, trivial/LB0/LB1 bounds, BFn/fixed-order
-branching, LIFO/FIFO/LLB/LLB-D selection, U-DBAS or no elimination,
-no dominance/characteristic hooks, no telemetry or fault-tolerance
-plumbing); the engine silently falls back to the per-expansion paths
-otherwise.
+branching, LIFO/FIFO/LLB/LLB-D selection, U-DBAS or no elimination, no
+dominance/characteristic hooks, no per-vertex observers).  Stop tokens,
+time/memory limits, checkpoints, resume, subtree roots, the bound
+channel, the live monitor, the progress heartbeat and metrics all ride
+the engine's :class:`~repro.core.boundary.Boundary`, which the driver
+calls at ``ST_CHECK``.  When the engine refuses the driver it records
+why in ``SearchStats.engine_fallback``.
 
 Chunk protocol
 --------------
@@ -39,9 +42,12 @@ Chunk protocol
 =================  ====================================================
 ``ST_DONE``        frontier exhausted — search complete
 ``ST_BOUNDSTOP``   best-first stop: popped bound met the threshold
-``ST_CHECK``       periodic check boundary; the in-hand vertex is
-                   parked in ``pend_*`` exactly where the Python loop
-                   holds it for its time/memory checks
+``ST_CHECK``       chunk boundary (``explored >= check_at``): the popped
+                   vertex is parked in ``pend_*``, unexpanded and not
+                   yet counted as explored — the program point where
+                   the Python loop services its boundary
+``ST_INCUMBENT``   an improvement was fully handled (only when
+                   ``report_incumbent`` is set)
 ``ST_MAXVERT``     generated-vertex cap reached (engine decides raise
                    vs truncate)
 ``ST_GROW_ARENA``  fewer than ``n*m`` free rows — grow and re-enter
@@ -50,24 +56,41 @@ Chunk protocol
                    the identical ConfigurationError
 =================  ====================================================
 
-Growth returns leave every piece of search state (including a parked
-pending vertex) untouched; Python reallocates, refreshes the context
-pointers and re-enters.  Set ``REPRO_NO_NATIVE=1`` to disable the
-kernel entirely (the numpy path then serves ``--engine array``).
+Every return leaves the search state (including a parked pending
+vertex) consistent; Python services it, refreshes the context and
+re-enters, and a parked vertex is resumed and counted on re-entry.
+
+The kernel cache is ``$REPRO_NATIVE_CACHE`` or
+``<tmp>/repro-native-<uid>`` (created 0700).  A cache directory or
+library not owned by the effective user, or writable by group/other,
+is refused.  Set ``REPRO_NO_NATIVE=1`` to disable the kernel entirely
+(the numpy path then serves ``--engine array``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import math
 import os
+import stat
 import subprocess
 import tempfile
 
 import numpy as np
 
-__all__ = ["native_available", "load_native", "NativeDriver"]
+from .arena import ArenaState
+from .boundary import NEVER
+from .vertex import Vertex
+
+__all__ = [
+    "FrontierView",
+    "NativeDriver",
+    "load_error",
+    "load_native",
+    "native_available",
+]
 
 
 _C_SOURCE = r"""
@@ -82,7 +105,8 @@ enum {
     ST_MAXVERT = 3,
     ST_GROW_ARENA = 4,
     ST_GROW_FRONT = 5,
-    ST_ERR_NOT_READY = 6
+    ST_ERR_NOT_READY = 6,
+    ST_INCUMBENT = 7
 };
 
 typedef struct {
@@ -177,7 +201,8 @@ typedef struct {
     int64_t pend_valid;
     int64_t pend_slot;
     int64_t pend_seq;
-    int64_t check_mask;
+    int64_t check_at;
+    int64_t report_incumbent;
     int64_t best_found;
     int64_t status;
     int64_t err_slot;
@@ -690,14 +715,16 @@ void arena_drive(ctx_t *c) {
                 slot_free(c, vslot);
                 continue;
             }
-            c->explored++;
-            if (!(c->explored & c->check_mask)) {
+            /* chunk boundary: the popped vertex is parked uncounted and
+               unexpanded, the program point the Python loop services */
+            if (c->explored >= c->check_at) {
                 c->pend_valid = 1;
                 c->pend_slot = vslot; c->pend_lb = vlb; c->pend_seq = vseq;
                 c->status = ST_CHECK;
                 return;
             }
         }
+        c->explored++;
 
         int64_t rc = expand_vertex(c, vslot, vlb);
         if (rc >= 0) {
@@ -785,8 +812,11 @@ void arena_drive(ctx_t *c) {
         if (active > c->peak_active) c->peak_active = active;
 
         if (c->generated >= c->max_vertices) { c->status = ST_MAXVERT; return; }
+        if (tightened && c->report_incumbent) { c->status = ST_INCUMBENT; return; }
     }
 }
+
+int64_t arena_prune_above(ctx_t *c, double t) { return fr_prune_above(c, t); }
 """
 
 
@@ -816,8 +846,8 @@ _I64_FIELDS = [
     "seq", "generated", "explored", "goals_evaluated", "pruned_children",
     "pruned_active", "incumbent_updates", "peak_active", "max_vertices",
     "fr_len", "fr_head", "fr_live", "nfree", "pend_valid", "pend_slot",
-    "pend_seq", "check_mask", "best_found", "status", "err_slot",
-    "exp_goal_found", "exp_goal_task", "exp_goal_proc", "nk",
+    "pend_seq", "check_at", "report_incumbent", "best_found", "status",
+    "err_slot", "exp_goal_found", "exp_goal_task", "exp_goal_proc", "nk",
     "have_pend", "cand_built", "cand_n",
 ]
 
@@ -837,62 +867,148 @@ ST_MAXVERT = 3
 ST_GROW_ARENA = 4
 ST_GROW_FRONT = 5
 ST_ERR_NOT_READY = 6
+ST_INCUMBENT = 7
 
 _LIB = None
 _LIB_TRIED = False
+#: Why the last :func:`load_native` returned None (None after success).
+_LIB_ERROR: str | None = None
+
+
+class NativeUnavailable(Exception):
+    """The kernel cannot be built or loaded; the message says why."""
 
 
 def _cache_dir() -> str:
     override = os.environ.get("REPRO_NATIVE_CACHE")
     if override:
         return override
-    return os.path.join(tempfile.gettempdir(), "repro-native")
+    return os.path.join(tempfile.gettempdir(), f"repro-native-{os.geteuid()}")
+
+
+def library_name() -> str:
+    """File name of the kernel for this source: ``repro_arena_<digest>.so``."""
+    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    return f"repro_arena_{digest}.so"
+
+
+def _check_private(path: str, what: str) -> None:
+    """Refuse ``path`` unless this user owns it and nobody else can write it.
+
+    A shared temp directory lets any local user create the cache first;
+    loading a library planted there would run their code in this process.
+    """
+    st = os.stat(path)
+    if st.st_uid != os.geteuid():
+        raise NativeUnavailable(
+            f"{what} {path} is owned by uid {st.st_uid}, not {os.geteuid()}"
+        )
+    if st.st_mode & 0o022:
+        raise NativeUnavailable(
+            f"{what} {path} is group/other-writable "
+            f"(mode {stat.S_IMODE(st.st_mode):o})"
+        )
+
+
+def _open(path: str):
+    lib = ctypes.CDLL(path)
+    lib.ctx_size.restype = ctypes.c_int64
+    lib.ctx_size.argtypes = []
+    if lib.ctx_size() != ctypes.sizeof(_Ctx):
+        return None
+    lib.arena_drive.restype = None
+    lib.arena_drive.argtypes = [ctypes.POINTER(_Ctx)]
+    lib.arena_prune_above.restype = ctypes.c_int64
+    lib.arena_prune_above.argtypes = [ctypes.POINTER(_Ctx), ctypes.c_double]
+    return lib
+
+
+def _build(cache: str, lib_path: str):
+    """Compile into a private temp name, load it from there, then publish.
+
+    Loading before the rename means a rebuilt library is never confused
+    with an already-mapped one of the same name, and a concurrent
+    process only ever sees a complete file at ``lib_path``.
+    """
+    src_path = lib_path[: -len(".so")] + ".c"
+    tag = f".tmp{os.getpid()}"
+    with open(src_path + tag, "w") as fh:
+        fh.write(_C_SOURCE)
+    os.replace(src_path + tag, src_path)
+    tmp = lib_path + tag
+    # -ffp-contract=off and no -march: no FMA contraction, so every
+    # float expression rounds exactly like CPython's.
+    try:
+        subprocess.run(
+            ["cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off",
+             "-o", tmp, src_path],
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+    except FileNotFoundError as exc:
+        raise NativeUnavailable("no C compiler (cc) on PATH") from exc
+    except subprocess.CalledProcessError as exc:
+        detail = exc.stderr.decode(errors="replace").strip().splitlines()
+        raise NativeUnavailable(
+            f"cc failed: {detail[0] if detail else exc.returncode}"
+        ) from exc
+    try:
+        os.chmod(tmp, 0o755)
+        lib = _open(tmp)
+        if lib is None:
+            raise NativeUnavailable("freshly built kernel has a stale layout")
+        os.replace(tmp, lib_path)
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+    return lib
+
+
+def _load():
+    if os.environ.get("REPRO_NO_NATIVE"):
+        raise NativeUnavailable("disabled by REPRO_NO_NATIVE")
+    cache = _cache_dir()
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    _check_private(cache, "cache directory")
+    lib_path = os.path.join(cache, library_name())
+    if os.path.exists(lib_path):
+        _check_private(lib_path, "kernel library")
+        lib = _open(lib_path)
+        if lib is not None:
+            return lib
+        # A library under this source's digest with another layout is
+        # damaged or foreign: rebuild it rather than give up.
+    return _build(cache, lib_path)
 
 
 def load_native():
     """Compile (once, cached by source hash) and load the kernel.
 
-    Returns the loaded CDLL or ``None`` when disabled via
-    ``REPRO_NO_NATIVE=1``, no C compiler is available, or the build or
-    layout check fails — callers fall back to the numpy path.
+    Returns the loaded CDLL, or ``None`` when the kernel is disabled
+    (``REPRO_NO_NATIVE=1``), no C compiler is available, the cache
+    directory or library is not private to this user, or the build or
+    layout check fails.  :func:`load_error` then says which; the engine
+    records it as ``SearchStats.engine_fallback``.
     """
-    global _LIB, _LIB_TRIED
+    global _LIB, _LIB_TRIED, _LIB_ERROR
     if _LIB_TRIED:
         return _LIB
     _LIB_TRIED = True
-    if os.environ.get("REPRO_NO_NATIVE"):
-        return None
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    lib_path = os.path.join(cache, f"repro_arena_{digest}.so")
     try:
-        if not os.path.exists(lib_path):
-            os.makedirs(cache, exist_ok=True)
-            src_path = os.path.join(cache, f"repro_arena_{digest}.c")
-            with open(src_path, "w") as fh:
-                fh.write(_C_SOURCE)
-            # -ffp-contract=off and no -march: no FMA contraction, so
-            # every float expression rounds exactly like CPython's.
-            tmp = lib_path + f".tmp{os.getpid()}"
-            subprocess.run(
-                ["cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-                 "-o", tmp, src_path],
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
-            os.replace(tmp, lib_path)
-        lib = ctypes.CDLL(lib_path)
-        lib.ctx_size.restype = ctypes.c_int64
-        lib.ctx_size.argtypes = []
-        if lib.ctx_size() != ctypes.sizeof(_Ctx):
-            return None
-        lib.arena_drive.restype = None
-        lib.arena_drive.argtypes = [ctypes.POINTER(_Ctx)]
-        _LIB = lib
-    except Exception:
+        _LIB = _load()
+        _LIB_ERROR = None
+    except (NativeUnavailable, OSError, subprocess.SubprocessError) as exc:
         _LIB = None
+        _LIB_ERROR = str(exc) or type(exc).__name__
     return _LIB
+
+
+def load_error() -> str | None:
+    """Why the kernel is unavailable (None when it loaded)."""
+    if load_native() is not None:
+        return None
+    return _LIB_ERROR or "not loaded"
 
 
 def native_available() -> bool:
@@ -909,7 +1025,11 @@ class NativeDriver:
     The engine seeds it with the already-initialized search state
     (frontier export, counters, incumbent/threshold), then loops on
     :meth:`step`, handling the non-``DONE`` statuses exactly as the
-    Python loop would at the same program points.
+    Python loop would at the same program points.  ``check_at`` is the
+    explored count at which the next popped vertex parks for a
+    ``ST_CHECK`` boundary (``NEVER`` when nothing needs servicing);
+    ``report_incumbent`` makes every improvement return ``ST_INCUMBENT``
+    once its expansion is complete.
     """
 
     def __init__(
@@ -931,14 +1051,14 @@ class NativeDriver:
         found_cost: float,
         inaccuracy: float,
         max_vertices: float,
-        do_checks: bool,
         stats,
+        report_incumbent: bool = False,
     ) -> None:
         self.arena = arena
         self.ap = ap
         self.lib = load_native()
         if self.lib is None:
-            raise RuntimeError("native kernel unavailable")
+            raise NativeUnavailable(load_error())
         n, m = ap.n, ap.m
         nm = n * m
         self._fixed = (
@@ -959,6 +1079,8 @@ class NativeDriver:
         self._ch_slot = np.zeros(nm, dtype=np.int32)
         self._best_proc = np.zeros(n, dtype=np.int8)
         self._best_start = np.zeros(n, dtype=np.float64)
+        self._best_key = -1
+        self._best = None
         # Frontier arrays
         fr_cap = max(4096, 4 * (nm + 2), len(entries) + nm + 2)
         self._fr_lb = np.zeros(fr_cap, dtype=np.float64)
@@ -998,7 +1120,8 @@ class NativeDriver:
         ctx.max_vertices = (
             (1 << 62) if math.isinf(max_vertices) else int(max_vertices)
         )
-        ctx.check_mask = 0xFF if do_checks else 0x3FFF
+        ctx.check_at = NEVER
+        ctx.report_incumbent = int(report_incumbent)
         ctx.pend_valid = 0
         ctx.best_found = 0
 
@@ -1123,18 +1246,43 @@ class NativeDriver:
         return float(self.ctx.found_cost)
 
     def best_schedule(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        return (
-            tuple(int(p) for p in self._best_proc),
-            tuple(self._best_start.tolist()),
-        )
+        """The incumbent schedule, rebuilt only after an improvement."""
+        key = int(self.ctx.incumbent_updates)
+        if key != self._best_key:
+            self._best_key = key
+            self._best = (
+                tuple(self._best_proc.tolist()),
+                tuple(self._best_start.tolist()),
+            )
+        return self._best
 
-    def take_pending(self):
-        """Claim the parked in-hand vertex as ``(slot, lb, seq)``."""
+    def pending_vertex(self):
+        """The vertex parked at a boundary, as a non-owning handle."""
         ctx = self.ctx
         if not ctx.pend_valid:
             return None
-        ctx.pend_valid = 0
-        return int(ctx.pend_slot), float(ctx.pend_lb), int(ctx.pend_seq)
+        return Vertex(
+            ArenaState(self.arena, int(ctx.pend_slot), owned=False),
+            float(ctx.pend_lb),
+            int(ctx.pend_seq),
+        )
+
+    def take_pending(self):
+        """Claim the parked vertex; the driver will not resume it."""
+        vertex = self.pending_vertex()
+        self.ctx.pend_valid = 0
+        return vertex
+
+    def retarget(
+        self, check_at: int, incumbent: float, threshold: float,
+        pruned_active: int,
+    ) -> None:
+        """Hand back what a boundary may have changed before re-entry."""
+        ctx = self.ctx
+        ctx.check_at = check_at
+        ctx.incumbent = incumbent
+        ctx.threshold = threshold
+        ctx.pruned_active = pruned_active
 
     def err_slot(self) -> int:
         return int(self.ctx.err_slot)
@@ -1158,3 +1306,92 @@ class NativeDriver:
         if ctx.frontier_kind < 2:
             return int(ctx.fr_len - ctx.fr_head)
         return int(ctx.fr_live)
+
+    @property
+    def frontier(self) -> "FrontierView":
+        return FrontierView(self)
+
+
+class _OpenEntry:
+    __slots__ = ("lower_bound", "level")
+
+    def __init__(self, lower_bound: float, level: int) -> None:
+        self.lower_bound = lower_bound
+        self.level = level
+
+
+class FrontierView:
+    """The driver's frontier arrays behind the engine's Frontier surface.
+
+    Valid while the driver is paused (at a boundary or after it ended).
+    ``export`` hands out non-owning :class:`ArenaState` handles in pop
+    order, so checkpoints pickle them as flat states exactly like the
+    Python frontier's; ``prune_above`` runs the kernel's own sweep, with
+    the same stale-entry accounting as the matching Python frontier.
+    """
+
+    __slots__ = ("_d",)
+
+    def __init__(self, driver: NativeDriver) -> None:
+        self._d = driver
+
+    def __len__(self) -> int:
+        return self._d.active_len()
+
+    def __bool__(self) -> bool:
+        return len(self) > 0
+
+    def _live(self) -> np.ndarray:
+        """Indices of the open entries, in storage order."""
+        d = self._d
+        ctx = d.ctx
+        if ctx.frontier_kind < 2:
+            return np.arange(int(ctx.fr_head), int(ctx.fr_len))
+        return np.flatnonzero(d._fr_lb[: int(ctx.fr_len)] < ctx.fr_threshold)
+
+    def iter_open(self):
+        d = self._d
+        idx = self._live()
+        for lb, level in zip(
+            d._fr_lb[idx].tolist(), d._fr_level[idx].tolist()
+        ):
+            yield _OpenEntry(lb, level)
+
+    def min_bound(self):
+        return self._d.open_min_bound()
+
+    def open_profile(self, levels: int):
+        d = self._d
+        idx = self._live()
+        if idx.size == 0:
+            return None, {}
+        counts = np.bincount(np.minimum(d._fr_level[idx], levels - 1))
+        depths = {int(k): int(counts[k]) for k in np.flatnonzero(counts)}
+        return float(d._fr_lb[idx].min()), depths
+
+    def export(self) -> list:
+        d = self._d
+        kind = d.ctx.frontier_kind
+        idx = self._live()
+        lbs, seqs = d._fr_lb[idx], d._fr_seq[idx]
+        if kind == 0:
+            idx = idx[::-1]
+        elif kind == 2:
+            idx = idx[np.lexsort((seqs, lbs))]
+        elif kind == 3:
+            idx = idx[np.lexsort((seqs, -d._fr_level[idx], lbs))]
+        arena = d.arena
+        return [
+            Vertex(ArenaState(arena, slot, owned=False), lb, sq)
+            for slot, lb, sq in zip(
+                d._fr_slot[idx].tolist(),
+                d._fr_lb[idx].tolist(),
+                d._fr_seq[idx].tolist(),
+            )
+        ]
+
+    def prune_above(self, threshold: float) -> int:
+        d = self._d
+        swept = int(d.lib.arena_prune_above(ctypes.byref(d.ctx), threshold))
+        d.arena.nfree = int(d.ctx.nfree)
+        return swept

@@ -48,7 +48,7 @@ import signal
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import CheckpointError
 
@@ -256,6 +256,16 @@ class Checkpointer:
             self._next = explored + self.every
             return True
         return False
+
+    @property
+    def next_due(self) -> int | None:
+        """Explored count of the next snapshot (None before the baseline).
+
+        The engine's boundary comes due no later than this, so both
+        engine tiers cut snapshots at exactly the count :meth:`due`
+        names.
+        """
+        return self._next
 
     def write(self, snapshot: SearchCheckpoint) -> str:
         snapshot.version = self.version

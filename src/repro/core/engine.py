@@ -24,7 +24,10 @@ The loop exposes hook points for the :mod:`repro.obs` subsystem via an
 (start/explore/incumbent/goal/prune/resource/summary), a per-phase
 profiler, a metrics registry and a progress heartbeat.  Every hook is
 guarded by an ``is not None`` check on a local, so a solve with
-observability off runs the same loop it always did.
+observability off runs the same loop it always did.  Everything
+periodic — stop token, limits, checkpoints, bound-channel polls, live
+samples, heartbeats — rides one :class:`~repro.core.boundary.Boundary`,
+which the native chunk driver calls too.
 """
 
 from __future__ import annotations
@@ -45,11 +48,7 @@ from ..model.platform import Platform
 from ..model.schedule import Schedule
 from ..model.taskgraph import TaskGraph
 from ..obs import Observability
-from ..obs.metrics import (
-    DEFAULT_GAP_BUCKETS,
-    DEFAULT_SIZE_BUCKETS,
-    MetricsRegistry,
-)
+from ..obs.metrics import MetricsRegistry
 from ..obs.profile import PhaseBreakdown
 from .checkpoint import (
     Checkpointer,
@@ -59,10 +58,10 @@ from .checkpoint import (
 )
 from . import _native
 from .arena import ArenaState
+from .boundary import Boundary
 from .elimination import NoElimination, UDBASElimination, pruning_threshold
 from .expand import BatchExpander, FusedExpander, make_batch_expander
 from .params import BnBParameters
-from .resources import current_rss_bytes
 from .selection import (
     _DepthLLBFrontier,
     _FIFOFrontier,
@@ -82,8 +81,15 @@ __all__ = [
     "solve",
 ]
 
-#: How often (in explored vertices) the wall clock is consulted.
-_TIME_CHECK_MASK = 0xFF
+#: Explored vertices between two boundaries of the Python loop.  The
+#: stop token, limits, bound-channel poll and samplers all ride this one
+#: cadence (a checkpoint due earlier pulls the boundary forward).
+_LOOP_CADENCE = 64
+
+#: Explored vertices between two boundaries of the native driver: each
+#: return costs a few microseconds, so boundaries stay far below 1% of
+#: driver time.
+_DRIVER_CADENCE = 1 << 12
 
 #: Frontier disciplines the native chunk driver replicates exactly.
 _NATIVE_FRONTIER_KINDS = {
@@ -94,15 +100,6 @@ _NATIVE_FRONTIER_KINDS = {
 }
 
 _CHILD_ORDER_CODES = {"generation": 0, "best-last": 1, "best-first": 2}
-
-#: How often (in explored vertices) the progress reporter is consulted.
-_PROGRESS_CHECK_MASK = 0x3F
-
-#: How often (in explored vertices) a shared-incumbent channel is polled.
-#: Frequent enough that a remote improvement propagates within tens of
-#: microseconds of work, rare enough that the lock never shows up in a
-#: profile (one acquisition per 64 explored vertices).
-_BOUND_POLL_MASK = 0x3F
 
 #: C-level sort key for child ordering (avoids a lambda per comparison).
 _BY_BOUND = attrgetter("lower_bound")
@@ -321,6 +318,10 @@ def _final_metrics(
       "Times the incumbent improved").inc(stats.incumbent_updates)
     c("bnb_solves_total", "Branch-and-bound runs recorded").inc()
     g = metrics.gauge
+    g("bnb_engine_path",
+      "Engine tier of the last run (1 on the label naming it)").label(
+          path=stats.engine_path, fallback=stats.engine_fallback or "",
+      ).set(1)
     g("bnb_peak_active_set_size",
       "Largest active-set size of the last run").set(stats.peak_active)
     g("bnb_elapsed_seconds", "Wall-clock of the last run").set(stats.elapsed)
@@ -351,6 +352,54 @@ def _tt_metrics(metrics: MetricsRegistry, tel: dict[str, int]) -> None:
         g("bnb_tt_capacity_entries",
           "Total transposition slots (memory bound / entry size)").set(
               tel["tt_capacity"])
+
+
+def _object_refusal(fused, user_sink, profiler, prepared, params):
+    """Why the object engine runs the reference loop (None: it is fused)."""
+    if fused is False:
+        return "reference loop forced (fused=False)"
+    if fused is None and user_sink is not None:
+        return "trace sink attached"
+    if fused is None and profiler is not None:
+        return "profiler attached"
+    if not prepared.fused_compatible:
+        return f"branching {params.branching.name} has no fused form"
+    return None
+
+
+def _native_refusal(
+    expander, frontier, problem, rb, *, dispatcher, trace, hot_sink,
+    profiled, early_stop,
+):
+    """Why the native driver cannot run this array-engine solve.
+
+    None means it can.  Every hook the driver does not replicate per
+    vertex is named here; everything periodic rides the boundary.
+    """
+    if dispatcher is not None:
+        return "dispatcher"
+    if trace is not None:
+        return "trace recorder attached"
+    if hot_sink is not None:
+        return "trace sink attached"
+    if profiled:
+        return "profiler attached"
+    if early_stop is not None:
+        return "early-stop target"
+    if not math.isinf(rb.max_children):
+        return "MAXSZDB cap"
+    if not math.isinf(rb.max_active):
+        return "MAXSZAS cap"
+    if problem.uniform_delay is None:
+        return "non-uniform interconnect"
+    if type(frontier) not in _NATIVE_FRONTIER_KINDS:
+        return f"{type(frontier).__name__} selection not in the kernel"
+    if type(expander) is not BatchExpander:
+        return "no batch kernel for these rules"
+    error = _native.load_error()
+    if error is not None:
+        return f"native kernel unavailable: {error}"
+    return None
 
 
 class BranchAndBound:
@@ -415,7 +464,7 @@ class BranchAndBound:
           coordinator.
         * ``bound_channel`` — an object with ``poll() -> float`` and
           ``publish(cost)``: the incumbent is published on every
-          improvement and polled every 64 explored vertices, so
+          improvement and polled at every chunk boundary, so
           concurrent searches share pruning power.  An externally
           polled bound tightens the threshold but never becomes the
           returned schedule (the worker that published it owns that).
@@ -432,7 +481,7 @@ class BranchAndBound:
           pair.
         * ``stop`` — a :class:`~repro.core.checkpoint.StopToken`; when
           set (e.g. by a signal handler), the loop stops at the next
-          iteration and returns an ``INTERRUPTED`` anytime result.
+          chunk boundary and returns an ``INTERRUPTED`` anytime result.
         """
         params = self.params
         if (checkpoint is not None or resume is not None) and (
@@ -510,21 +559,6 @@ class BranchAndBound:
                 mark = now
         else:
             lap = None
-
-        if metrics is not None:
-            m_active = metrics.gauge(
-                "bnb_active_set_size", "Active-set size at last explore"
-            )
-            h_gap = metrics.histogram(
-                "bnb_lower_bound_gap",
-                "Incumbent cost minus selected vertex's lower bound",
-                buckets=DEFAULT_GAP_BUCKETS,
-            )
-            h_active = metrics.histogram(
-                "bnb_active_set_size_distribution",
-                "Active-set size observed at each explored vertex",
-                buckets=DEFAULT_SIZE_BUCKETS,
-            )
 
         channel = bound_channel
         dispatch_depth = dispatcher.depth if dispatcher is not None else 0
@@ -627,7 +661,6 @@ class BranchAndBound:
             max_children = rb.max_children
             max_active = rb.max_active
             max_vertices = rb.max_vertices
-            untimed = math.isinf(rb.time_limit)
 
             if resume is not None:
                 # Refill the active set from the snapshot.  States are
@@ -690,9 +723,6 @@ class BranchAndBound:
 
             target_reached = False
             early_stop = charf.early_stop_cost
-
-            # Fault-tolerance plumbing: all hoisted to locals so the
-            # default configuration pays one None-check per iteration.
             fingerprint = None
             if checkpoint is not None:
                 fingerprint = (
@@ -700,25 +730,78 @@ class BranchAndBound:
                     if resume is not None
                     else problem_fingerprint(problem, params)
                 )
-            stop_is_set = stop.is_set if stop is not None else None
-            unmemed = math.isinf(rb.max_memory_bytes)
             #: The in-hand vertex at an early stop: popped, unexpanded,
             #: so still part of the open search (snapshots and the open
             #: lower bound must include it).
             pending_vertex = None
+            #: Why the loop ended early: a boundary's stop kind or MAXVERT.
+            stop_kind = None
 
-            def _snapshot() -> SearchCheckpoint:
-                in_hand = (
-                    [pending_vertex] if pending_vertex is not None else []
+            # Array engine, native tier: hand the whole pop→expand→push
+            # loop to the compiled chunk driver unless the configuration
+            # has a per-vertex hook it cannot replicate.
+            driver = None
+            if params.engine == "object":
+                engine_fallback = _object_refusal(
+                    self.fused, user_sink, profiler, prepared, params
                 )
+            elif expander is None:
+                engine_fallback = (
+                    "reference loop forced (fused=False)"
+                    if self.fused is False
+                    else "no batch kernel for these rules"
+                )
+            else:
+                engine_fallback = _native_refusal(
+                    expander, frontier, problem, rb,
+                    dispatcher=dispatcher, trace=trace, hot_sink=hot_sink,
+                    profiled=lap is not None, early_stop=early_stop,
+                )
+                if engine_fallback is None:
+                    driver = self._start_driver(
+                        expander, frontier, prepared, stats, seq=seq,
+                        threshold=threshold, incumbent=incumbent_cost,
+                        found_cost=found_cost, max_vertices=max_vertices,
+                        report_incumbent=channel is not None or (
+                            sink is not None and sink.accepts("incumbent")
+                        ),
+                    )
+                    frontier = driver.frontier
+            stats.engine_path = (
+                "native" if driver is not None
+                else "batch" if type(expander) is BatchExpander
+                else "fused" if expander is not None
+                else "reference"
+            )
+            stats.engine_fallback = engine_fallback
+            if live is not None:
+                live.bus.update(
+                    engine_path=stats.engine_path,
+                    engine_fallback=engine_fallback,
+                )
+
+            def _drain() -> None:
+                # Pull the driver's search state into the engine locals.
+                nonlocal seq, threshold, incumbent_cost, found_cost
+                nonlocal best_proc, best_start, incumbent_source
+                driver.sync_stats(stats)
+                seq = driver.seq
+                threshold = driver.threshold
+                incumbent_cost = driver.incumbent
+                if driver.best_found:
+                    found_cost = driver.found_cost
+                    best_proc, best_start = driver.best_schedule()
+                    incumbent_source = "search"
+
+            def _snapshot(view, in_hand) -> SearchCheckpoint:
                 counters = stats.as_dict()
                 counters["elapsed"] = stats.time_since_start()
+                entries = view.export()
+                if in_hand is not None:
+                    entries.insert(0, in_hand)
                 return SearchCheckpoint(
                     fingerprint=fingerprint,
-                    frontier=[
-                        (v.state, v.lower_bound, v.seq)
-                        for v in in_hand + frontier.export()
-                    ],
+                    frontier=[(v.state, v.lower_bound, v.seq) for v in entries],
                     seq=seq,
                     incumbent_cost=incumbent_cost,
                     found_cost=found_cost,
@@ -728,6 +811,25 @@ class BranchAndBound:
                     initial_upper_bound=initial_upper_bound,
                     stats=counters,
                 )
+
+            def _announce() -> None:
+                # One incumbent improvement, told to everyone listening.
+                if channel is not None:
+                    channel.publish(incumbent_cost)
+                if dispatcher is not None:
+                    dispatcher.notify_incumbent(incumbent_cost)
+                if trace is not None:
+                    trace.on_incumbent(stats.generated, incumbent_cost)
+                if sink is not None and sink.accepts("incumbent"):
+                    sink.emit(
+                        "incumbent",
+                        {
+                            "generated": stats.generated,
+                            "explored": stats.explored,
+                            "cost": _json_num(incumbent_cost),
+                            "elapsed": round(stats.time_since_start(), 6),
+                        },
+                    )
 
             def _limit_exceeded(which: str, detail: str) -> None:
                 # fail_on_exhaustion path: raise, but hand the caller
@@ -756,136 +858,75 @@ class BranchAndBound:
                 )
                 raise ResourceLimitExceeded(which, detail, partial=partial)
 
+            boundary = Boundary(
+                stats=stats,
+                rb=rb,
+                cadence=(
+                    _DRIVER_CADENCE if driver is not None else _LOOP_CADENCE
+                ),
+                inaccuracy=params.inaccuracy,
+                prunes_active=elim.prunes_active_set(),
+                stop=stop,
+                checkpoint=checkpoint,
+                snapshot=_snapshot,
+                channel=channel,
+                live=live,
+                progress=progress,
+                metrics=metrics,
+                sample_metrics=driver is not None,
+                sink=sink,
+                stop_on_bound=stop_on_bound,
+                dominance=dominance,
+            )
+            check_at = boundary.check_at
+            # The Python loop observes these at every explored vertex.
+            m_active, h_active, h_gap = (
+                boundary.m_active, boundary.h_active, boundary.h_gap
+            )
+
             if lap is not None:
                 lap("setup")
 
-            # Array engine, native tier: hand the whole pop→expand→push
-            # loop to the compiled chunk driver when the configuration
-            # has no per-vertex hooks it cannot replicate.  The driver
-            # returns at growth points, periodic time/memory checks,
-            # resource caps and branching errors; everything else about
-            # the search (counters, seq, incumbent, order) is
-            # bit-identical to the loop below.
-            driver = None
-            driver_open_min = None
-            if (
-                type(expander) is BatchExpander
-                and resume is None
-                and subtree is None
-                and dispatcher is None
-                and checkpoint is None
-                and stop is None
-                and channel is None
-                and sink is None
-                and not telem
-                and live is None
-                and progress is None
-                and lap is None
-                and early_stop is None
-                and math.isinf(max_children)
-                and math.isinf(max_active)
-                and problem.uniform_delay is not None
-            ):
-                fr_kind = _NATIVE_FRONTIER_KINDS.get(type(frontier))
-                if fr_kind is not None and _native.native_available():
-                    entries = []
-                    for v in frontier.export():
-                        st = v.state
-                        if (
-                            type(st) is not ArenaState
-                            or st.arena is not expander.arena
-                        ):
-                            st = expander._ensure_row(v)
-                        st.disown()
-                        entries.append(
-                            (v.lower_bound, v.seq, st.slot, st.level)
-                        )
-                    driver = _native.NativeDriver(
-                        expander.arena,
-                        expander.ap,
-                        frontier_kind=fr_kind,
-                        bound_kind=expander.bound_kind,
-                        child_order=_CHILD_ORDER_CODES[child_order],
-                        elim_none=type(elim) is NoElimination,
-                        stop_on_bound=stop_on_bound,
-                        break_symmetry=break_symmetry,
-                        fixed_order=getattr(prepared, "order", None),
-                        entries=entries,
-                        seq=seq,
-                        threshold=threshold,
-                        incumbent=incumbent_cost,
-                        found_cost=found_cost,
-                        inaccuracy=params.inaccuracy,
-                        max_vertices=max_vertices,
-                        do_checks=not (untimed and unmemed),
-                        stats=stats,
-                    )
-                    # The exported vertices now belong to the driver;
-                    # give the loop below a fresh empty frontier so the
-                    # post-loop accounting (len/min_bound) stays clean.
-                    frontier = params.selection.make_frontier()
-
             if driver is not None:
-                limit_hit = None
-                code = driver.step()
+                # The driver returns at chunk boundaries, reported
+                # improvements, growth points, the MAXVERT cap and
+                # branching errors; everything else about the search
+                # is bit-identical to the loop below.
+                announced = stats.incumbent_updates
+                driver.retarget(
+                    check_at, incumbent_cost, threshold, stats.pruned_active
+                )
                 while True:
+                    code = driver.step()
                     if (
                         code == _native.ST_GROW_ARENA
                         or code == _native.ST_GROW_FRONT
                     ):
                         driver.grow(code)
-                        code = driver.step()
-                        continue
-                    if code == _native.ST_CHECK:
-                        # Periodic boundary: the in-hand vertex is
-                        # parked exactly where the loop below holds it
-                        # for these same checks.
-                        driver.sync_stats(stats)
-                        if (
-                            not untimed
-                            and stats.time_since_start() >= rb.time_limit
-                        ):
-                            stats.time_limit_hit = True
-                            limit_hit = ("TIMELIMIT", f"{rb.time_limit}s")
-                        elif (
-                            not unmemed
-                            and current_rss_bytes() >= rb.max_memory_bytes
-                        ):
-                            stats.memory_limit_hit = True
-                            limit_hit = (
-                                "MEMLIMIT",
-                                f"rss >= {rb.max_memory_bytes:g}B",
-                            )
-                        else:
-                            code = driver.step()
-                            continue
-                    break
-
-                # Drain the driver's state back into the engine locals.
-                driver.sync_stats(stats)
-                seq = driver.seq
-                threshold = driver.threshold
-                incumbent_cost = driver.incumbent
-                if driver.best_found:
-                    found_cost = driver.found_cost
-                    best_proc, best_start = driver.best_schedule()
-                    incumbent_source = "search"
-                driver_open_min = driver.open_min_bound()
-                if limit_hit is not None:
-                    pend = driver.take_pending()
-                    if pend is not None:
-                        pslot, plb, pseq = pend
-                        pending_vertex = Vertex(
-                            ArenaState(expander.arena, pslot), plb, pseq
+                    elif code == _native.ST_CHECK:
+                        _drain()
+                        stop_kind = boundary.service(
+                            frontier, driver.pending_vertex(),
+                            incumbent_cost, threshold,
                         )
-                    if rb.fail_on_exhaustion:
-                        _limit_exceeded(*limit_hit)
-                elif code == _native.ST_MAXVERT:
-                    if rb.fail_on_exhaustion:
-                        _limit_exceeded(
-                            "MAXVERT", f"{stats.generated} generated"
+                        if stop_kind is not None:
+                            pending_vertex = driver.take_pending()
+                            break
+                        driver.retarget(
+                            boundary.check_at, boundary.incumbent,
+                            boundary.threshold, stats.pruned_active,
                         )
-                    stats.truncated = True
+                    elif code == _native.ST_INCUMBENT:
+                        _drain()
+                        announced = stats.incumbent_updates
+                        _announce()
+                    else:
+                        break
+                _drain()
+                if stats.incumbent_updates != announced:
+                    _announce()
+                if code == _native.ST_MAXVERT:
+                    stop_kind = "MAXVERT"
                 elif code == _native.ST_ERR_NOT_READY:
                     # Replay the branching call on the offending vertex
                     # so the identical ConfigurationError surfaces.
@@ -895,574 +936,434 @@ class BranchAndBound:
                     raise ConfigurationError(
                         "native driver flagged an unready fixed-order task"
                     )
-                # ST_DONE / ST_BOUNDSTOP: search complete; the empty
-                # frontier below ends the Python loop immediately.
-
-            # Step 3-10: the main loop.
-            while True:
-                vertex = frontier.pop()
-                if vertex is None:
-                    if lap is not None:
-                        lap("select")
-                    break
-
-                # Step 5: stop condition for S.  Under best-first selection
-                # a popped vertex at/above the threshold ends the whole
-                # search; under LIFO/FIFO it is merely skipped (it was
-                # pushed before the incumbent improved).
-                if (
-                    (vertex.lower_bound >= threshold)
-                    if fast_udbas
-                    else should_prune(vertex.lower_bound, threshold)
-                ):
-                    if stop_on_bound:
+                # ST_DONE / ST_BOUNDSTOP: search complete.
+            else:
+                # Step 3-10: the main loop.
+                while True:
+                    vertex = frontier.pop()
+                    if vertex is None:
                         if lap is not None:
                             lap("select")
                         break
-                    stats.pruned_active += 1
-                    if hot_sink is not None and hot_sink.accepts("prune"):
-                        hot_sink.emit(
-                            "prune",
-                            {"cause": "stale-active",
-                             "lb": vertex.lower_bound,
-                             "level": vertex.level},
-                        )
-                    if lap is not None:
-                        lap("select")
-                    continue
 
-                # Cooperative stop: checked with the vertex in hand but
-                # untouched, so the snapshot/open-bound accounting below
-                # still sees it as part of the open search.
-                if stop_is_set is not None and stop_is_set():
-                    stats.interrupted = True
-                    pending_vertex = vertex
-                    if sink is not None and sink.accepts("resource"):
-                        sink.emit(
-                            "resource",
-                            {"kind": "INTERRUPTED",
-                             "detail": stop.reason or ""},
-                        )
-                    if lap is not None:
-                        lap("select")
-                    break
-
-                if checkpoint is not None and checkpoint.due(stats.explored):
-                    pending_vertex = vertex
-                    snap_path = checkpoint.write(_snapshot())
-                    pending_vertex = None
-                    if sink is not None and sink.accepts("checkpoint"):
-                        sink.emit(
-                            "checkpoint",
-                            {
-                                "version": checkpoint.version - 1,
-                                "explored": stats.explored,
-                                "generated": stats.generated,
-                                "active": len(frontier) + 1,
-                                "path": snap_path,
-                            },
-                        )
-                    if metrics is not None:
-                        metrics.counter(
-                            "bnb_checkpoint_written_total",
-                            "Search snapshots written",
-                        ).inc()
-                    if lap is not None:
-                        lap("checkpoint")
-
-                if dispatcher is not None and vertex.level >= dispatch_depth:
-                    # Delegate the whole subtree: the dispatcher returns
-                    # the finished sub-search (the shard explored the
-                    # root itself, so no explored increment here) and
-                    # the merge below mirrors what the inline loop would
-                    # have done with the shard's goals — absorb the
-                    # counters, adopt a better incumbent, sweep once at
-                    # the final threshold (consecutive sweeps at
-                    # monotonically tightening thresholds collapse into
-                    # one), honour early-stop and the MAXVERT cap.
-                    sub = dispatcher.resolve(
-                        vertex, incumbent_cost, max_vertices - stats.generated
-                    )
-                    stats.absorb(sub.stats, active_base=len(frontier))
+                    # Step 5: stop condition for S.  Under best-first selection
+                    # a popped vertex at/above the threshold ends the whole
+                    # search; under LIFO/FIFO it is merely skipped (it was
+                    # pushed before the incumbent improved).
                     if (
-                        sub.proc_of is not None
-                        and sub.best_cost < incumbent_cost
+                        (vertex.lower_bound >= threshold)
+                        if fast_udbas
+                        else should_prune(vertex.lower_bound, threshold)
                     ):
-                        incumbent_cost = sub.best_cost
-                        found_cost = sub.best_cost
-                        best_proc = sub.proc_of
-                        best_start = sub.start
-                        incumbent_source = "search"
-                        if trace is not None:
-                            trace.on_incumbent(stats.generated, incumbent_cost)
-                        threshold = pruning_threshold(
-                            incumbent_cost, params.inaccuracy
-                        )
-                        if elim.prunes_active_set():
-                            stats.pruned_active += frontier.prune_above(
-                                threshold
-                            )
-                        if channel is not None:
-                            channel.publish(incumbent_cost)
-                        dispatcher.notify_incumbent(incumbent_cost)
-                        if (
-                            early_stop is not None
-                            and incumbent_cost <= early_stop
-                        ):
-                            target_reached = True
+                        if stop_on_bound:
+                            if lap is not None:
+                                lap("select")
                             break
-                    if sub.status is SolveStatus.TARGET_REACHED:
-                        target_reached = True
-                        break
-                    if stats.generated >= max_vertices:
-                        if rb.fail_on_exhaustion:
-                            _limit_exceeded(
-                                "MAXVERT", f"{stats.generated} generated"
-                            )
-                        stats.truncated = True
-                        break
-                    if lap is not None:
-                        lap("select")
-                    continue
-
-                stats.explored += 1
-                if lap is not None:
-                    lap("select")
-
-                if telem:
-                    active_size = len(frontier)
-                    if trace is not None:
-                        trace.on_explore(
-                            stats.explored,
-                            stats.generated,
-                            vertex.level,
-                            vertex.lower_bound,
-                            active_size,
-                        )
-                    if hot_sink is not None and hot_sink.accepts("explore"):
-                        hot_sink.emit(
-                            "explore",
-                            {
-                                "step": stats.explored,
-                                "generated": stats.generated,
-                                "level": vertex.level,
-                                "lb": vertex.lower_bound,
-                                "active": active_size,
-                            },
-                        )
-                    if metrics is not None:
-                        m_active.set(active_size)
-                        h_active.observe(active_size)
-                        if not math.isinf(incumbent_cost):
-                            h_gap.observe(
-                                incumbent_cost - vertex.lower_bound
-                            )
-                    if lap is not None:
-                        lap("telemetry")
-
-                # Live monitor and progress heartbeat ride one masked
-                # check (not ``telem``: a monitor alone must not put the
-                # per-vertex telemetry block on the hot path).
-                if (
-                    (live is not None or progress is not None)
-                    and stats.explored & _PROGRESS_CHECK_MASK == 0
-                ):
-                    if live is not None:
-                        live.on_sample(
-                            stats=stats,
-                            incumbent=incumbent_cost,
-                            frontier=frontier,
-                            vertex_lb=vertex.lower_bound,
-                            stop_on_bound=stop_on_bound,
-                            dominance=dominance,
-                        )
-                    if progress is not None:
-                        # Under best-first selection the in-hand bound
-                        # is the minimum open bound, so the gap in the
-                        # heartbeat is exact; otherwise reuse the live
-                        # monitor's last sampled gap when one exists.
-                        if stop_on_bound and not math.isinf(incumbent_cost):
-                            hb_gap = max(
-                                0.0, incumbent_cost - vertex.lower_bound
-                            )
-                        elif live is not None:
-                            hb_gap = live.last_gap
-                        else:
-                            hb_gap = None
-                        progress.maybe_emit(
-                            explored=stats.explored,
-                            generated=stats.generated,
-                            active=len(frontier),
-                            incumbent=incumbent_cost,
-                            max_vertices=rb.max_vertices,
-                            time_limit=rb.time_limit,
-                            gap=hb_gap,
-                        )
-                    if lap is not None:
-                        lap("telemetry")
-
-                if stats.explored & _TIME_CHECK_MASK == 0:
-                    if (
-                        not untimed
-                        and stats.time_since_start() >= rb.time_limit
-                    ):
-                        stats.time_limit_hit = True
-                        pending_vertex = vertex
-                        if sink is not None and sink.accepts("resource"):
-                            sink.emit(
-                                "resource",
-                                {"kind": "TIMELIMIT",
-                                 "detail": f"{rb.time_limit}s"},
-                            )
-                        if rb.fail_on_exhaustion:
-                            _limit_exceeded(
-                                "TIMELIMIT", f"{rb.time_limit}s"
+                        stats.pruned_active += 1
+                        if hot_sink is not None and hot_sink.accepts("prune"):
+                            hot_sink.emit(
+                                "prune",
+                                {"cause": "stale-active",
+                                 "lb": vertex.lower_bound,
+                                 "level": vertex.level},
                             )
                         if lap is not None:
                             lap("select")
-                        break
-                    if (
-                        not unmemed
-                        and current_rss_bytes() >= rb.max_memory_bytes
-                    ):
-                        stats.memory_limit_hit = True
-                        pending_vertex = vertex
-                        if sink is not None and sink.accepts("resource"):
-                            sink.emit(
-                                "resource",
-                                {"kind": "MEMLIMIT",
-                                 "detail":
-                                     f"rss >= {rb.max_memory_bytes:g}B"},
-                            )
-                        if rb.fail_on_exhaustion:
-                            _limit_exceeded(
-                                "MEMLIMIT",
-                                f"rss >= {rb.max_memory_bytes:g}B",
-                            )
-                        if lap is not None:
-                            lap("select")
-                        break
+                        continue
 
-                if (
-                    channel is not None
-                    and stats.explored & _BOUND_POLL_MASK == 0
-                ):
-                    ext = channel.poll()
-                    if ext < incumbent_cost:
-                        # A concurrent search found something better:
-                        # adopt its cost for pruning only — the schedule
-                        # stays with whoever published it, and our own
-                        # goals must now beat the shared bound.
-                        incumbent_cost = ext
-                        threshold = pruning_threshold(
-                            incumbent_cost, params.inaccuracy
+                    # Chunk boundary: the vertex is in hand but untouched,
+                    # so a stop leaves it pending (snapshots and the open
+                    # lower bound still count it as part of the open search).
+                    if stats.explored >= check_at:
+                        stop_kind = boundary.service(
+                            frontier, vertex, incumbent_cost, threshold
                         )
-                        if elim.prunes_active_set():
-                            stats.pruned_active += frontier.prune_above(
-                                threshold
-                            )
-
-                # Step 6-7: branch and bound the children.
-                precheck_pruned = 0
-                if expander is not None:
-                    # Fused hot path: branching, state construction and
-                    # bounding in one pass (see repro.core.expand).  The
-                    # admission pre-check discards only children the
-                    # reference loop would prune, after consuming their
-                    # sequence numbers, so all counters stay identical;
-                    # its discards are folded into pruned_children below.
-                    (
-                        seq, children, n_gen, n_goals, precheck_pruned,
-                        n_infeasible, n_dominated, best_goal_cost,
-                        best_goal_state,
-                    ) = expander.expand(vertex, threshold, seq)
-                    stats.generated += n_gen
-                    stats.goals_evaluated += n_goals
-                    stats.pruned_infeasible += n_infeasible
-                    stats.pruned_dominated += n_dominated
-                    # Close the expand span before any event dispatch so
-                    # sink time is attributed to telemetry, not expand.
-                    if lap is not None:
-                        lap("expand")
-                    if hot_sink is not None:
-                        # Event parity is coarse on the fused path:
-                        # per-child goal/prune events are aggregated.
-                        if n_goals and hot_sink.accepts("goal"):
-                            hot_sink.emit(
-                                "goal",
-                                {"generated": stats.generated,
-                                 "count": n_goals,
-                                 "cost": _json_num(best_goal_cost)},
-                            )
-                        if n_infeasible and hot_sink.accepts("prune"):
-                            hot_sink.emit(
-                                "prune",
-                                {"cause": "infeasible",
-                                 "count": n_infeasible,
-                                 "level": vertex.level + 1},
-                            )
-                        if n_dominated and hot_sink.accepts("prune"):
-                            hot_sink.emit(
-                                "prune",
-                                {"cause": "dominated",
-                                 "count": n_dominated,
-                                 "level": vertex.level + 1},
-                            )
                         if lap is not None:
                             lap("telemetry")
-                else:
-                    placements = prepared.placements(
-                        vertex.state, break_symmetry
-                    )
-                    if lap is not None:
-                        lap("branch")
-                    children = []
-                    best_goal_cost = math.inf
-                    best_goal_state = None
-                    for task, proc in placements:
-                        child_state = vertex.state.child(task, proc)
-                        stats.generated += 1
-                        if lap is not None:
-                            lap("branch")
-                        child_lb = bound.evaluate(child_state)
-                        # States may carry their own floor (the
-                        # allocation-load bound of AO states; -inf class
-                        # default everywhere else).
-                        floor = child_state.lb_floor
-                        if floor > child_lb:
-                            child_lb = floor
-                        if lap is not None:
-                            lap("bound")
-                        if child_state.is_goal:
-                            # Goal vertices never enter the active set:
-                            # track the cheapest one in DB (Figure 2,
-                            # steps 1-5).
-                            stats.goals_evaluated += 1
-                            if child_lb < best_goal_cost:
-                                best_goal_cost = child_lb
-                                best_goal_state = child_state
+                        if stop_kind is not None:
+                            pending_vertex = vertex
+                            break
+                        incumbent_cost = boundary.incumbent
+                        threshold = boundary.threshold
+                        check_at = boundary.check_at
+
+                    if dispatcher is not None and vertex.level >= dispatch_depth:
+                        # Delegate the whole subtree: the dispatcher returns
+                        # the finished sub-search (the shard explored the
+                        # root itself, so no explored increment here) and
+                        # the merge below mirrors what the inline loop would
+                        # have done with the shard's goals — absorb the
+                        # counters, adopt a better incumbent, sweep once at
+                        # the final threshold (consecutive sweeps at
+                        # monotonically tightening thresholds collapse into
+                        # one), honour early-stop and the MAXVERT cap.
+                        sub = dispatcher.resolve(
+                            vertex, incumbent_cost, max_vertices - stats.generated
+                        )
+                        stats.absorb(sub.stats, active_base=len(frontier))
+                        if (
+                            sub.proc_of is not None
+                            and sub.best_cost < incumbent_cost
+                        ):
+                            incumbent_cost = sub.best_cost
+                            found_cost = sub.best_cost
+                            best_proc = sub.proc_of
+                            best_start = sub.start
+                            incumbent_source = "search"
+                            if trace is not None:
+                                trace.on_incumbent(stats.generated, incumbent_cost)
+                            threshold = pruning_threshold(
+                                incumbent_cost, params.inaccuracy
+                            )
+                            if elim.prunes_active_set():
+                                stats.pruned_active += frontier.prune_above(
+                                    threshold
+                                )
+                            if channel is not None:
+                                channel.publish(incumbent_cost)
+                            dispatcher.notify_incumbent(incumbent_cost)
                             if (
-                                hot_sink is not None
-                                and hot_sink.accepts("goal")
+                                early_stop is not None
+                                and incumbent_cost <= early_stop
                             ):
+                                target_reached = True
+                                break
+                        if sub.status is SolveStatus.TARGET_REACHED:
+                            target_reached = True
+                            break
+                        if stats.generated >= max_vertices:
+                            if rb.fail_on_exhaustion:
+                                _limit_exceeded(
+                                    "MAXVERT", f"{stats.generated} generated"
+                                )
+                            stats.truncated = True
+                            break
+                        if lap is not None:
+                            lap("select")
+                        continue
+
+                    stats.explored += 1
+                    if lap is not None:
+                        lap("select")
+
+                    if telem:
+                        active_size = len(frontier)
+                        if trace is not None:
+                            trace.on_explore(
+                                stats.explored,
+                                stats.generated,
+                                vertex.level,
+                                vertex.lower_bound,
+                                active_size,
+                            )
+                        if hot_sink is not None and hot_sink.accepts("explore"):
+                            hot_sink.emit(
+                                "explore",
+                                {
+                                    "step": stats.explored,
+                                    "generated": stats.generated,
+                                    "level": vertex.level,
+                                    "lb": vertex.lower_bound,
+                                    "active": active_size,
+                                },
+                            )
+                        if metrics is not None:
+                            m_active.set(active_size)
+                            h_active.observe(active_size)
+                            if not math.isinf(incumbent_cost):
+                                h_gap.observe(
+                                    incumbent_cost - vertex.lower_bound
+                                )
+                        if lap is not None:
+                            lap("telemetry")
+
+                    # Step 6-7: branch and bound the children.
+                    precheck_pruned = 0
+                    if expander is not None:
+                        # Fused hot path: branching, state construction and
+                        # bounding in one pass (see repro.core.expand).  The
+                        # admission pre-check discards only children the
+                        # reference loop would prune, after consuming their
+                        # sequence numbers, so all counters stay identical;
+                        # its discards are folded into pruned_children below.
+                        (
+                            seq, children, n_gen, n_goals, precheck_pruned,
+                            n_infeasible, n_dominated, best_goal_cost,
+                            best_goal_state,
+                        ) = expander.expand(vertex, threshold, seq)
+                        stats.generated += n_gen
+                        stats.goals_evaluated += n_goals
+                        stats.pruned_infeasible += n_infeasible
+                        stats.pruned_dominated += n_dominated
+                        # Close the expand span before any event dispatch so
+                        # sink time is attributed to telemetry, not expand.
+                        if lap is not None:
+                            lap("expand")
+                        if hot_sink is not None:
+                            # Event parity is coarse on the fused path:
+                            # per-child goal/prune events are aggregated.
+                            if n_goals and hot_sink.accepts("goal"):
                                 hot_sink.emit(
                                     "goal",
                                     {"generated": stats.generated,
-                                     "cost": _json_num(child_lb)},
+                                     "count": n_goals,
+                                     "cost": _json_num(best_goal_cost)},
                                 )
-                            if lap is not None:
-                                lap("goal-eval")
-                            continue
-                        if not charf.admits(child_state, child_lb):
-                            stats.pruned_infeasible += 1
-                            if (
-                                hot_sink is not None
-                                and hot_sink.accepts("prune")
-                            ):
+                            if n_infeasible and hot_sink.accepts("prune"):
                                 hot_sink.emit(
                                     "prune",
                                     {"cause": "infeasible",
-                                     "lb": _json_num(child_lb),
+                                     "count": n_infeasible,
                                      "level": vertex.level + 1},
                                 )
-                            if lap is not None:
-                                lap("filter")
-                            continue
-                        if lap is not None:
-                            lap("filter")
-                        if dominance.is_dominated(child_state):
-                            stats.pruned_dominated += 1
-                            if (
-                                hot_sink is not None
-                                and hot_sink.accepts("prune")
-                            ):
+                            if n_dominated and hot_sink.accepts("prune"):
                                 hot_sink.emit(
                                     "prune",
                                     {"cause": "dominated",
-                                     "lb": _json_num(child_lb),
+                                     "count": n_dominated,
                                      "level": vertex.level + 1},
                                 )
                             if lap is not None:
+                                lap("telemetry")
+                    else:
+                        placements = prepared.placements(
+                            vertex.state, break_symmetry
+                        )
+                        if lap is not None:
+                            lap("branch")
+                        children = []
+                        best_goal_cost = math.inf
+                        best_goal_state = None
+                        for task, proc in placements:
+                            child_state = vertex.state.child(task, proc)
+                            stats.generated += 1
+                            if lap is not None:
+                                lap("branch")
+                            child_lb = bound.evaluate(child_state)
+                            # States may carry their own floor (the
+                            # allocation-load bound of AO states; -inf class
+                            # default everywhere else).
+                            floor = child_state.lb_floor
+                            if floor > child_lb:
+                                child_lb = floor
+                            if lap is not None:
+                                lap("bound")
+                            if child_state.is_goal:
+                                # Goal vertices never enter the active set:
+                                # track the cheapest one in DB (Figure 2,
+                                # steps 1-5).
+                                stats.goals_evaluated += 1
+                                if child_lb < best_goal_cost:
+                                    best_goal_cost = child_lb
+                                    best_goal_state = child_state
+                                if (
+                                    hot_sink is not None
+                                    and hot_sink.accepts("goal")
+                                ):
+                                    hot_sink.emit(
+                                        "goal",
+                                        {"generated": stats.generated,
+                                         "cost": _json_num(child_lb)},
+                                    )
+                                if lap is not None:
+                                    lap("goal-eval")
+                                continue
+                            if not charf.admits(child_state, child_lb):
+                                stats.pruned_infeasible += 1
+                                if (
+                                    hot_sink is not None
+                                    and hot_sink.accepts("prune")
+                                ):
+                                    hot_sink.emit(
+                                        "prune",
+                                        {"cause": "infeasible",
+                                         "lb": _json_num(child_lb),
+                                         "level": vertex.level + 1},
+                                    )
+                                if lap is not None:
+                                    lap("filter")
+                                continue
+                            if lap is not None:
+                                lap("filter")
+                            if dominance.is_dominated(child_state):
+                                stats.pruned_dominated += 1
+                                if (
+                                    hot_sink is not None
+                                    and hot_sink.accepts("prune")
+                                ):
+                                    hot_sink.emit(
+                                        "prune",
+                                        {"cause": "dominated",
+                                         "lb": _json_num(child_lb),
+                                         "level": vertex.level + 1},
+                                    )
+                                if lap is not None:
+                                    lap("dominance")
+                                continue
+                            if lap is not None:
                                 lap("dominance")
-                            continue
-                        if lap is not None:
-                            lap("dominance")
-                        children.append(Vertex(child_state, child_lb, seq))
-                        seq += 1
+                            children.append(Vertex(child_state, child_lb, seq))
+                            seq += 1
 
-                # Figure 2 steps 1-5: incumbent update from the cheapest
-                # goal.
-                threshold_tightened = False
-                if (
-                    best_goal_state is not None
-                    and best_goal_cost < incumbent_cost
-                ):
-                    threshold_tightened = True
-                    incumbent_cost = best_goal_cost
-                    found_cost = best_goal_cost
-                    best_proc = best_goal_state.proc_of
-                    best_start = best_goal_state.start
-                    incumbent_source = "search"
-                    stats.incumbent_updates += 1
-                    if channel is not None:
-                        channel.publish(incumbent_cost)
-                    if dispatcher is not None:
-                        dispatcher.notify_incumbent(incumbent_cost)
-                    if trace is not None:
-                        trace.on_incumbent(stats.generated, incumbent_cost)
-                    if sink is not None and sink.accepts("incumbent"):
-                        sink.emit(
-                            "incumbent",
-                            {
-                                "generated": stats.generated,
-                                "explored": stats.explored,
-                                "cost": _json_num(incumbent_cost),
-                                "elapsed": round(stats.time_since_start(), 6),
-                            },
+                    # Figure 2 steps 1-5: incumbent update from the cheapest
+                    # goal.
+                    threshold_tightened = False
+                    if (
+                        best_goal_state is not None
+                        and best_goal_cost < incumbent_cost
+                    ):
+                        threshold_tightened = True
+                        incumbent_cost = best_goal_cost
+                        found_cost = best_goal_cost
+                        best_proc = best_goal_state.proc_of
+                        best_start = best_goal_state.start
+                        incumbent_source = "search"
+                        stats.incumbent_updates += 1
+                        _announce()
+                        threshold = pruning_threshold(
+                            incumbent_cost, params.inaccuracy
                         )
-                    threshold = pruning_threshold(
-                        incumbent_cost, params.inaccuracy
-                    )
-                    # Figure 2 step 6, AS half: sweep the active set.
-                    if elim.prunes_active_set():
-                        swept = frontier.prune_above(threshold)
-                        stats.pruned_active += swept
-                        if (
-                            hot_sink is not None
-                            and swept
-                            and hot_sink.accepts("prune")
-                        ):
-                            hot_sink.emit(
-                                "prune",
-                                {"cause": "active-sweep", "count": swept},
-                            )
-                    if early_stop is not None and incumbent_cost <= early_stop:
-                        target_reached = True
-                        if lap is not None:
-                            lap("goal-eval")
-                        break
-                if lap is not None:
-                    lap("goal-eval")
-
-                # Figure 2 step 6, DB half: eliminate children.  The
-                # fused path's pre-checked children are exactly the ones
-                # this stage would have pruned (their bounds met the
-                # threshold before it could only have tightened), so
-                # they count here.
-                if precheck_pruned:
-                    stats.pruned_children += precheck_pruned
-                    if hot_sink is not None and hot_sink.accepts("prune"):
-                        hot_sink.emit(
-                            "prune",
-                            {"cause": "bound", "count": precheck_pruned,
-                             "level": vertex.level + 1},
-                        )
-                if fused_precheck and not threshold_tightened:
-                    # Pre-checked children are already strictly below
-                    # this very threshold; re-testing each one cannot
-                    # prune anything unless a goal just tightened it.
-                    kept = children
-                else:
-                    kept = []
-                    for child in children:
-                        if elim.should_prune(child.lower_bound, threshold):
-                            stats.pruned_children += 1
+                        # Figure 2 step 6, AS half: sweep the active set.
+                        if elim.prunes_active_set():
+                            swept = frontier.prune_above(threshold)
+                            stats.pruned_active += swept
                             if (
                                 hot_sink is not None
+                                and swept
                                 and hot_sink.accepts("prune")
                             ):
                                 hot_sink.emit(
                                     "prune",
-                                    {"cause": "bound",
-                                     "lb": _json_num(child.lower_bound),
-                                     "level": vertex.level + 1},
+                                    {"cause": "active-sweep", "count": swept},
                                 )
-                        else:
-                            kept.append(child)
+                        if early_stop is not None and incumbent_cost <= early_stop:
+                            target_reached = True
+                            if lap is not None:
+                                lap("goal-eval")
+                            break
+                    if lap is not None:
+                        lap("goal-eval")
 
-                # RB: MAXSZDB caps the child set (keep the best bounds).
-                if len(kept) > max_children:
-                    if rb.fail_on_exhaustion:
+                    # Figure 2 step 6, DB half: eliminate children.  The
+                    # fused path's pre-checked children are exactly the ones
+                    # this stage would have pruned (their bounds met the
+                    # threshold before it could only have tightened), so
+                    # they count here.
+                    if precheck_pruned:
+                        stats.pruned_children += precheck_pruned
+                        if hot_sink is not None and hot_sink.accepts("prune"):
+                            hot_sink.emit(
+                                "prune",
+                                {"cause": "bound", "count": precheck_pruned,
+                                 "level": vertex.level + 1},
+                            )
+                    if fused_precheck and not threshold_tightened:
+                        # Pre-checked children are already strictly below
+                        # this very threshold; re-testing each one cannot
+                        # prune anything unless a goal just tightened it.
+                        kept = children
+                    else:
+                        kept = []
+                        for child in children:
+                            if elim.should_prune(child.lower_bound, threshold):
+                                stats.pruned_children += 1
+                                if (
+                                    hot_sink is not None
+                                    and hot_sink.accepts("prune")
+                                ):
+                                    hot_sink.emit(
+                                        "prune",
+                                        {"cause": "bound",
+                                         "lb": _json_num(child.lower_bound),
+                                         "level": vertex.level + 1},
+                                    )
+                            else:
+                                kept.append(child)
+
+                    # RB: MAXSZDB caps the child set (keep the best bounds).
+                    if len(kept) > max_children:
+                        if rb.fail_on_exhaustion:
+                            if sink is not None and sink.accepts("resource"):
+                                sink.emit(
+                                    "resource",
+                                    {"kind": "MAXSZDB",
+                                     "detail": f"{len(kept)} children"},
+                                )
+                            _limit_exceeded(
+                                "MAXSZDB", f"{len(kept)} children"
+                            )
+                        kept.sort(key=_BY_BOUND)
+                        dropped_db = len(kept) - int(rb.max_children)
+                        stats.dropped_resource += dropped_db
+                        stats.truncated = True
+                        del kept[int(rb.max_children):]
                         if sink is not None and sink.accepts("resource"):
                             sink.emit(
                                 "resource",
-                                {"kind": "MAXSZDB",
-                                 "detail": f"{len(kept)} children"},
+                                {"kind": "MAXSZDB", "dropped": dropped_db},
                             )
-                        _limit_exceeded(
-                            "MAXSZDB", f"{len(kept)} children"
-                        )
-                    kept.sort(key=_BY_BOUND)
-                    dropped_db = len(kept) - int(rb.max_children)
-                    stats.dropped_resource += dropped_db
-                    stats.truncated = True
-                    del kept[int(rb.max_children):]
-                    if sink is not None and sink.accepts("resource"):
-                        sink.emit(
-                            "resource",
-                            {"kind": "MAXSZDB", "dropped": dropped_db},
-                        )
 
-                # Step 9: move the survivors into AS.
-                if child_order == "best-last":
-                    # Stable descending sort: equal bounds keep
-                    # insertion order, matching the negated-key sort.
-                    kept.sort(key=_BY_BOUND, reverse=True)
-                elif child_order == "best-first":
-                    kept.sort(key=_BY_BOUND)
-                for child in kept:
-                    frontier.push(child)
-                if dispatcher is not None:
-                    budget_guess = max_vertices - stats.generated
+                    # Step 9: move the survivors into AS.
+                    if child_order == "best-last":
+                        # Stable descending sort: equal bounds keep
+                        # insertion order, matching the negated-key sort.
+                        kept.sort(key=_BY_BOUND, reverse=True)
+                    elif child_order == "best-first":
+                        kept.sort(key=_BY_BOUND)
                     for child in kept:
-                        if child.level >= dispatch_depth:
-                            dispatcher.offer(
-                                child, incumbent_cost, budget_guess
+                        frontier.push(child)
+                    if dispatcher is not None:
+                        budget_guess = max_vertices - stats.generated
+                        for child in kept:
+                            if child.level >= dispatch_depth:
+                                dispatcher.offer(
+                                    child, incumbent_cost, budget_guess
+                                )
+
+                    active = len(frontier)
+                    if active > stats.peak_active:
+                        stats.peak_active = active
+
+                    # RB: MAXSZAS disposes of the worst active vertices.
+                    if active > max_active:
+                        if rb.fail_on_exhaustion:
+                            if sink is not None and sink.accepts("resource"):
+                                sink.emit(
+                                    "resource",
+                                    {"kind": "MAXSZAS",
+                                     "detail": f"{active} active"},
+                                )
+                            _limit_exceeded(
+                                "MAXSZAS", f"{active} active"
                             )
-
-                active = len(frontier)
-                if active > stats.peak_active:
-                    stats.peak_active = active
-
-                # RB: MAXSZAS disposes of the worst active vertices.
-                if active > max_active:
-                    if rb.fail_on_exhaustion:
+                        dropped = frontier.drop_worst(active - int(rb.max_active))
+                        stats.dropped_resource += dropped
+                        stats.truncated = True
                         if sink is not None and sink.accepts("resource"):
                             sink.emit(
                                 "resource",
-                                {"kind": "MAXSZAS",
-                                 "detail": f"{active} active"},
+                                {"kind": "MAXSZAS", "dropped": dropped},
                             )
-                        _limit_exceeded(
-                            "MAXSZAS", f"{active} active"
-                        )
-                    dropped = frontier.drop_worst(active - int(rb.max_active))
-                    stats.dropped_resource += dropped
-                    stats.truncated = True
-                    if sink is not None and sink.accepts("resource"):
-                        sink.emit(
-                            "resource",
-                            {"kind": "MAXSZAS", "dropped": dropped},
-                        )
 
-                # RB extension: generated-vertex cap.
-                if stats.generated >= max_vertices:
-                    if sink is not None and sink.accepts("resource"):
-                        sink.emit(
-                            "resource",
-                            {"kind": "MAXVERT",
-                             "detail": f"{stats.generated} generated"},
-                        )
-                    if rb.fail_on_exhaustion:
-                        _limit_exceeded(
-                            "MAXVERT", f"{stats.generated} generated"
-                        )
-                    stats.truncated = True
+                    # RB extension: generated-vertex cap.
+                    if stats.generated >= max_vertices:
+                        stop_kind = "MAXVERT"
+                        if lap is not None:
+                            lap("eliminate")
+                        break
                     if lap is not None:
                         lap("eliminate")
-                    break
-                if lap is not None:
-                    lap("eliminate")
+
+            if stop_kind == "MAXVERT":
+                detail = f"{stats.generated} generated"
+                if sink is not None and sink.accepts("resource"):
+                    sink.emit("resource", {"kind": "MAXVERT", "detail": detail})
+                if rb.fail_on_exhaustion:
+                    _limit_exceeded("MAXVERT", detail)
+                stats.truncated = True
+            elif stop_kind is not None and stop_kind != "INTERRUPTED":
+                if rb.fail_on_exhaustion:
+                    _limit_exceeded(*boundary.stopped)
         finally:
             # Always populate stats.elapsed, even when a resource bound
             # raises mid-solve (stop_clock is idempotent, so the normal
@@ -1487,11 +1388,6 @@ class BranchAndBound:
         )
         if stopped_early and stats.dropped_resource == 0:
             open_lower_bound = frontier.min_bound()
-            if driver_open_min is not None and (
-                open_lower_bound is None
-                or driver_open_min < open_lower_bound
-            ):
-                open_lower_bound = driver_open_min
             if pending_vertex is not None and (
                 open_lower_bound is None
                 or pending_vertex.lower_bound < open_lower_bound
@@ -1503,25 +1399,9 @@ class BranchAndBound:
         checkpoint_path = None
         if checkpoint is not None:
             if stopped_early:
-                checkpoint_path = checkpoint.write(_snapshot())
-                if sink is not None and sink.accepts("checkpoint"):
-                    sink.emit(
-                        "checkpoint",
-                        {
-                            "version": checkpoint.version - 1,
-                            "explored": stats.explored,
-                            "generated": stats.generated,
-                            "active": len(frontier)
-                            + (1 if pending_vertex is not None else 0),
-                            "path": checkpoint_path,
-                            "final": True,
-                        },
-                    )
-                if metrics is not None:
-                    metrics.counter(
-                        "bnb_checkpoint_written_total",
-                        "Search snapshots written",
-                    ).inc()
+                checkpoint_path = boundary.write_checkpoint(
+                    frontier, pending_vertex, final=True
+                )
             elif checkpoint.writes:
                 checkpoint_path = checkpoint.path
 
@@ -1558,37 +1438,20 @@ class BranchAndBound:
                     "initial_upper_bound": _json_num(initial_upper_bound),
                     "incumbent_source": incumbent_source,
                     "stats": stats.as_dict(),
+                    "engine_path": stats.engine_path,
+                    "engine_fallback": stats.engine_fallback,
                     "profile": (
                         dict(profiler.totals) if profiler is not None else None
                     ),
                 },
             )
-        if progress is not None:
-            progress.finish(f"{status.value}; {stats.summary()}")
-        if live is not None:
-            # Terminal snapshot: short solves may never hit the sampling
-            # interval, but /status must still show how the run ended.
-            if best_proc is not None and open_lower_bound is not None:
-                final_gap = max(0.0, found_cost - open_lower_bound)
-            elif status is SolveStatus.OPTIMAL:
-                final_gap = 0.0
-            else:
-                final_gap = None
-            live.last_gap = final_gap
-            live.bus.update(
-                gap=final_gap,
-                phase="done",
-                result_status=status.value,
-                elapsed=round(stats.elapsed, 3),
-                explored=stats.explored,
-                generated=stats.generated,
-                active=len(frontier),
-                incumbent=(
-                    _json_num(found_cost) if best_proc is not None else None
-                ),
-                open_lower_bound=open_lower_bound,
-                vps=round(stats.vertices_per_second or 0.0, 1),
-            )
+        boundary.finish(
+            status.value,
+            optimal=status is SolveStatus.OPTIMAL,
+            frontier=frontier,
+            incumbent=found_cost if best_proc is not None else None,
+            open_lower_bound=open_lower_bound,
+        )
         if lap is not None:
             lap("telemetry")
 
@@ -1608,6 +1471,45 @@ class BranchAndBound:
         )
 
     # ------------------------------------------------------------------
+
+    def _start_driver(
+        self, expander, frontier, prepared, stats, *, seq, threshold,
+        incumbent, found_cost, max_vertices, report_incumbent,
+    ):
+        """Hand the seeded frontier to a native driver.
+
+        Roots, restored snapshots and subtree roots all arrive through
+        ``frontier.export()``; foreign states are adopted into the
+        arena.  The exported vertices belong to the driver afterwards.
+        """
+        params = self.params
+        entries = []
+        for v in frontier.export():
+            st = v.state
+            if type(st) is not ArenaState or st.arena is not expander.arena:
+                st = expander._ensure_row(v)
+            st.disown()
+            entries.append((v.lower_bound, v.seq, st.slot, st.level))
+        return _native.NativeDriver(
+            expander.arena,
+            expander.ap,
+            frontier_kind=_NATIVE_FRONTIER_KINDS[type(frontier)],
+            bound_kind=expander.bound_kind,
+            child_order=_CHILD_ORDER_CODES[params.child_order],
+            elim_none=type(params.elimination) is NoElimination,
+            stop_on_bound=params.selection.stop_on_bound,
+            break_symmetry=params.break_symmetry,
+            fixed_order=getattr(prepared, "order", None),
+            entries=entries,
+            seq=seq,
+            threshold=threshold,
+            incumbent=incumbent,
+            found_cost=found_cost,
+            inaccuracy=params.inaccuracy,
+            max_vertices=max_vertices,
+            stats=stats,
+            report_incumbent=report_incumbent,
+        )
 
     @staticmethod
     def _status(

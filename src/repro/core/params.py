@@ -73,9 +73,10 @@ class BnBParameters:
     #: Search-core implementation: ``object`` (per-vertex SearchState
     #: objects) or ``array`` (struct-of-arrays arena + native chunk
     #: driver where eligible, numpy batch expansion otherwise).  The
-    #: array engine silently falls back to the object core for
-    #: configurations it cannot replicate bit-for-bit, so results are
-    #: engine-independent by construction.
+    #: array engine falls back to a slower tier for configurations it
+    #: cannot replicate bit-for-bit, so results are engine-independent
+    #: by construction; ``SearchStats.engine_path`` and
+    #: ``engine_fallback`` record which tier ran and why.
     engine: str = "object"
 
     def __post_init__(self) -> None:

@@ -109,6 +109,25 @@ class Frontier(ABC):
                 best = v.lower_bound
         return best
 
+    def open_profile(self, levels: int) -> tuple[float | None, dict[int, int]]:
+        """Smallest open bound and the open-vertex count per level.
+
+        Levels at or beyond ``levels - 1`` fold into the last bucket.
+        One pass over :meth:`iter_open`; the live monitor's sample.
+        """
+        best: float | None = None
+        depths: dict[int, int] = {}
+        last = levels - 1
+        for v in self.iter_open():
+            lb = v.lower_bound
+            if best is None or lb < best:
+                best = lb
+            level = v.level
+            if level > last:
+                level = last
+            depths[level] = depths.get(level, 0) + 1
+        return best, depths
+
     def iter_open(self):
         """Yield every live vertex, in no particular order.
 

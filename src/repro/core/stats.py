@@ -13,7 +13,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["SearchStats"]
+__all__ = ["SearchStats", "describe_engine"]
+
+
+def describe_engine(path: str, fallback: str | None) -> str:
+    """``engine:`` line text: the tier, then why a faster one was refused."""
+    text = path or "unknown"
+    return f"{text} (fallback: {fallback})" if fallback else text
 
 
 @dataclass
@@ -57,6 +63,13 @@ class SearchStats:
     interrupted: bool = False
     #: The resident-set ceiling (MEMLIMIT) tripped.
     memory_limit_hit: bool = False
+    #: Engine tier that ran the search: ``native`` (the C chunk driver),
+    #: ``batch`` (numpy batch expansion), ``fused`` or ``reference``.
+    engine_path: str = ""
+    #: Why a faster tier of the requested engine was refused, e.g.
+    #: ``"trace sink attached"`` or ``"native kernel unavailable: …"``
+    #: (None when the fastest tier ran).
+    engine_fallback: str | None = None
     _t0: float = field(default=0.0, repr=False)
     _stopped: bool = field(default=False, repr=False)
     #: Seconds already spent before this process's clock started (set
@@ -109,6 +122,10 @@ class SearchStats:
         self.truncated = self.truncated or other.truncated
         self.interrupted = self.interrupted or other.interrupted
         self.memory_limit_hit = self.memory_limit_hit or other.memory_limit_hit
+        if not self.engine_path:
+            # A merge of worker results reports the tier the workers ran.
+            self.engine_path = other.engine_path
+            self.engine_fallback = other.engine_fallback
 
     @property
     def pruned_total(self) -> int:
@@ -125,7 +142,13 @@ class SearchStats:
         return self.generated / self.elapsed if self.elapsed > 0 else 0.0
 
     def as_dict(self) -> dict:
-        """JSON-ready snapshot (trace summary events, metrics exports)."""
+        """JSON-ready snapshot (trace summary events, metrics exports).
+
+        Counters and stop flags only: the engine tier is a property of
+        the process that ran, not of the search, so it is reported next
+        to this dict (summary events, ``/status``) rather than in it,
+        and snapshots stay comparable across tiers.
+        """
         return {
             "generated": self.generated,
             "explored": self.explored,

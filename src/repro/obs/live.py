@@ -274,8 +274,9 @@ class LiveMonitor:
     ``interval``
         Minimum seconds between full snapshot samples (the frontier
         scan, gap computation and history point).  The engine calls
-        :meth:`on_sample` every 64 explored vertices; everything beyond
-        a clock read is gated behind this interval.
+        :meth:`on_sample` at every chunk boundary (see
+        :mod:`repro.core.boundary`); everything beyond a clock read is
+        gated behind this interval.
     ``ring_size``
         Flight-recorder depth: how many recent events survive a crash.
     """
@@ -336,24 +337,13 @@ class LiveMonitor:
         elapsed = stats.time_since_start()
         vps = stats.generated / elapsed if elapsed > 0 else 0.0
 
-        depths: dict[int, int] = {}
-        if stop_on_bound and vertex_lb is not None:
-            open_lb: float | None = vertex_lb
-            for vertex in frontier.iter_open():
-                level = vertex.level
-                if level >= _MAX_DEPTH_BUCKETS:
-                    level = _MAX_DEPTH_BUCKETS - 1
-                depths[level] = depths.get(level, 0) + 1
-        else:
-            open_lb = vertex_lb
-            for vertex in frontier.iter_open():
-                lb = vertex.lower_bound
-                if open_lb is None or lb < open_lb:
-                    open_lb = lb
-                level = vertex.level
-                if level >= _MAX_DEPTH_BUCKETS:
-                    level = _MAX_DEPTH_BUCKETS - 1
-                depths[level] = depths.get(level, 0) + 1
+        frontier_lb, depths = frontier.open_profile(_MAX_DEPTH_BUCKETS)
+        open_lb: float | None = vertex_lb
+        if not (stop_on_bound and vertex_lb is not None) and (
+            frontier_lb is not None
+            and (open_lb is None or frontier_lb < open_lb)
+        ):
+            open_lb = frontier_lb
 
         gap: float | None = None
         if open_lb is not None and not math.isinf(incumbent):

@@ -72,15 +72,16 @@ class Counter:
 
 
 class Gauge:
-    """Last-observed value (may go up or down)."""
+    """Last-observed value (may go up or down), optionally labelled."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "help", "value", "labels")
     kind = "gauge"
 
     def __init__(self, name: str, help: str = "") -> None:
         self.name = _valid_name(name)
         self.help = help
         self.value = 0.0
+        self.labels: dict[str, str] = {}
 
     def set(self, value: float) -> None:
         self.value = value
@@ -88,11 +89,31 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
+    def label(self, **labels: Any) -> "Gauge":
+        """Replace the label set (an info-style gauge); returns self."""
+        self.labels = {_valid_name(k): str(v) for k, v in labels.items()}
+        return self
+
     def snapshot(self) -> dict[str, Any]:
-        return {"type": self.kind, "value": self.value}
+        snap = {"type": self.kind, "value": self.value}
+        if self.labels:
+            snap["labels"] = dict(self.labels)
+        return snap
 
     def lines(self) -> Iterable[str]:
-        yield f"{self.name} {_fmt(self.value)}"
+        if self.labels:
+            body = ",".join(
+                f'{k}="{_escape_label(v)}"' for k, v in self.labels.items()
+            )
+            yield f"{self.name}{{{body}}} {_fmt(self.value)}"
+        else:
+            yield f"{self.name} {_fmt(self.value)}"
+
+
+def _escape_label(value: str) -> str:
+    return (
+        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    )
 
 
 class Histogram:

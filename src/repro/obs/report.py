@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Any
 
+from ..core.stats import describe_engine
 from .profile import PhaseBreakdown
 
 __all__ = ["TraceReport", "load_trace", "render_trace_report"]
@@ -494,6 +495,14 @@ def render_trace_report(report: TraceReport, max_profile_rows: int = 20) -> str:
         cost = report.summary.get("best_cost")
         cost_s = "-" if cost is None else f"{cost:g}"
         out.append(f"result: {status} L_max={cost_s}")
+        if report.summary.get("engine_path"):
+            out.append(
+                "engine: "
+                + describe_engine(
+                    report.summary["engine_path"],
+                    report.summary.get("engine_fallback"),
+                )
+            )
         stats = report.summary.get("stats") or {}
         if stats:
             pairs = " ".join(

@@ -14,6 +14,7 @@ Two kinds of plumbing live here so :mod:`test_checkpoint` and
 from __future__ import annotations
 
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -21,6 +22,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.core.checkpoint import Checkpointer
 from repro.model import compile_problem, shared_bus_platform
 from repro.workload import WorkloadSpec, generate_task_graph
 
@@ -201,3 +203,23 @@ def parse_lmax(stdout: str) -> float:
     if match is None:
         raise AssertionError(f"no L_max in CLI output:\n{stdout}")
     return float(match.group(1))
+
+
+# ---------------------------------------------------------------------------
+# In-memory checkpoints
+# ---------------------------------------------------------------------------
+
+
+class MemoryCheckpointer(Checkpointer):
+    """Keeps every snapshot, round-tripped through pickle, in memory."""
+
+    def __init__(self, every: int = 10**9) -> None:
+        super().__init__("unused.pkl", every=every)
+        self.snapshots = []
+
+    def write(self, snapshot):
+        snapshot.version = self.version
+        self.snapshots.append(pickle.loads(pickle.dumps(snapshot)))
+        self.version += 1
+        self.writes += 1
+        return self.path

@@ -12,13 +12,16 @@ real thing: SIGKILLing a live CLI solve and resuming it.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import signal
 
 import pytest
 
+from bench_cells import QUICK_CELLS
 from faultlib import (
+    MemoryCheckpointer,
     hard_graph,
     hard_problem,
     kill_when_file_appears,
@@ -31,6 +34,7 @@ from repro.core import (
     BranchAndBound,
     ResourceBounds,
     SolveStatus,
+    _native,
 )
 from repro.core.bounds import LB2
 from repro.core.checkpoint import (
@@ -43,6 +47,7 @@ from repro.core.checkpoint import (
     write_checkpoint,
 )
 from repro.core.selection import FIFOSelection, MemoryLimitedSelection
+from repro.core.stats import SearchStats
 from repro.errors import CheckpointError
 from repro.io import save_graph
 
@@ -337,6 +342,131 @@ class TestGracefulStop:
             signal.raise_signal(signal.SIGTERM)
             assert token.is_set()
             assert token.reason == "SIGTERM"
+
+
+# ---------------------------------------------------------------------------
+# The array engine: snapshots cut on the native driver
+# ---------------------------------------------------------------------------
+
+needs_native = pytest.mark.skipif(
+    not _native.native_available(), reason="native kernel unavailable"
+)
+
+#: Native-engageable parametrizations over the three frontier kinds.
+NATIVE_PARAMS = [
+    pytest.param(BnBParameters.paper_lifo(), id="LIFO-LB1"),
+    pytest.param(BnBParameters.paper_llb(), id="LLB-LB1"),
+    pytest.param(BnBParameters(selection=FIFOSelection()), id="FIFO-LB1"),
+    pytest.param(BnBParameters.paper_lb0(), id="LIFO-LB0"),
+]
+
+
+def _array(params: BnBParameters) -> BnBParameters:
+    return params.evolve(engine="array")
+
+
+def _counters(stats: dict) -> dict:
+    return {k: v for k, v in stats.items() if k != "elapsed"}
+
+
+def _frontier(snapshot) -> list:
+    return [
+        (state.proc_of, state.start, lb, seq)
+        for state, lb, seq in snapshot.frontier
+    ]
+
+
+@needs_native
+def test_preset_token_interrupts_before_any_expansion():
+    token = StopToken()
+    token.set("test")
+    result = BranchAndBound(_array(BnBParameters())).solve(PROBLEM, stop=token)
+    assert result.stats.engine_path == "native"
+    assert result.status is SolveStatus.INTERRUPTED
+    assert result.stats.explored == 0
+    assert result.stats.generated == 1
+    assert result.found_solution
+    assert result.open_lower_bound is not None
+    result.schedule().validate()
+
+
+@needs_native
+@pytest.mark.parametrize("params", NATIVE_PARAMS)
+def test_periodic_snapshot_matches_the_object_engine(params):
+    every = 100
+    snaps = {}
+    for engine in ("object", "array"):
+        cp = MemoryCheckpointer(every=every)
+        result = BranchAndBound(params.evolve(engine=engine)).solve(
+            PROBLEM, checkpoint=cp
+        )
+        assert cp.snapshots, "cell too small for a periodic snapshot"
+        snaps[engine] = (result, cp.snapshots[0])
+    (obj, a), (nat, b) = snaps["object"], snaps["array"]
+    assert obj.stats.engine_path == "fused"
+    assert nat.stats.engine_path == "native"
+    assert b.stats["explored"] == a.stats["explored"] == every
+    assert _frontier(b) == _frontier(a)
+    assert b.seq == a.seq
+    assert _counters(b.stats) == _counters(a.stats)
+    assert (b.incumbent_cost, b.found_cost) == (a.incumbent_cost, a.found_cost)
+    assert (b.best_proc, b.best_start) == (a.best_proc, a.best_start)
+    assert b.incumbent_source == a.incumbent_source
+
+
+@needs_native
+@pytest.mark.parametrize("params", NATIVE_PARAMS)
+@pytest.mark.parametrize("snap_engine", ["object", "array"])
+@pytest.mark.parametrize("resume_engine", ["object", "array"])
+def test_resume_across_engines_reproduces_the_straight_run(
+    params, snap_engine, resume_engine
+):
+    straight = BranchAndBound(params).solve(PROBLEM)
+    cp = MemoryCheckpointer(every=150)
+    BranchAndBound(params.evolve(engine=snap_engine)).solve(
+        PROBLEM, checkpoint=cp
+    )
+    resumed = BranchAndBound(params.evolve(engine=resume_engine)).solve(
+        PROBLEM, resume=cp.snapshots[0]
+    )
+    if resume_engine == "array":
+        assert resumed.stats.engine_path == "native"
+    assert resumed.best_cost == straight.best_cost
+    assert resumed.proc_of == straight.proc_of
+    assert resumed.stats.generated == straight.stats.generated
+    assert resumed.stats.explored == straight.stats.explored
+
+
+@needs_native
+def test_time_limited_final_snapshot_holds_every_open_vertex(monkeypatch):
+    cell = QUICK_CELLS[0]
+    problem = cell.problem()
+    params = _array(cell.params())
+    straight = BranchAndBound(params).solve(problem)
+    # A deterministic clock: the limit trips at the fourth boundary.
+    calls = itertools.count()
+    monkeypatch.setattr(
+        SearchStats,
+        "time_since_start",
+        lambda self: 0.0 if next(calls) < 3 else 100.0,
+    )
+    limited = params.evolve(resources=ResourceBounds(time_limit=50.0))
+    cp = MemoryCheckpointer()
+    result = BranchAndBound(limited).solve(problem, checkpoint=cp)
+    monkeypatch.undo()
+    assert result.stats.engine_path == "native"
+    assert result.status is SolveStatus.TIMEOUT
+    assert 0 < result.stats.explored < straight.stats.explored
+    final = cp.snapshots[-1]
+    assert len(final.frontier) > 1
+    assert result.open_lower_bound == min(lb for _, lb, _ in final.frontier)
+    for engine in ("object", "array"):
+        resumed = BranchAndBound(cell.params().evolve(engine=engine)).solve(
+            problem, resume=pickle.loads(pickle.dumps(final))
+        )
+        assert resumed.best_cost == straight.best_cost
+        assert resumed.stats.generated == straight.stats.generated
+        assert resumed.stats.explored == straight.stats.explored
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,21 @@ class TestEngineMetrics:
         assert gap.count == res.stats.explored
         assert not math.isnan(gap.mean)
 
+    def test_histograms_sampled_per_boundary_on_native(self, hard_problem):
+        from repro.core import _native
+
+        if not _native.native_available():
+            pytest.skip("native kernel unavailable")
+        reg = MetricsRegistry()
+        res = BranchAndBound(
+            BnBParameters(engine="array"), obs=Observability(metrics=reg)
+        ).solve(hard_problem)
+        assert res.stats.engine_path == "native"
+        for name in (
+            "bnb_active_set_size_distribution", "bnb_lower_bound_gap"
+        ):
+            assert 1 <= reg[name].count <= res.stats.explored
+
     def test_counters_accumulate_across_solves(self, hard_problem):
         reg = MetricsRegistry()
         solver = BranchAndBound(BnBParameters(), obs=Observability(metrics=reg))
