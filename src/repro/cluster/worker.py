@@ -54,10 +54,6 @@ __all__ = ["ClusterWorker", "run_local_worker"]
 
 _INF = float("inf")
 
-#: The engine polls its bound channel once per this many explored vertices.
-_VERTICES_PER_POLL = 64
-
-
 class _WorkerDied(Exception):
     """Internal: an injected fault killed this worker."""
 
@@ -66,24 +62,27 @@ class _ClusterBoundChannel:
     """Engine bound channel wired to the coordinator connection.
 
     ``poll`` piggybacks heartbeats and frame draining on the engine's
-    64-vertex cadence; ``publish`` ships improvements upstream
-    best-effort (a lost bound frame only costs pruning power — the
-    schedule itself travels with the result frame, and an unacked shard
-    is re-explored).
+    chunk boundaries, and counts the shard's explored vertices from the
+    engine's own count (boundaries are 64 explored vertices apart on the
+    Python loop but far more on the native driver); ``publish`` ships
+    improvements upstream best-effort (a lost bound frame only costs
+    pruning power — the schedule itself travels with the result frame,
+    and an unacked shard is re-explored).
     """
 
     def __init__(self, worker: "ClusterWorker", incumbent: float) -> None:
         self._worker = worker
         self._best = incumbent
-        self._polls = 0
+        #: The shard's explored count at the last poll.
+        self.explored = 0
 
-    def poll(self) -> float:
-        self._polls += 1
+    def poll(self, explored: int) -> float:
         w = self._worker
-        w._polls += 1
+        w._explored_total += explored - self.explored
+        self.explored = explored
         if w.poll_delay:
             time.sleep(w.poll_delay)
-        w._maybe_heartbeat(self._polls)
+        w._maybe_heartbeat(explored)
         w._drain()
         if w._adopted < self._best:
             self._best = w._adopted
@@ -104,18 +103,18 @@ class _ClusterBoundChannel:
 
 
 class _CrashMid:
-    """Fault-injection channel: die after N polls (in-process analog of
+    """Fault-injection channel: die at the Nth poll (in-process analog of
     the parallel driver's ``crash-mid``)."""
 
     def __init__(self, inner, polls: int) -> None:
         self._inner = inner
         self._left = max(1, polls)
 
-    def poll(self) -> float:
+    def poll(self, explored: int) -> float:
         self._left -= 1
         if self._left <= 0:
             raise _WorkerDied()
-        return self._inner.poll()
+        return self._inner.poll(explored)
 
     def publish(self, cost: float) -> bool:
         return self._inner.publish(cost)
@@ -164,11 +163,10 @@ class ClusterWorker:
         self._lease = 10.0
         self._hb_interval = 3.0
         self._last_hb = 0.0
-        #: Bound polls over the worker's life, and their count at the
-        #: last heartbeat (the heartbeat's vps window).
-        self._polls = 0
-        self._hb_polls = 0
-        self._explored_approx = 0
+        #: Vertices explored over the worker's life, and their count at
+        #: the last heartbeat (the heartbeat's vps window).
+        self._explored_total = 0
+        self._hb_explored = 0
         self._engine_stop: StopToken | None = None
 
     # -- connection ---------------------------------------------------------
@@ -255,20 +253,18 @@ class ClusterWorker:
         except TransportClosed:
             raise _WorkerDied() from None
 
-    def _maybe_heartbeat(self, polls: int = 0) -> None:
+    def _maybe_heartbeat(self, explored: int = 0) -> None:
+        """Heartbeat if one is due; ``explored`` is the running shard's."""
         now = time.monotonic()
         window = now - self._last_hb
         if window < self._hb_interval:
             return
-        vps = (self._polls - self._hb_polls) * _VERTICES_PER_POLL / window
+        vps = (self._explored_total - self._hb_explored) / window
         self._last_hb = now
-        self._hb_polls = self._polls
-        self._explored_approx = polls * _VERTICES_PER_POLL
+        self._hb_explored = self._explored_total
         try:
             self._conn.send(
-                protocol.heartbeat(
-                    self._running_shard, self._explored_approx, vps
-                )
+                protocol.heartbeat(self._running_shard, explored, vps)
             )
         except TransportClosed:
             raise _WorkerDied() from None
@@ -360,8 +356,6 @@ class ClusterWorker:
                 self._conn.send(protocol.stale_frame(index, fingerprint))
                 return
             channel = _ClusterBoundChannel(self, incumbent)
-            if fault is not None and fault.kind == "crash-mid":
-                channel = _CrashMid(channel, fault.after_polls)
             self._engine_stop = StopToken()
             try:
                 result = engine.solve(
@@ -369,7 +363,11 @@ class ClusterWorker:
                     subtree=SubtreeSpec(
                         job["state"], job["lb"], incumbent, job["budget"]
                     ),
-                    bound_channel=channel,
+                    bound_channel=(
+                        _CrashMid(channel, fault.after_polls)
+                        if fault is not None and fault.kind == "crash-mid"
+                        else channel
+                    ),
                     stop=self._engine_stop,
                 )
             except ResourceLimitExceeded as exc:
@@ -377,6 +375,9 @@ class ClusterWorker:
                 # caller (pickling drops the partial result).
                 self._conn.send(protocol.error_frame(index, exc, fingerprint))
                 return
+            # The shard's tail after its last boundary counts toward the
+            # next heartbeat's rate.
+            self._explored_total += result.stats.explored - channel.explored
             if self._stop:
                 return  # coordinator no longer wants results
             self._finished.add(index)

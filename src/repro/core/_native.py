@@ -892,13 +892,19 @@ def library_name() -> str:
     return f"repro_arena_{digest}.so"
 
 
-def _check_private(path: str, what: str) -> None:
+def _check_private(path: str, what: str, is_kind) -> None:
     """Refuse ``path`` unless this user owns it and nobody else can write it.
 
     A shared temp directory lets any local user create the cache first;
     loading a library planted there would run their code in this process.
+    ``path`` itself must not be a symlink (``lstat``): a link the other
+    user owns could point at one of ours and be swapped after the check.
+    ``is_kind`` is ``stat.S_ISDIR`` or ``stat.S_ISREG``.
     """
-    st = os.stat(path)
+    st = os.lstat(path)
+    if not is_kind(st.st_mode):
+        kind = "a symlink" if stat.S_ISLNK(st.st_mode) else "of the wrong type"
+        raise NativeUnavailable(f"{what} {path} is {kind}")
     if st.st_uid != os.geteuid():
         raise NativeUnavailable(
             f"{what} {path} is owned by uid {st.st_uid}, not {os.geteuid()}"
@@ -970,10 +976,10 @@ def _load():
         raise NativeUnavailable("disabled by REPRO_NO_NATIVE")
     cache = _cache_dir()
     os.makedirs(cache, mode=0o700, exist_ok=True)
-    _check_private(cache, "cache directory")
+    _check_private(cache, "cache directory", stat.S_ISDIR)
     lib_path = os.path.join(cache, library_name())
-    if os.path.exists(lib_path):
-        _check_private(lib_path, "kernel library")
+    if os.path.lexists(lib_path):
+        _check_private(lib_path, "kernel library", stat.S_ISREG)
         lib = _open(lib_path)
         if lib is not None:
             return lib
@@ -1312,14 +1318,6 @@ class NativeDriver:
         return FrontierView(self)
 
 
-class _OpenEntry:
-    __slots__ = ("lower_bound", "level")
-
-    def __init__(self, lower_bound: float, level: int) -> None:
-        self.lower_bound = lower_bound
-        self.level = level
-
-
 class FrontierView:
     """The driver's frontier arrays behind the engine's Frontier surface.
 
@@ -1348,14 +1346,6 @@ class FrontierView:
         if ctx.frontier_kind < 2:
             return np.arange(int(ctx.fr_head), int(ctx.fr_len))
         return np.flatnonzero(d._fr_lb[: int(ctx.fr_len)] < ctx.fr_threshold)
-
-    def iter_open(self):
-        d = self._d
-        idx = self._live()
-        for lb, level in zip(
-            d._fr_lb[idx].tolist(), d._fr_level[idx].tolist()
-        ):
-            yield _OpenEntry(lb, level)
 
     def min_bound(self):
         return self._d.open_min_bound()

@@ -141,7 +141,7 @@ class Boundary:
         if checkpoint is not None and checkpoint.due(stats.explored):
             self.write_checkpoint(frontier, vertex)
         if self.channel is not None:
-            ext = self.channel.poll()
+            ext = self.channel.poll(stats.explored)
             if ext < self.incumbent:
                 # A concurrent search found something better: adopt its
                 # cost for pruning only — the schedule stays with

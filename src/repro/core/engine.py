@@ -86,10 +86,13 @@ __all__ = [
 #: cadence (a checkpoint due earlier pulls the boundary forward).
 _LOOP_CADENCE = 64
 
-#: Explored vertices between two boundaries of the native driver: each
-#: return costs a few microseconds, so boundaries stay far below 1% of
-#: driver time.
-_DRIVER_CADENCE = 1 << 12
+#: Explored vertices between two boundaries of the native driver.  One
+#: boundary under the CLI's stop token (return, drain, service, retarget)
+#: costs 8-25 us of Python; on the paper-profile seed 9, m=8 solve (17.8M
+#: explored, ~6.5M explored/s on a 2-vCPU Xeon) that is 1.1-1.4% of
+#: driver time at a cadence of 4096 and 0.35-0.5% at this one, while a
+#: stop still lands within ~5 ms.
+_DRIVER_CADENCE = 1 << 15
 
 #: Frontier disciplines the native chunk driver replicates exactly.
 _NATIVE_FRONTIER_KINDS = {
@@ -462,10 +465,11 @@ class BranchAndBound:
         * ``dispatcher`` — delegate vertices at ``dispatcher.depth`` or
           deeper to a :class:`SubtreeDispatcher`; used by the
           coordinator.
-        * ``bound_channel`` — an object with ``poll() -> float`` and
-          ``publish(cost)``: the incumbent is published on every
-          improvement and polled at every chunk boundary, so
-          concurrent searches share pruning power.  An externally
+        * ``bound_channel`` — an object with ``poll(explored) -> float``
+          and ``publish(cost)``: the incumbent is published on every
+          improvement and polled at every chunk boundary (``explored``
+          is the search's explored count there), so concurrent
+          searches share pruning power.  An externally
           polled bound tightens the threshold but never becomes the
           returned schedule (the worker that published it owns that).
 

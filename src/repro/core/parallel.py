@@ -118,9 +118,9 @@ class ShardFault:
 
     * ``"crash"`` — the worker dies before touching the shard, as if the
       OOM killer got it between tasks.
-    * ``"crash-mid"`` — the worker dies *during* the sub-search, after
-      ``after_polls`` bound-channel polls: state is torn mid-expansion,
-      the strictest recovery case.
+    * ``"crash-mid"`` — the worker dies *during* the sub-search, at its
+      ``after_polls``-th bound-channel poll (one per chunk boundary):
+      state is torn mid-expansion, the strictest recovery case.
     * ``"hang"`` — the worker sleeps ``hang_seconds`` without sending a
       heartbeat; in throughput mode only lease expiry reclaims the shard.
     """
@@ -164,11 +164,11 @@ class _CrashAfterPolls:
         self._inner = inner
         self._left = max(1, polls)
 
-    def poll(self) -> float:
+    def poll(self, explored: int) -> float:
         self._left -= 1
         if self._left <= 0:
             os._exit(_FAULT_EXIT)
-        return self._inner.poll()
+        return self._inner.poll(explored)
 
     def publish(self, cost: float) -> bool:
         return self._inner.publish(cost)
@@ -199,7 +199,7 @@ class _NullChannel:
     bit-identical to running with no channel at all.
     """
 
-    def poll(self) -> float:
+    def poll(self, explored: int) -> float:
         return math.inf
 
     def publish(self, cost: float) -> bool:

@@ -58,7 +58,7 @@ pytestmark = pytest.mark.skipif(
 PROBLEM = hard_problem(seed=0)
 
 class NoopChannel:
-    def poll(self) -> float:
+    def poll(self, explored: int) -> float:
         return math.inf
 
     def publish(self, cost: float) -> None:
@@ -72,7 +72,7 @@ class StopAfterPolls(NoopChannel):
         self.token = token
         self.polls = polls
 
-    def poll(self) -> float:
+    def poll(self, explored: int) -> float:
         self.polls -= 1
         if self.polls <= 0:
             self.token.set("test")
@@ -123,7 +123,7 @@ def test_external_bound_prunes_like_the_python_loop():
         def __init__(self, cost):
             self.cost = cost
 
-        def poll(self):
+        def poll(self, explored):
             return self.cost
 
     problem = hard_problem(seed=5)
@@ -140,7 +140,9 @@ def test_external_bound_prunes_like_the_python_loop():
     )
 
 
-def test_live_progress_and_metrics_ride_the_driver():
+def test_live_progress_and_metrics_ride_the_driver(monkeypatch):
+    # A small driver cadence, so this quick cell meets several boundaries.
+    monkeypatch.setattr(engine_mod, "_DRIVER_CADENCE", 64)
     cell = QUICK_CELLS[0]
     problem = cell.problem()
     params = _array(cell.params())

@@ -37,6 +37,7 @@ from repro.core import (
     _native,
 )
 from repro.core.bounds import LB2
+from repro.core import engine as engine_mod
 from repro.core.checkpoint import (
     CHECKPOINT_FORMAT,
     Checkpointer,
@@ -443,7 +444,10 @@ def test_time_limited_final_snapshot_holds_every_open_vertex(monkeypatch):
     problem = cell.problem()
     params = _array(cell.params())
     straight = BranchAndBound(params).solve(problem)
-    # A deterministic clock: the limit trips at the fourth boundary.
+    # A small driver cadence, so this quick cell meets several
+    # boundaries, and a deterministic clock: the limit trips at the
+    # fourth one.
+    monkeypatch.setattr(engine_mod, "_DRIVER_CADENCE", 64)
     calls = itertools.count()
     monkeypatch.setattr(
         SearchStats,

@@ -15,6 +15,8 @@ import time
 
 import pytest
 
+from repro.cluster import protocol as protocol_mod
+from repro.cluster import worker as worker_mod
 from repro.cluster import (
     ClusterCoordinator,
     ClusterWorker,
@@ -32,6 +34,7 @@ from repro.core import (
     ResourceBounds,
     SolveStatus,
 )
+from repro.core import engine as engine_mod
 from repro.core.checkpoint import StopToken, load_checkpoint
 from repro.core.parallel import FaultPlan, ShardFault
 from repro.errors import CheckpointError, ResourceLimitExceeded
@@ -151,6 +154,51 @@ def test_heartbeats_carry_a_windowed_vps():
     assert_cluster_parity(result, REFERENCE[seed])
     history = monitor.bus.snapshot()["history"]
     assert any(point["vps"] > 0 for point in history)
+
+
+def test_native_heartbeats_rate_the_engines_explored_count(monkeypatch):
+    # The native driver's boundaries lie far more than 64 explored
+    # vertices apart, so a heartbeat must rate the engine's own explored
+    # count.  The worker's clock is recorded, making the check exact.
+    monkeypatch.setattr(engine_mod, "_DRIVER_CADENCE", 16)
+
+    class Clock:
+        now = 0.0
+        sleep = staticmethod(time.sleep)
+
+        @classmethod
+        def monotonic(cls):
+            cls.now = time.monotonic()
+            return cls.now
+
+    monkeypatch.setattr(worker_mod, "time", Clock)
+    beats = []
+    real_heartbeat = protocol_mod.heartbeat
+
+    def heartbeat(shard_index=-1, explored=0, vps=0.0):
+        beats.append((Clock.now, shard_index, explored, vps))
+        return real_heartbeat(shard_index, explored, vps)
+
+    monkeypatch.setattr(protocol_mod, "heartbeat", heartbeat)
+    seed = HARD_SEEDS[0]
+    result, _coord = run_cluster(
+        PROBLEMS[seed],
+        BnBParameters(engine="array"),
+        workers=1,
+        # Each poll sleeps a whole heartbeat interval (its 0.05 s
+        # floor), so every poll sends a heartbeat.
+        worker_kwargs={"poll_delay": 0.05},
+        coordinator_kwargs=dict(lease=0.15),
+    )
+    assert_cluster_parity(result, REFERENCE[seed])
+    pairs = [
+        (a, b) for a, b in zip(beats, beats[1:]) if a[1] == b[1] >= 0
+    ]
+    assert pairs
+    for (t0, _, explored0, _), (t1, _, explored1, vps) in pairs:
+        # Consecutive boundaries of the driver, not of the Python loop.
+        assert explored1 - explored0 == 16
+        assert vps == pytest.approx((explored1 - explored0) / (t1 - t0))
 
 
 def test_worker_resource_failure_is_raised_not_retried():

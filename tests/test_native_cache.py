@@ -49,6 +49,31 @@ def test_world_writable_cache_dir_is_refused(tmp_path, fresh_loader):
     )
 
 
+def test_symlinked_cache_dir_is_refused(tmp_path, fresh_loader):
+    # The link's target passes the owner and mode checks; another user
+    # who planted the link could still swap it after they ran.
+    target = tmp_path / "private"
+    target.mkdir(mode=0o700)
+    link = tmp_path / "cache"
+    link.symlink_to(target, target_is_directory=True)
+    fresh_loader.setenv("REPRO_NATIVE_CACHE", str(link))
+    assert _native.load_native() is None
+    assert _native.load_error() == f"cache directory {link} is a symlink"
+    assert not any(target.iterdir()), "nothing may be built or loaded there"
+
+
+def test_symlinked_library_is_refused(tmp_path, fresh_loader):
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    elsewhere = tmp_path / "elsewhere.so"
+    elsewhere.write_bytes(b"not a library")
+    elsewhere.chmod(0o755)
+    (cache / _native.library_name()).symlink_to(elsewhere)
+    fresh_loader.setenv("REPRO_NATIVE_CACHE", str(cache))
+    assert _native.load_native() is None
+    assert _native.load_error().endswith("is a symlink")
+
+
 def test_group_writable_library_is_refused(tmp_path, fresh_loader):
     cache = tmp_path / "cache"
     cache.mkdir(mode=0o700)
