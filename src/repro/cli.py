@@ -263,10 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(an integer, or 'auto' for one per CPU; default 0 = in-process)",
     )
     slv.add_argument(
-        "--parallel-mode", choices=("deterministic", "throughput"),
-        default="deterministic",
-        help="deterministic replays the sequential search bit-for-bit; "
-        "throughput races shards and guarantees only the optimal cost",
+        "--parallel-mode", choices=("throughput",), default="throughput",
+        help="the one parallel mode: workers race shards under a shared "
+        "incumbent, which guarantees the optimal cost (not the "
+        "sequential schedule or counters)",
     )
     slv.add_argument(
         "--split-depth", type=_positive_int, default=2, metavar="D",
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         "runs (per-worker liveness, lease ages, steal counts)",
     )
     cco.set_defaults(
-        workers=0, parallel_mode="deterministic", gantt=False, chart=False,
+        workers=0, gantt=False, chart=False,
         bus=False, trace_csv=None, profile=False, checkpoint_every=2000,
         trace_sample=1, flight_recorder=None,
     )
@@ -638,7 +638,6 @@ def _cmd_solve(args) -> int:
                 params,
                 workers=workers,
                 split_depth=args.split_depth,
-                deterministic=args.parallel_mode == "deterministic",
                 obs=obs if obs.enabled else None,
             )
             result = parallel.solve_graph(
@@ -695,14 +694,10 @@ def _cmd_solve(args) -> int:
         )
     if parallel is not None and parallel.last_report is not None:
         rep = parallel.last_report
-        extra = (
-            f" speculative={rep.speculative_hits} reruns={rep.reruns}"
-            if rep.mode == "deterministic"
-            else f" stale={rep.shards_stale}"
-        )
         print(
-            f"parallel: mode={rep.mode} workers={rep.workers} "
-            f"split-depth={rep.split_depth} shards={rep.shards}{extra}"
+            f"parallel: mode=throughput workers={rep.workers} "
+            f"split-depth={rep.split_depth} shards={rep.shards} "
+            f"stale={rep.shards_stale}"
         )
         if rep.worker_restarts or rep.shard_retries or rep.quarantined:
             quarantined = (

@@ -6,15 +6,17 @@ the tree, a :class:`~repro.core.shards.RetryQueue` re-queues shards
 whose worker died (capped exponential backoff with decorrelated jitter)
 and quarantines poison shards so the run ends TRUNCATED instead of
 falsely OPTIMAL.  Workers are remote ``repro cluster worker`` processes
-dialling a TCP address, or, with ``local_workers=N`` (throughput-mode
-:class:`~repro.core.parallel.ParallelBnB`), N processes the coordinator
+dialling a TCP address, or, with ``local_workers=N``
+(:class:`~repro.core.parallel.ParallelBnB`), N processes the coordinator
 spawns itself over socketpairs, respawning any that die.  On top of
 that:
 
 * **Leases, not pipes.**  Workers prove liveness by sending frames;
   a silent worker's lease expires and its shards go back to the queue
   (a local worker's process is terminated first).  The monotonic clock
-  on the coordinator is the only clock that matters.
+  on the coordinator is the only clock that matters.  It also owns
+  TIMELIMIT: one deadline from the moment the solve is entered, at
+  which dispatch stops and busy workers are told to stop.
 * **Safe incumbent broadcast.**  The broadcast bound is the CAS-min of
   every *acknowledged* cost (schedule in hand) and every cost published
   by a shard still in flight.  When a worker dies with published-but-
@@ -110,7 +112,7 @@ class ClusterReport:
 class _Loop:
     """Mutable state of one coordinator event loop (solve-scoped)."""
 
-    def __init__(self) -> None:
+    def __init__(self, deadline: float) -> None:
         self.completed: set[int] = set()
         self.stale: set[int] = set()
         self.published: dict[int, float] = {}
@@ -119,6 +121,8 @@ class _Loop:
         self.target = False
         self.interrupted = False
         self.halt = False
+        #: Monotonic TIMELIMIT deadline (inf: none).
+        self.deadline = deadline
         self.steals = 0
         self.shard_retries = 0
         self.quarantined: list[int] = []
@@ -216,6 +220,7 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
 
     def solve(self, problem) -> BnBResult:
+        deadline = time.monotonic() + self.params.resources.time_limit
         tt_rule = find_transposition(self.params.dominance)
         shared_tt = None
         if tt_rule is not None and self.local_workers:
@@ -229,7 +234,7 @@ class ClusterCoordinator:
             )
             tt_rule.bind_shared(shared_tt)
         try:
-            return self._solve(problem, tt_rule, shared_tt)
+            return self._solve(problem, tt_rule, shared_tt, deadline)
         finally:
             # Also closes a listener bind_now() opened for a solve the
             # shallow pass finished: a waiting worker sees EOF at once.
@@ -240,12 +245,13 @@ class ClusterCoordinator:
                 tt_rule.bind_shared(None)
                 shared_tt.close()
 
-    def _solve(self, problem, tt_rule, shared_tt) -> BnBResult:
+    def _solve(self, problem, tt_rule, shared_tt, deadline) -> BnBResult:
         t0 = time.perf_counter()
         params = self.params
         tt_mark = tt_rule.spawn_mark() if tt_rule is not None else 0
         fingerprint = problem_fingerprint(problem, params)
         merged = SearchStats()
+        shallow_engine = ("", None)
         elapsed_base = 0.0
         resumed = self.resume is not None
 
@@ -271,11 +277,15 @@ class ClusterCoordinator:
             ]
             self._ckpt_base_version = snap.version + 1
         else:
-            collector = FrontierCollector(self.split_depth, problem, params)
+            collector = FrontierCollector(self.split_depth)
             engine = BranchAndBound(params, obs=self.obs, fused=self.fused)
             shallow = engine.solve(problem, dispatcher=collector)
             shards = collector.shards
-            if not shards or shallow.status is SolveStatus.TARGET_REACHED:
+            if (
+                not shards
+                or shallow.status is SolveStatus.TARGET_REACHED
+                or shallow.stats.time_limit_hit
+            ):
                 self.last_report = ClusterReport(
                     0, 0, 0, 0, 0, len(shards), 0, 0, (), False, 0,
                     tt_stats=(
@@ -292,6 +302,10 @@ class ClusterCoordinator:
             initial_ub = shallow.initial_upper_bound
             incumbent0 = min(shallow.best_cost, shallow.initial_upper_bound)
             merged.absorb(shallow.stats)
+            # The tier line reports what the workers ran; the shallow
+            # pass's own tier stands only if no shard result arrives.
+            shallow_engine = (merged.engine_path, merged.engine_fallback)
+            merged.engine_path, merged.engine_fallback = "", None
             self._ckpt_base_version = 0
 
         elim = params.elimination
@@ -303,7 +317,7 @@ class ClusterCoordinator:
         budget = params.resources.max_vertices - merged.generated
 
         members = MembershipTable()
-        loop = _Loop()
+        loop = _Loop(deadline)
         pending = RetryQueue(
             max_attempts=self.max_shard_attempts,
             backoff=BackoffPolicy(base=self.retry_backoff, rng=random.Random()),
@@ -322,8 +336,11 @@ class ClusterCoordinator:
 
         if loop.quarantined or (pending and not loop.target):
             merged.truncated = True
-        if loop.interrupted:
-            merged.interrupted = True
+        # Worker stats say "interrupted" for shards the stop below cut
+        # short; only the coordinator knows whether the solve was.
+        merged.interrupted = loop.interrupted
+        if not merged.engine_path:
+            merged.engine_path, merged.engine_fallback = shallow_engine
         merged.elapsed = elapsed_base + (time.perf_counter() - t0)
 
         found = best_proc is not None
@@ -863,6 +880,10 @@ class ClusterCoordinator:
                     loop.interrupted = True
                     break
                 now = time.monotonic()
+                if now >= loop.deadline:
+                    # The exit path below sends every member a stop.
+                    merged.time_limit_hit = True
+                    break
                 accept_new()
                 for member in list(members):
                     drain(member)
@@ -995,7 +1016,12 @@ class ClusterCoordinator:
                         )
                         if frame is None:
                             break
-                        if protocol.frame_type(frame) == "bye":
+                        kind = protocol.frame_type(frame)
+                        if kind == "result":
+                            # A shard the stop cut short: keep its
+                            # counters and schedule.
+                            handle_frame(member, frame)
+                        elif kind == "bye":
                             if frame.get("tt"):
                                 loop.worker_tt.append(frame["tt"])
                             break

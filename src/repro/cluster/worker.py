@@ -9,7 +9,7 @@ notice, and the coordinator's lease/retry machinery absorbs both.
 The same worker serves both deployments: a remote process that dials
 the coordinator over TCP (``repro cluster worker``), and a local
 process the coordinator spawns itself over a socketpair
-(:func:`run_local_worker`, throughput-mode ``ParallelBnB``).  A local
+(:func:`run_local_worker`, ``ParallelBnB``).  A local
 worker also binds the coordinator's shared transposition table.
 
 Liveness is woven into the search itself: the engine polls its bound
@@ -376,10 +376,10 @@ class ClusterWorker:
                 self._conn.send(protocol.error_frame(index, exc, fingerprint))
                 return
             # The shard's tail after its last boundary counts toward the
-            # next heartbeat's rate.
+            # next heartbeat's rate.  A shard cut short by a coordinator
+            # stop still reports: its counters and best schedule are
+            # part of the anytime result.
             self._explored_total += result.stats.explored - channel.explored
-            if self._stop:
-                return  # coordinator no longer wants results
             self._finished.add(index)
             self.shards_done += 1
             self._conn.send(

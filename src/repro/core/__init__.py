@@ -42,7 +42,6 @@ from .engine import (
     BnBResult,
     BranchAndBound,
     SolveStatus,
-    SubtreeDispatcher,
     SubtreeSpec,
     solve,
 )
@@ -58,7 +57,6 @@ from .parallel import (
     ParallelReport,
     ShardFault,
     default_worker_count,
-    solve_parallel,
 )
 from .params import CHILD_ORDERS, BnBParameters
 from .resources import UNBOUNDED, ResourceBounds, current_rss_bytes
@@ -160,7 +158,6 @@ __all__ = [
     "SolveStatus",
     "StateDominance",
     "StopToken",
-    "SubtreeDispatcher",
     "SubtreeSpec",
     "TT_POLICIES",
     "TraceRecorder",
@@ -184,6 +181,5 @@ __all__ = [
     "root_state",
     "shard_state",
     "solve",
-    "solve_parallel",
     "write_checkpoint",
 ]

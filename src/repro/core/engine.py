@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from ..errors import (
     CheckpointError,
@@ -72,12 +73,14 @@ from .stats import SearchStats
 from .trace import TraceRecorder
 from .vertex import Vertex
 
+if TYPE_CHECKING:
+    from .shards import FrontierCollector
+
 __all__ = [
     "SolveStatus",
     "BnBResult",
     "BranchAndBound",
     "SubtreeSpec",
-    "SubtreeDispatcher",
     "solve",
 ]
 
@@ -244,47 +247,6 @@ class SubtreeSpec:
     max_generated: float = math.inf
 
 
-class SubtreeDispatcher:
-    """Hook for delegating deep subtrees to external workers.
-
-    When attached to :meth:`BranchAndBound.solve`, every popped vertex
-    at ``depth`` or deeper is *resolved* through the dispatcher instead
-    of being expanded inline: the dispatcher returns the finished
-    sub-search's :class:`BnBResult` (typically produced by a worker
-    process running :class:`SubtreeSpec` above) and the engine merges
-    its statistics and incumbent as if it had explored the subtree
-    itself.  ``offer`` lets the dispatcher start working on a subtree
-    speculatively the moment its root is pushed; ``notify_incumbent``
-    tells it the incumbent improved, so in-flight speculation based on a
-    stale bound can be restarted.  The base class is a no-op scaffold —
-    see :mod:`repro.core.parallel` for the real implementations.
-    """
-
-    #: Vertices at this level or deeper are dispatched, not expanded.
-    depth: int = 1
-
-    def offer(
-        self, vertex: Vertex, incumbent_cost: float, budget: float
-    ) -> None:
-        """A future shard was just pushed; speculation may begin."""
-
-    def notify_incumbent(self, cost: float) -> None:
-        """The coordinator's incumbent improved to ``cost``."""
-
-    def resolve(
-        self, vertex: Vertex, incumbent_cost: float, budget: float
-    ) -> BnBResult:
-        """Return the completed sub-search rooted at ``vertex``.
-
-        ``incumbent_cost`` is the incumbent at the moment the vertex was
-        popped and ``budget`` the remaining generated-vertex allowance —
-        together they pin down the sub-search a sequential run would
-        have performed, so implementations can check speculative results
-        against them and re-run only on a mismatch.
-        """
-        raise NotImplementedError
-
-
 def _final_metrics(
     metrics: MetricsRegistry, stats: SearchStats, incumbent_cost: float
 ) -> None:
@@ -447,7 +409,7 @@ class BranchAndBound:
         problem: CompiledProblem,
         *,
         subtree: SubtreeSpec | None = None,
-        dispatcher: SubtreeDispatcher | None = None,
+        dispatcher: FrontierCollector | None = None,
         bound_channel=None,
         checkpoint: Checkpointer | None = None,
         resume: SearchCheckpoint | None = None,
@@ -456,15 +418,17 @@ class BranchAndBound:
         """Run the Figure 1 loop on a compiled problem.
 
         The keyword hooks drive the parallel decomposition in
-        :mod:`repro.core.parallel` and default to off (the sequential
+        :mod:`repro.cluster` and default to off (the sequential
         loop is unchanged when they are ``None``):
 
         * ``subtree`` — resume from a mid-tree state instead of the
           empty schedule (see :class:`SubtreeSpec`); used by worker
           processes.
-        * ``dispatcher`` — delegate vertices at ``dispatcher.depth`` or
-          deeper to a :class:`SubtreeDispatcher`; used by the
-          coordinator.
+        * ``dispatcher`` — a
+          :class:`~repro.core.shards.FrontierCollector`: vertices at
+          its ``depth`` or deeper are recorded as shard roots instead
+          of expanded, so the loop is a shallow pass; used by the
+          cluster coordinator.
         * ``bound_channel`` — an object with ``poll(explored) -> float``
           and ``publish(cost)``: the incumbent is published on every
           improvement and polled at every chunk boundary (``explored``
@@ -565,7 +529,6 @@ class BranchAndBound:
             lap = None
 
         channel = bound_channel
-        dispatch_depth = dispatcher.depth if dispatcher is not None else 0
 
         stats.start_clock()
         try:
@@ -820,8 +783,6 @@ class BranchAndBound:
                 # One incumbent improvement, told to everyone listening.
                 if channel is not None:
                     channel.publish(incumbent_cost)
-                if dispatcher is not None:
-                    dispatcher.notify_incumbent(incumbent_cost)
                 if trace is not None:
                     trace.on_incumbent(stats.generated, incumbent_cost)
                 if sink is not None and sink.accepts("incumbent"):
@@ -991,57 +952,11 @@ class BranchAndBound:
                         threshold = boundary.threshold
                         check_at = boundary.check_at
 
-                    if dispatcher is not None and vertex.level >= dispatch_depth:
-                        # Delegate the whole subtree: the dispatcher returns
-                        # the finished sub-search (the shard explored the
-                        # root itself, so no explored increment here) and
-                        # the merge below mirrors what the inline loop would
-                        # have done with the shard's goals — absorb the
-                        # counters, adopt a better incumbent, sweep once at
-                        # the final threshold (consecutive sweeps at
-                        # monotonically tightening thresholds collapse into
-                        # one), honour early-stop and the MAXVERT cap.
-                        sub = dispatcher.resolve(
+                    if dispatcher is not None and vertex.level >= dispatcher.depth:
+                        # A shard root: record it, leave it unexplored.
+                        dispatcher.record(
                             vertex, incumbent_cost, max_vertices - stats.generated
                         )
-                        stats.absorb(sub.stats, active_base=len(frontier))
-                        if (
-                            sub.proc_of is not None
-                            and sub.best_cost < incumbent_cost
-                        ):
-                            incumbent_cost = sub.best_cost
-                            found_cost = sub.best_cost
-                            best_proc = sub.proc_of
-                            best_start = sub.start
-                            incumbent_source = "search"
-                            if trace is not None:
-                                trace.on_incumbent(stats.generated, incumbent_cost)
-                            threshold = pruning_threshold(
-                                incumbent_cost, params.inaccuracy
-                            )
-                            if elim.prunes_active_set():
-                                stats.pruned_active += frontier.prune_above(
-                                    threshold
-                                )
-                            if channel is not None:
-                                channel.publish(incumbent_cost)
-                            dispatcher.notify_incumbent(incumbent_cost)
-                            if (
-                                early_stop is not None
-                                and incumbent_cost <= early_stop
-                            ):
-                                target_reached = True
-                                break
-                        if sub.status is SolveStatus.TARGET_REACHED:
-                            target_reached = True
-                            break
-                        if stats.generated >= max_vertices:
-                            if rb.fail_on_exhaustion:
-                                _limit_exceeded(
-                                    "MAXVERT", f"{stats.generated} generated"
-                                )
-                            stats.truncated = True
-                            break
                         if lap is not None:
                             lap("select")
                         continue
@@ -1316,13 +1231,6 @@ class BranchAndBound:
                         kept.sort(key=_BY_BOUND)
                     for child in kept:
                         frontier.push(child)
-                    if dispatcher is not None:
-                        budget_guess = max_vertices - stats.generated
-                        for child in kept:
-                            if child.level >= dispatch_depth:
-                                dispatcher.offer(
-                                    child, incumbent_cost, budget_guess
-                                )
 
                     active = len(frontier)
                     if active > stats.peak_active:

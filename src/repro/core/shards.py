@@ -1,7 +1,7 @@
 """Shard bookkeeping for the shard supervisor.
 
 The coordinator in :mod:`repro.cluster` (which also runs
-throughput-mode :mod:`repro.core.parallel` solves) decomposes a solve
+:mod:`repro.core.parallel` solves) decomposes a solve
 this way: a shallow sequential pass collects the depth-d frontier as
 :class:`Shard` roots, and a dispatch loop hands shards to workers,
 re-queues the ones whose worker died, and quarantines shards that keep
@@ -9,7 +9,7 @@ killing workers.  This module holds that machinery:
 
 * :class:`Shard` — one frontier root, frozen with the incumbent and
   budget it entered with.
-* :class:`FrontierCollector` — the engine dispatcher that records the
+* :class:`FrontierCollector` — the engine hook that records the
   depth-d frontier instead of searching it.
 * :class:`BackoffPolicy` — capped exponential retry backoff with
   *decorrelated jitter*.  Shards orphaned by one dead worker must not
@@ -24,15 +24,12 @@ killing workers.  This module holds that machinery:
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
-from .engine import BnBResult, SolveStatus, SubtreeDispatcher
 from .expand import PendingChild
-from .stats import SearchStats
 
 __all__ = [
     "BackoffPolicy",
@@ -65,23 +62,22 @@ class Shard:
     budget: float
 
 
-class FrontierCollector(SubtreeDispatcher):
-    """Dispatcher that records the depth-d frontier instead of searching.
+class FrontierCollector:
+    """Records the depth-d frontier instead of searching it.
 
-    Resolving every dispatched vertex with an empty result makes the
-    coordinator's loop a pure shallow expansion: it terminates once all
-    vertices below ``depth`` are expanded, leaving the would-be shard
-    roots here in exact pop order with their entering incumbents and
-    budgets.
+    Passed as ``dispatcher=`` to :meth:`BranchAndBound.solve`, it makes
+    the loop a pure shallow expansion: every popped vertex at ``depth``
+    or deeper is handed to :meth:`record` and left unexplored, so the
+    loop terminates once all vertices above ``depth`` are expanded,
+    leaving the would-be shard roots here in exact pop order with their
+    entering incumbents and budgets.
     """
 
-    def __init__(self, depth: int, problem, params) -> None:
+    def __init__(self, depth: int) -> None:
         self.depth = depth
-        self._problem = problem
-        self._params = params
         self.shards: list[Shard] = []
 
-    def resolve(self, vertex, incumbent_cost: float, budget: float) -> BnBResult:
+    def record(self, vertex, incumbent_cost: float, budget: float) -> None:
         self.shards.append(
             Shard(
                 len(self.shards),
@@ -90,17 +86,6 @@ class FrontierCollector(SubtreeDispatcher):
                 incumbent_cost,
                 budget,
             )
-        )
-        return BnBResult(
-            problem=self._problem,
-            params=self._params,
-            status=SolveStatus.FAILED,
-            best_cost=math.inf,
-            proc_of=None,
-            start=None,
-            incumbent_source="initial-upper-bound",
-            initial_upper_bound=incumbent_cost,
-            stats=SearchStats(),
         )
 
 

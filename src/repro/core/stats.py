@@ -93,17 +93,14 @@ class SearchStats:
     def time_since_start(self) -> float:
         return self._elapsed_base + time.perf_counter() - self._t0
 
-    def absorb(self, other: "SearchStats", *, active_base: int = 0) -> None:
+    def absorb(self, other: "SearchStats") -> None:
         """Fold a sub-search's counters into this run's totals.
 
-        Used by the engine when a dispatched subtree resolves and by the
-        parallel driver when merging per-worker results.  ``active_base``
-        is the caller's own active-set size while the sub-search ran, so
-        ``peak_active`` reflects the combined footprint (an upper
-        estimate when the caller's set shrank mid-subtree).  ``elapsed``
-        is deliberately not merged — the caller's wall clock already
-        spans the sub-search (or, across processes, the sums would
-        exceed the wall clock).
+        Used by the shard coordinator when merging the shallow pass and
+        per-worker results.  ``peak_active`` keeps the largest single
+        footprint.  ``elapsed`` is deliberately not merged — the
+        caller's wall clock already spans the sub-searches (across
+        processes, the sums would exceed the wall clock).
         """
         self.generated += other.generated
         self.explored += other.explored
@@ -115,9 +112,8 @@ class SearchStats:
         self.dropped_resource += other.dropped_resource
         self.goals_evaluated += other.goals_evaluated
         self.incumbent_updates += other.incumbent_updates
-        peak = active_base + other.peak_active
-        if peak > self.peak_active:
-            self.peak_active = peak
+        if other.peak_active > self.peak_active:
+            self.peak_active = other.peak_active
         self.time_limit_hit = self.time_limit_hit or other.time_limit_hit
         self.truncated = self.truncated or other.truncated
         self.interrupted = self.interrupted or other.interrupted

@@ -46,8 +46,8 @@ Table engineering
 
 Sharing across processes
     :class:`SharedTranspositionTable` keeps the same geometry in a
-    ``multiprocessing.shared_memory`` segment so PR3's throughput-mode
-    shards stop re-exploring each other's states.  Writers serialize on
+    ``multiprocessing.shared_memory`` segment so the shards of a
+    parallel solve stop re-exploring each other's states.  Writers serialize on
     a striped lock (one per bucket); readers are lock-free under a
     per-record seqlock.  **Racy-read / safe-prune contract**: a prune is
     issued only from a payload read whose seqlock version was even and
@@ -361,7 +361,7 @@ _MAGIC = b"RPTTBL01"
 
 class SharedTranspositionTable(_CountersMixin):
     """The set-associative store in a ``multiprocessing.shared_memory``
-    segment, shared by every throughput-mode shard.
+    segment, shared by every shard of a parallel solve.
 
     Record layout per slot: ``hash`` (8 bytes, 0 = empty), ``version``
     (4-byte seqlock word: odd while a writer is mid-update), ``depth``
@@ -670,7 +670,7 @@ class TranspositionDominance(DominanceRule):
     :class:`~repro.core.dominance.StateDominance` via
     :class:`~repro.core.dominance.ChainedDominance`).  Each solve gets a
     fresh local :class:`TranspositionTable` sized by ``table_bytes``;
-    the parallel driver's throughput mode instead binds one
+    the parallel driver instead binds one
     :class:`SharedTranspositionTable` via :meth:`bind_shared` so all
     shards prune against the same store.
 

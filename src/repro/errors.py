@@ -20,7 +20,6 @@ __all__ = [
     "DeadlineAssignmentError",
     "SearchError",
     "ResourceLimitExceeded",
-    "WorkerCrashed",
     "ConfigurationError",
     "SerializationError",
     "ProblemFormatError",
@@ -162,25 +161,6 @@ class ResourceLimitExceeded(SearchError):
         # arguments instead (workers raise this across process
         # boundaries); ``partial`` stays behind on purpose.
         return (type(self), (self.which, self.detail))
-
-
-class WorkerCrashed(SearchError):
-    """A parallel worker process died and retries were exhausted.
-
-    Raised by the parallel driver when a shard's worker keeps dying
-    (or its process pool breaks) beyond the configured attempt budget.
-    """
-
-    def __init__(self, detail: str, attempts: int = 0) -> None:
-        self.detail = detail
-        self.attempts = attempts
-        msg = f"worker crashed: {detail}"
-        if attempts:
-            msg += f" (after {attempts} attempts)"
-        super().__init__(msg)
-
-    def __reduce__(self):
-        return (type(self), (self.detail, self.attempts))
 
 
 class ConfigurationError(ReproError, ValueError):

@@ -68,9 +68,8 @@ class BenchCell:
     def params(self) -> BnBParameters:
         """Preset parameters under a vertex cap and no wall-clock limit.
 
-        A time limit would cut the search at a non-reproducible vertex
-        (deterministic parallel mode refuses one outright); exhaustive
-        cells finish far below their 2M safety cap.
+        A time limit would cut the search at a non-reproducible vertex;
+        exhaustive cells finish far below their 2M safety cap.
         """
         if self.max_vertices is None:
             bounds = ResourceBounds(max_vertices=2_000_000)

@@ -86,6 +86,28 @@ class TestSolve:
         with pytest.raises(SystemExit):
             main(["solve", graph_file, "--selection", "BOGUS"])
 
+    def test_parallel_engine_line_reports_the_workers_tier(
+        self, tmp_path, capsys
+    ):
+        # The shallow pass runs a slower tier; the workers run native.
+        path = str(tmp_path / "g.json")
+        main(["generate", "--profile", "paper", "--seed", "13", "-o", path])
+        capsys.readouterr()
+        rc = main([
+            "solve", path, "-m", "2", "--workers", "2", "--engine", "array",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "parallel: mode=throughput" in out
+        assert "\nengine: native\n" in out
+
+    def test_parallel_mode_deterministic_is_gone(self, graph_file):
+        with pytest.raises(SystemExit):
+            main([
+                "solve", graph_file, "--workers", "2",
+                "--parallel-mode", "deterministic",
+            ])
+
 
 class TestExperimentAndList:
     def test_list(self, capsys):

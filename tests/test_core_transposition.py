@@ -408,21 +408,9 @@ def test_parallel_throughput_shares_the_table():
         dominance=TranspositionDominance()
     )
     seq = BranchAndBound(BnBParameters.paper_default()).solve(problem)
-    solver = ParallelBnB(
-        params, workers=2, split_depth=2, deterministic=False
-    )
+    solver = ParallelBnB(params, workers=2, split_depth=2)
     par = solver.solve(problem)
     assert par.best_cost == pytest.approx(seq.best_cost, abs=1e-9)
     stats = solver.last_report.tt_stats
     assert stats is not None and stats["tt_inserts"] > 0
 
-
-def test_parallel_deterministic_mode_refuses_table():
-    from repro.core.parallel import ParallelBnB
-
-    problem = _search_problem("scaled", 0, 2)
-    params = BnBParameters.paper_default(
-        dominance=TranspositionDominance()
-    )
-    with pytest.raises(ConfigurationError):
-        ParallelBnB(params, workers=2, deterministic=True).solve(problem)

@@ -312,7 +312,7 @@ class TestFlightRecorderOnSigterm:
 
 
 # ---------------------------------------------------------------------------
-# Parallel throughput mode: worker stats frames + crash aggregation
+# Parallel driver: worker stats frames + crash aggregation
 # ---------------------------------------------------------------------------
 
 
@@ -323,7 +323,6 @@ class TestParallelWorkerStats:
             PARAMS,
             workers=2,
             split_depth=2,
-            deterministic=False,
             obs=Observability(live=monitor),
             fault_plan=fault_plan,
             **kwargs,

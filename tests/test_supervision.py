@@ -2,9 +2,9 @@
 
 ``FaultPlan`` lets a test kill, wedge, or mid-flight-crash a worker at
 a chosen ⟨shard, attempt⟩ without patching any engine code; the suite
-drives both modes through their recovery paths and holds them to the
-headline contract: an injected crash costs at most a bounded retry and
-never loses the incumbent.
+drives the supervised workers through their recovery paths and holds
+them to the headline contract: an injected crash costs at most a
+bounded retry and never loses the incumbent.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ from repro.core import (
     SolveStatus,
 )
 from repro.core.parallel import FaultPlan, ShardFault
-from repro.errors import (
-    ConfigurationError,
-    ResourceLimitExceeded,
-    WorkerCrashed,
-)
+from repro.errors import ConfigurationError, ResourceLimitExceeded
 from repro.obs import MemorySink, MetricsRegistry, Observability
 
 PROBLEM = hard_problem(seed=0)
@@ -67,25 +63,27 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Throughput mode: supervised workers
+# Supervised workers
 # ---------------------------------------------------------------------------
 
 
-def _throughput(fault_plan, **kwargs):
-    defaults = dict(
-        workers=2, split_depth=2, deterministic=False, fault_plan=fault_plan
-    )
+def _throughput(fault_plan, params=PARAMS, **kwargs):
+    defaults = dict(workers=2, split_depth=2, fault_plan=fault_plan)
     defaults.update(FAST)
     defaults.update(kwargs)
-    return ParallelBnB(PARAMS, **defaults)
+    return ParallelBnB(params, **defaults)
 
 
 class TestThroughputSupervision:
-    def test_crash_on_first_attempt_retries_once_and_recovers(self):
+    @pytest.mark.parametrize("engine", ["object", "array"])
+    def test_crash_on_first_attempt_retries_once_and_recovers(self, engine):
         # Every shard's first attempt dies before searching; the retry
         # (attempt 2) is clean.  Cost parity with the sequential run
         # proves no shard — and no incumbent — was lost.
-        solver = _throughput(FaultPlan((ShardFault("crash", attempt=1),)))
+        solver = _throughput(
+            FaultPlan((ShardFault("crash", attempt=1),)),
+            PARAMS.evolve(engine=engine),
+        )
         result = solver.solve(PROBLEM)
         report = solver.last_report
         assert result.status is SolveStatus.OPTIMAL
@@ -94,6 +92,8 @@ class TestThroughputSupervision:
         assert report.worker_restarts >= report.shard_retries
         assert report.quarantined == ()
         result.schedule().validate()
+        if engine == "array":
+            assert result.stats.engine_path == "native"
 
     def test_single_shard_crash_costs_exactly_one_retry(self):
         solver = _throughput(
@@ -162,52 +162,9 @@ class TestThroughputSupervision:
                 max_vertices=30, fail_on_exhaustion=True
             )
         )
-        solver = ParallelBnB(
-            params, workers=2, split_depth=2, deterministic=False, **FAST
-        )
+        solver = ParallelBnB(params, workers=2, split_depth=2, **FAST)
         with pytest.raises(ResourceLimitExceeded):
             solver.solve(PROBLEM)
-
-
-# ---------------------------------------------------------------------------
-# Deterministic mode: pool rebuild + exact re-runs
-# ---------------------------------------------------------------------------
-
-
-class TestDeterministicRecovery:
-    def test_crash_recovery_preserves_bit_identical_replay(self):
-        # Attempt 1 of every shard (speculative or exact) crashes the
-        # pool; the rebuilt pool re-runs each shard exactly, so the
-        # recovered run replays the sequential search to the vertex.
-        solver = ParallelBnB(
-            PARAMS,
-            workers=2,
-            split_depth=2,
-            fault_plan=FaultPlan((ShardFault("crash", attempt=1),)),
-        )
-        result = solver.solve(PROBLEM)
-        report = solver.last_report
-        assert result.best_cost == SEQ.best_cost
-        assert result.proc_of == SEQ.proc_of
-        assert result.stats.generated == SEQ.stats.generated
-        assert result.stats.explored == SEQ.stats.explored
-        assert report.worker_restarts >= 1
-        assert report.shard_retries >= 1
-
-    def test_poison_shard_exhausts_attempts_and_raises(self):
-        plan = FaultPlan(
-            tuple(ShardFault("crash", attempt=a) for a in (1, 2, 3))
-        )
-        solver = ParallelBnB(
-            PARAMS,
-            workers=2,
-            split_depth=2,
-            max_shard_attempts=3,
-            fault_plan=plan,
-        )
-        with pytest.raises(WorkerCrashed) as exc:
-            solver.solve(PROBLEM)
-        assert exc.value.attempts == 3
 
 
 # ---------------------------------------------------------------------------
