@@ -25,6 +25,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -103,6 +104,38 @@ def _workers_arg(text: str) -> int | str:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _interval(text: str) -> float:
+    """A finite, non-negative number of seconds."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {text}"
+        )
+    return value
+
+
+def _checkpoint_flags() -> argparse.ArgumentParser:
+    """Snapshot/resume flags shared by ``solve`` and the cluster coordinator."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(
+        "--checkpoint", default=None, metavar="PATH",
+        help="periodically write an atomic search snapshot to PATH; a "
+        "killed run continues from it with --resume",
+    )
+    p.add_argument(
+        "--checkpoint-seconds", type=_interval, default=5.0,
+        metavar="SECONDS",
+        help="wall-clock interval between snapshots (default 5)",
+    )
+    p.add_argument(
+        "--resume", default=None, metavar="PATH",
+        help="resume a checkpointed search: the graph and the "
+        "search-shaping flags must match the original run (fingerprint "
+        "checked); resource limits may differ",
+    )
+    return p
 
 
 def _search_flags() -> argparse.ArgumentParser:
@@ -188,27 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("--dot", default=None, help="also write a DOT rendering")
 
-    search = _search_flags()
+    parents = [_search_flags(), _checkpoint_flags()]
     slv = sub.add_parser(
-        "solve", parents=[search],
+        "solve", parents=parents,
         help="solve a task-graph file (JSON or STG)",
     )
     slv.add_argument("graph", help="task-graph path (.json or .stg)")
-    slv.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="periodically write an atomic search snapshot to PATH; a "
-        "killed run continues from it with --resume",
-    )
-    slv.add_argument(
-        "--checkpoint-every", type=_positive_int, default=2000, metavar="N",
-        help="explored-vertex interval between snapshots (default 2000)",
-    )
-    slv.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="resume a checkpointed search: the graph and the "
-        "search-shaping flags must match the original run (fingerprint "
-        "checked); resource limits may differ",
-    )
     slv.add_argument("--gantt", action="store_true", help="print the schedule")
     slv.add_argument(
         "--chart", action="store_true", help="print an ASCII Gantt chart"
@@ -288,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         cluster_attempts=3,
         cluster_backoff=0.05,
         cluster_steal=True,
-        cluster_checkpoint_seconds=5.0,
     )
 
     clu = sub.add_parser(
@@ -296,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     clu_sub = clu.add_subparsers(dest="role", required=True)
     cco = clu_sub.add_parser(
-        "coordinator", parents=[search],
+        "coordinator", parents=parents,
         help="own a solve: bind, dispatch shards, survive worker churn",
     )
     cco.add_argument("graph", help="task-graph path (.json or .stg)")
@@ -349,21 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tree level at which subtrees are sharded (default 2)",
     )
     cco.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="periodically snapshot the pending+in-flight frontier; a "
-        "killed coordinator continues from it with --resume",
-    )
-    cco.add_argument(
-        "--checkpoint-seconds", dest="cluster_checkpoint_seconds",
-        type=float, default=5.0, metavar="SECONDS",
-        help="wall-clock interval between cluster snapshots (default 5)",
-    )
-    cco.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="resume a cluster checkpoint (fingerprint checked; unacked "
-        "in-flight shards are conservatively re-explored)",
-    )
-    cco.add_argument(
         "--trace-jsonl", default=None,
         help="stream structured solve events to this JSON-lines file",
     )
@@ -384,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cco.set_defaults(
         workers=0, gantt=False, chart=False,
-        bus=False, trace_csv=None, profile=False, checkpoint_every=2000,
+        bus=False, trace_csv=None, profile=False,
         trace_sample=1, flight_recorder=None,
     )
     cwk = clu_sub.add_parser(
@@ -589,6 +591,11 @@ def _cmd_solve(args) -> int:
     parallel = None
     coordinator = None
     snapshot = load_checkpoint(args.resume) if args.resume else None
+    checkpointer = (
+        Checkpointer(args.checkpoint, seconds=args.checkpoint_seconds)
+        if args.checkpoint
+        else None
+    )
     server = None
     if serving:
         server = MonitorServer(
@@ -616,8 +623,7 @@ def _cmd_solve(args) -> int:
                 max_shard_attempts=args.cluster_attempts,
                 retry_backoff=args.cluster_backoff,
                 steal=args.cluster_steal,
-                checkpoint_path=args.checkpoint,
-                checkpoint_every=args.cluster_checkpoint_seconds,
+                checkpoint=checkpointer,
                 resume=snapshot,
                 obs=obs if obs.enabled else None,
                 stop=token,
@@ -644,11 +650,6 @@ def _cmd_solve(args) -> int:
                 graph, shared_bus_platform(args.processors)
             )
         else:
-            checkpointer = (
-                Checkpointer(args.checkpoint, every=args.checkpoint_every)
-                if args.checkpoint
-                else None
-            )
             problem = compile_problem(
                 graph, shared_bus_platform(args.processors)
             )

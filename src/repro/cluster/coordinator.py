@@ -154,8 +154,7 @@ class ClusterCoordinator:
         max_shard_attempts: int = 3,
         retry_backoff: float = 0.05,
         steal: bool = True,
-        checkpoint_path: str | None = None,
-        checkpoint_every: float = 5.0,
+        checkpoint: Checkpointer | None = None,
         resume: SearchCheckpoint | None = None,
         obs: Observability | None = None,
         stop: StopToken | None = None,
@@ -189,8 +188,7 @@ class ClusterCoordinator:
         self.max_shard_attempts = max_shard_attempts
         self.retry_backoff = retry_backoff
         self.steal = steal
-        self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = checkpoint_every
+        self.checkpoint = checkpoint
         self.resume = resume
         self.obs = obs
         self.stop = stop
@@ -275,7 +273,8 @@ class ClusterCoordinator:
                 Shard(int(seq), state, lb, incumbent0, _INF)
                 for state, lb, seq in snap.frontier
             ]
-            self._ckpt_base_version = snap.version + 1
+            if self.checkpoint is not None:
+                self.checkpoint.resume_from(snap)
         else:
             collector = FrontierCollector(self.split_depth)
             engine = BranchAndBound(params, obs=self.obs, fused=self.fused)
@@ -306,7 +305,6 @@ class ClusterCoordinator:
             # pass's own tier stands only if no shard result arrives.
             shallow_engine = (merged.engine_path, merged.engine_fallback)
             merged.engine_path, merged.engine_fallback = "", None
-            self._ckpt_base_version = 0
 
         elim = params.elimination
         threshold0 = pruning_threshold(incumbent0, params.inaccuracy)
@@ -382,7 +380,9 @@ class ClusterCoordinator:
             shard_retries=loop.shard_retries,
             quarantined=tuple(loop.quarantined),
             resumed=resumed,
-            checkpoint_writes=getattr(self, "_ckpt_writes", 0),
+            checkpoint_writes=(
+                self.checkpoint.writes if self.checkpoint is not None else 0
+            ),
             worker_restarts=loop.worker_restarts,
             tt_stats=tt_stats,
         )
@@ -459,14 +459,9 @@ class ClusterCoordinator:
             child.close()
             local[worker_id] = proc
 
-        checkpointer = None
-        self._ckpt_writes = 0
-        if self.checkpoint_path is not None:
-            checkpointer = Checkpointer(self.checkpoint_path, every=1)
-            checkpointer.version = self._ckpt_base_version
+        checkpointer = self.checkpoint
         if resumed:
             emit("resume", {"mode": "cluster", "shards": total})
-        next_ckpt = time.monotonic() + self.checkpoint_every
         next_sample = 0.0
         loop_start = time.monotonic()
         memberless_since = loop_start
@@ -615,12 +610,11 @@ class ClusterCoordinator:
                 stats=stats_now,
             )
             checkpointer.write(snapshot)
-            self._ckpt_writes = checkpointer.writes
             emit(
                 "checkpoint",
                 {
                     "mode": "cluster",
-                    "path": self.checkpoint_path,
+                    "path": checkpointer.path,
                     "frontier": len(frontier),
                     "final": final,
                 },
@@ -917,8 +911,7 @@ class ClusterCoordinator:
                 if len(members) >= self.min_workers or loop.completed:
                     dispatch()
                     try_steal()
-                if checkpointer is not None and now >= next_ckpt:
-                    next_ckpt = now + self.checkpoint_every
+                if checkpointer is not None and checkpointer.due():
                     write_snapshot()
                 if (monitor is not None or progress is not None) and (
                     now >= next_sample

@@ -11,10 +11,10 @@ integer compare per vertex for every hook together.
 ``check_at`` starts at the run's initial explored count (the first
 popped vertex always meets a boundary, so a stop token that is already
 set ends the run before anything is expanded) and then advances to the
-smaller of the loop's next cadence multiple and the checkpointer's next
-due count.  Snapshots are therefore cut at exactly the explored count
-:meth:`Checkpointer.due` names, on either tier.  With no hook attached
-``check_at`` never comes due.
+loop's next cadence multiple.  A snapshot is cut at the first boundary
+that finds :meth:`Checkpointer.due` true, i.e. once its wall-clock
+interval has passed.  With no hook attached ``check_at`` never comes
+due.
 
 A boundary services, in order: the stop token, the time and memory
 limits, a due checkpoint, the bound channel's poll, the live monitor's
@@ -137,8 +137,7 @@ class Boundary:
         kind = self._stop_condition()
         if kind is not None:
             return kind
-        checkpoint = self.checkpoint
-        if checkpoint is not None and checkpoint.due(stats.explored):
+        if self.checkpoint is not None and self.checkpoint.due():
             self.write_checkpoint(frontier, vertex)
         if self.channel is not None:
             ext = self.channel.poll(stats.explored)
@@ -158,9 +157,7 @@ class Boundary:
             self.h_active.observe(size)
             if not math.isinf(self.incumbent):
                 self.h_gap.observe(self.incumbent - vertex.lower_bound)
-        at = (stats.explored // self.cadence + 1) * self.cadence
-        due = checkpoint.next_due if checkpoint is not None else None
-        self.check_at = at if due is None or at < due else due
+        self.check_at = (stats.explored // self.cadence + 1) * self.cadence
         return None
 
     def _stop_condition(self):

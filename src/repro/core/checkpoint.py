@@ -8,8 +8,9 @@ that work is ever lost:
   incumbent (cost + schedule), the statistics counters, the sequence
   counter, and a fingerprint binding it to one ⟨problem, parameters⟩
   pair.
-* :class:`Checkpointer` — the engine-side writer: decides *when* a
-  snapshot is due (every N explored vertices) and writes it atomically
+* :class:`Checkpointer` — the writer: decides *when* a snapshot is
+  due (one wall-clock interval, serviced at the engine's boundaries
+  and by the cluster coordinator's loop) and writes it atomically
   (temp file + ``os.replace`` in the same directory), so a kill at any
   instant leaves either the previous snapshot or the new one — never a
   torn file.
@@ -42,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import pickle
 import signal
@@ -231,41 +233,36 @@ def load_checkpoint(path: str) -> SearchCheckpoint:
 
 
 class Checkpointer:
-    """Engine-side periodic writer: one file, versioned, atomic.
+    """Periodic snapshot writer: one file, versioned, atomic.
 
-    ``every`` counts *explored* vertices (the loop's natural cadence);
-    the first period starts at whatever count the run begins with, so a
-    resumed search does not immediately re-write what it just read.
+    A snapshot comes due once ``seconds`` of wall clock have passed
+    since the last one.  The first :meth:`due` only sets the baseline,
+    so a resumed search does not immediately re-write what it just
+    read; ``seconds=0`` makes every later call due.
     """
 
-    def __init__(self, path: str, every: int = 2000) -> None:
-        if every < 1:
-            raise CheckpointError(f"checkpoint interval must be >= 1, got {every}")
+    def __init__(self, path: str, seconds: float = 5.0) -> None:
+        if not 0 <= seconds < math.inf:
+            raise CheckpointError(
+                "checkpoint interval must be finite and >= 0 seconds, "
+                f"got {seconds}"
+            )
         self.path = os.fspath(path)
-        self.every = int(every)
+        self.seconds = float(seconds)
         self.version = 0
         self.writes = 0
-        self._next: int | None = None
+        self._next: float | None = None
 
-    def due(self, explored: int) -> bool:
-        """Whether a snapshot should be written at this explored count."""
+    def due(self) -> bool:
+        """Whether a snapshot should be written now."""
+        now = time.monotonic()
         if self._next is None:
-            self._next = explored + self.every
+            self._next = now + self.seconds
             return False
-        if explored >= self._next:
-            self._next = explored + self.every
+        if now >= self._next:
+            self._next = now + self.seconds
             return True
         return False
-
-    @property
-    def next_due(self) -> int | None:
-        """Explored count of the next snapshot (None before the baseline).
-
-        The engine's boundary comes due no later than this, so both
-        engine tiers cut snapshots at exactly the count :meth:`due`
-        names.
-        """
-        return self._next
 
     def write(self, snapshot: SearchCheckpoint) -> str:
         snapshot.version = self.version

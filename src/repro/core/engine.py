@@ -85,8 +85,8 @@ __all__ = [
 ]
 
 #: Explored vertices between two boundaries of the Python loop.  The
-#: stop token, limits, bound-channel poll and samplers all ride this one
-#: cadence (a checkpoint due earlier pulls the boundary forward).
+#: stop token, limits, checkpoint, bound-channel poll and samplers all
+#: ride this one cadence.
 _LOOP_CADENCE = 64
 
 #: Explored vertices between two boundaries of the native driver.  One

@@ -213,8 +213,8 @@ def parse_lmax(stdout: str) -> float:
 class MemoryCheckpointer(Checkpointer):
     """Keeps every snapshot, round-tripped through pickle, in memory."""
 
-    def __init__(self, every: int = 10**9) -> None:
-        super().__init__("unused.pkl", every=every)
+    def __init__(self, seconds: float = 3600.0) -> None:
+        super().__init__("unused.pkl", seconds=seconds)
         self.snapshots = []
 
     def write(self, snapshot):

@@ -13,9 +13,12 @@ real thing: SIGKILLing a live CLI solve and resuming it.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import pickle
 import signal
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -37,6 +40,7 @@ from repro.core import (
     _native,
 )
 from repro.core.bounds import LB2
+from repro.core import checkpoint as checkpoint_mod
 from repro.core import engine as engine_mod
 from repro.core.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -53,6 +57,22 @@ from repro.errors import CheckpointError
 from repro.io import save_graph
 
 PROBLEM = hard_problem(seed=0)
+
+
+def _fake_clock(monkeypatch, readings, then):
+    """Feed ``Checkpointer.due`` these monotonic readings, then ``then``."""
+    ticks = iter(readings)
+    monkeypatch.setattr(
+        checkpoint_mod,
+        "time",
+        SimpleNamespace(monotonic=lambda: next(ticks, then), time=time.time),
+    )
+
+
+def _same_cadence(monkeypatch, cadence):
+    """Both engine tiers meet boundaries at the same explored counts."""
+    monkeypatch.setattr(engine_mod, "_LOOP_CADENCE", cadence)
+    monkeypatch.setattr(engine_mod, "_DRIVER_CADENCE", cadence)
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +115,10 @@ class TestFingerprint:
 # ---------------------------------------------------------------------------
 
 
-def _solve_capped_with_checkpoint(params, cap, path, every=50):
+def _solve_capped_with_checkpoint(params, cap, path):
     capped = params.evolve(resources=ResourceBounds(max_vertices=cap))
     result = BranchAndBound(capped).solve(
-        PROBLEM, checkpoint=Checkpointer(str(path), every=every)
+        PROBLEM, checkpoint=Checkpointer(str(path), seconds=0)
     )
     return result
 
@@ -121,16 +141,17 @@ class TestFormat:
 
     def test_write_is_atomic_and_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "cp.pkl"
-        _solve_capped_with_checkpoint(BnBParameters(), 400, path, every=25)
+        _solve_capped_with_checkpoint(BnBParameters(), 400, path)
         leftovers = [p for p in os.listdir(tmp_path) if p != "cp.pkl"]
         assert leftovers == []
 
     def test_versions_are_monotone(self, tmp_path):
         path = tmp_path / "cp.pkl"
-        _solve_capped_with_checkpoint(BnBParameters(), 800, path, every=25)
+        _solve_capped_with_checkpoint(BnBParameters(), 800, path)
         snap = load_checkpoint(str(path))
-        # explored ~200+ at cap 800, every=25 -> several periodic writes
-        # before the final one; the surviving file carries the last.
+        # explored ~200+ at cap 800, a snapshot at every boundary after
+        # the first -> several periodic writes before the final one; the
+        # surviving file carries the last.
         assert snap.version >= 1
 
     def test_missing_file(self, tmp_path):
@@ -161,18 +182,20 @@ class TestFormat:
             load_checkpoint(str(path))
 
     def test_checkpointer_validates_interval(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            Checkpointer(str(tmp_path / "cp.pkl"), every=0)
+        for seconds in (-1.0, math.nan, math.inf):
+            with pytest.raises(CheckpointError):
+                Checkpointer(str(tmp_path / "cp.pkl"), seconds=seconds)
 
-    def test_due_baselines_at_the_first_observation(self):
-        cp = Checkpointer("unused.pkl", every=10)
+    def test_due_baselines_at_the_first_observation(self, monkeypatch):
+        _fake_clock(monkeypatch, [500.0, 505.0, 510.0, 511.0, 520.0], None)
+        cp = Checkpointer("unused.pkl", seconds=10)
         # A resumed run's first call must not immediately re-write what
         # it just read: the first observation only sets the baseline.
-        assert cp.due(500) is False
-        assert cp.due(505) is False
-        assert cp.due(510) is True
-        assert cp.due(511) is False
-        assert cp.due(520) is True
+        assert cp.due() is False
+        assert cp.due() is False
+        assert cp.due() is True
+        assert cp.due() is False
+        assert cp.due() is True
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +229,7 @@ def test_kill_resume_differential(params, tmp_path):
     cap = max(50, straight.stats.generated // 2)
     capped = BranchAndBound(
         params.evolve(resources=ResourceBounds(max_vertices=cap))
-    ).solve(PROBLEM, checkpoint=Checkpointer(str(path), every=40))
+    ).solve(PROBLEM, checkpoint=Checkpointer(str(path), seconds=0))
     assert capped.status is SolveStatus.TRUNCATED
     assert capped.checkpoint_path == str(path)
 
@@ -240,7 +263,7 @@ def test_kill_resume_differential_dupfree(tmp_path):
     cap = max(50, straight.stats.generated // 2)
     capped = BranchAndBound(
         params.evolve(resources=ResourceBounds(max_vertices=cap))
-    ).solve(problem, checkpoint=Checkpointer(str(path), every=40))
+    ).solve(problem, checkpoint=Checkpointer(str(path), seconds=0))
     assert capped.status is SolveStatus.TRUNCATED
 
     resumed = BranchAndBound(params).solve(
@@ -264,7 +287,7 @@ def test_kill_resume_differential_with_transposition(tmp_path):
     cap = max(50, straight.stats.generated // 2)
     capped = BranchAndBound(
         params.evolve(resources=ResourceBounds(max_vertices=cap))
-    ).solve(PROBLEM, checkpoint=Checkpointer(str(path), every=40))
+    ).solve(PROBLEM, checkpoint=Checkpointer(str(path), seconds=0))
     assert capped.status is SolveStatus.TRUNCATED
 
     resumed = BranchAndBound(params).solve(
@@ -317,7 +340,7 @@ class TestGracefulStop:
         result = BranchAndBound(BnBParameters()).solve(
             PROBLEM,
             stop=token,
-            checkpoint=Checkpointer(str(path), every=10_000),
+            checkpoint=Checkpointer(str(path)),
         )
         assert result.status is SolveStatus.INTERRUPTED
         assert result.checkpoint_path == str(path)
@@ -393,11 +416,12 @@ def test_preset_token_interrupts_before_any_expansion():
 
 @needs_native
 @pytest.mark.parametrize("params", NATIVE_PARAMS)
-def test_periodic_snapshot_matches_the_object_engine(params):
+def test_periodic_snapshot_matches_the_object_engine(params, monkeypatch):
     every = 100
+    _same_cadence(monkeypatch, every)
     snaps = {}
     for engine in ("object", "array"):
-        cp = MemoryCheckpointer(every=every)
+        cp = MemoryCheckpointer(seconds=0)
         result = BranchAndBound(params.evolve(engine=engine)).solve(
             PROBLEM, checkpoint=cp
         )
@@ -420,13 +444,15 @@ def test_periodic_snapshot_matches_the_object_engine(params):
 @pytest.mark.parametrize("snap_engine", ["object", "array"])
 @pytest.mark.parametrize("resume_engine", ["object", "array"])
 def test_resume_across_engines_reproduces_the_straight_run(
-    params, snap_engine, resume_engine
+    params, snap_engine, resume_engine, monkeypatch
 ):
     straight = BranchAndBound(params).solve(PROBLEM)
-    cp = MemoryCheckpointer(every=150)
-    BranchAndBound(params.evolve(engine=snap_engine)).solve(
-        PROBLEM, checkpoint=cp
-    )
+    cp = MemoryCheckpointer(seconds=0)
+    with monkeypatch.context() as mp:
+        _same_cadence(mp, 150)
+        BranchAndBound(params.evolve(engine=snap_engine)).solve(
+            PROBLEM, checkpoint=cp
+        )
     resumed = BranchAndBound(params.evolve(engine=resume_engine)).solve(
         PROBLEM, resume=cp.snapshots[0]
     )
@@ -473,6 +499,51 @@ def test_time_limited_final_snapshot_holds_every_open_vertex(monkeypatch):
         assert resumed.stats.explored == straight.stats.explored
 
 
+@needs_native
+def test_native_solve_shorter_than_the_interval_writes_no_snapshot(
+    tmp_path, monkeypatch
+):
+    # A small driver cadence, so the solve meets many boundaries, all
+    # well inside the default five-second interval.
+    monkeypatch.setattr(engine_mod, "_DRIVER_CADENCE", 16)
+    path = tmp_path / "cp.pkl"
+    checkpoint = Checkpointer(str(path))
+    result = BranchAndBound(_array(BnBParameters())).solve(
+        PROBLEM, checkpoint=checkpoint
+    )
+    assert result.stats.engine_path == "native"
+    assert result.stats.explored > 4 * 16
+    assert result.status is SolveStatus.OPTIMAL
+    assert checkpoint.writes == 0
+    assert result.checkpoint_path is None
+    assert not path.exists()
+
+
+@needs_native
+@pytest.mark.parametrize("params", NATIVE_PARAMS)
+def test_snapshot_comes_due_at_a_driver_boundary(params, monkeypatch):
+    straight = BranchAndBound(params).solve(PROBLEM)
+    # The first boundary sets the baseline at t=0; every later one reads
+    # t=10, so the five-second interval has passed once, at the second.
+    monkeypatch.setattr(engine_mod, "_DRIVER_CADENCE", 16)
+    _fake_clock(monkeypatch, [0.0], 10.0)
+    cp = MemoryCheckpointer(seconds=5.0)
+    result = BranchAndBound(_array(params)).solve(PROBLEM, checkpoint=cp)
+    monkeypatch.undo()
+    assert result.stats.engine_path == "native"
+    assert cp.writes == 1
+    snapshot = cp.snapshots[0]
+    assert snapshot.stats["explored"] == 16
+    for engine in ("object", "array"):
+        resumed = BranchAndBound(params.evolve(engine=engine)).solve(
+            PROBLEM, resume=pickle.loads(pickle.dumps(snapshot))
+        )
+        assert resumed.best_cost == straight.best_cost
+        assert resumed.proc_of == straight.proc_of
+        assert resumed.stats.generated == straight.stats.generated
+        assert resumed.stats.explored == straight.stats.explored
+
+
 # ---------------------------------------------------------------------------
 # The real thing: SIGKILL a live CLI solve, resume it
 # ---------------------------------------------------------------------------
@@ -490,7 +561,7 @@ def test_sigkill_mid_run_then_resume_matches_straight_run(tmp_path):
     proc = spawn_cli(
         [
             "solve", str(graph_path), "-m", "2",
-            "--checkpoint", str(cp), "--checkpoint-every", "25",
+            "--checkpoint", str(cp), "--checkpoint-seconds", "0",
         ]
     )
     try:

@@ -101,6 +101,16 @@ class TestSolve:
         assert "parallel: mode=throughput" in out
         assert "\nengine: native\n" in out
 
+    @pytest.mark.parametrize("seconds", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("role", [["solve"], ["cluster", "coordinator"]])
+    def test_checkpoint_interval_must_be_finite_and_non_negative(
+        self, graph_file, role, seconds, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*role, graph_file, "--checkpoint-seconds", seconds])
+        assert exc.value.code == 2
+        assert "--checkpoint-seconds" in capsys.readouterr().err
+
     def test_parallel_mode_deterministic_is_gone(self, graph_file):
         with pytest.raises(SystemExit):
             main([

@@ -35,7 +35,7 @@ from repro.core import (
     SolveStatus,
 )
 from repro.core import engine as engine_mod
-from repro.core.checkpoint import StopToken, load_checkpoint
+from repro.core.checkpoint import Checkpointer, StopToken, load_checkpoint
 from repro.core.parallel import FaultPlan, ShardFault
 from repro.errors import CheckpointError, ResourceLimitExceeded
 from repro.obs import LiveMonitor, Observability
@@ -443,7 +443,7 @@ def test_interrupted_coordinator_resumes_to_same_cost(tmp_path):
         None,
         bind="mem://phase1",
         transport=MemoryTransport(),
-        checkpoint_path=path,
+        checkpoint=Checkpointer(path, seconds=0),
         worker_timeout=5.0,
         stop=token,
     )
@@ -452,14 +452,24 @@ def test_interrupted_coordinator_resumes_to_same_cost(tmp_path):
     assert partial.status is not SolveStatus.OPTIMAL
 
     # Phase 2: a fresh coordinator + fresh workers resume the snapshot
-    # and land on the sequential optimum.
+    # and land on the sequential optimum, snapshotting at every loop
+    # tick after the first into the same file.
     snap = load_checkpoint(path)
     assert snap.frontier  # the interrupted frontier survived
     result, coord2 = run_cluster(
-        problem, workers=2, coordinator_kwargs=dict(resume=snap)
+        problem,
+        workers=2,
+        coordinator_kwargs=dict(
+            resume=snap, checkpoint=Checkpointer(path, seconds=0)
+        ),
     )
     assert_cluster_parity(result, REFERENCE[seed])
     assert coord2.last_report.resumed
+    # Periodic snapshots besides the final one, and the version sequence
+    # continues from the resumed snapshot's.
+    writes = coord2.last_report.checkpoint_writes
+    assert writes >= 2
+    assert load_checkpoint(path).version == snap.version + writes
 
 
 def test_resume_rejects_mismatched_problem(tmp_path):
@@ -470,7 +480,7 @@ def test_resume_rejects_mismatched_problem(tmp_path):
         None,
         bind="mem://phase1",
         transport=MemoryTransport(),
-        checkpoint_path=path,
+        checkpoint=Checkpointer(path),
         stop=token,
     ).solve(PROBLEMS[HARD_SEEDS[0]])
     snap = load_checkpoint(path)

@@ -203,7 +203,7 @@ def test_array_engine_checkpoint_resumes_on_any_engine(
     path = tmp_path / "cp.pkl"
     capped = base.evolve(resources=ResourceBounds(max_vertices=60))
     partial = BranchAndBound(capped).solve(
-        problem, checkpoint=Checkpointer(str(path), every=10)
+        problem, checkpoint=Checkpointer(str(path), seconds=0)
     )
     assert partial.status is SolveStatus.TRUNCATED
     snap = load_checkpoint(str(path))

@@ -284,7 +284,7 @@ class TestFlightRecorderOnSigterm:
         ckpt = tmp_path / "run.ckpt"
         proc = spawn_cli([
             "solve", str(gpath), "-m", "2",
-            "--checkpoint", str(ckpt), "--checkpoint-every", "50",
+            "--checkpoint", str(ckpt), "--checkpoint-seconds", "0",
             "--flight-recorder", "128",
         ])
         deadline = time.monotonic() + 60.0
