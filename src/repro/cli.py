@@ -7,8 +7,8 @@ Subcommands
     and/or DOT.
 ``solve``
     Run the parametrized B&B on a task-graph file (JSON or STG); can
-    print Gantt charts, simulate the shared bus explicitly, and dump
-    the search trace.
+    print Gantt charts, simulate the shared bus explicitly, and stream
+    the search's events to a JSON-lines trace (``--trace-jsonl``).
 ``convert``
     Translate between the JSON, STG and DOT graph formats.
 ``experiment``
@@ -59,7 +59,6 @@ from .experiments.registry import EXPERIMENTS, run_by_name
 from .experiments.report import render
 from .experiments.runner import EDF_LABEL
 from .analysis.gantt import render_gantt
-from .core.trace import TraceRecorder
 from .obs import (
     JsonlSink,
     LiveMonitor,
@@ -236,10 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate the shared bus explicitly and report contention",
     )
     slv.add_argument(
-        "--trace-csv", default=None,
-        help="write the search's explore log to this CSV file",
-    )
-    slv.add_argument(
         "--trace-jsonl", default=None,
         help="stream structured search events to this JSON-lines file",
     )
@@ -386,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cco.set_defaults(
         workers=0, gantt=False, chart=False,
-        bus=False, trace_csv=None, profile=False,
+        bus=False, profile=False,
         trace_sample=1, flight_recorder=None,
     )
     cwk = clu_sub.add_parser(
@@ -550,14 +545,6 @@ def _cmd_solve(args) -> int:
         engine=args.engine,
         **dom_kwargs,
     )
-    if args.trace_csv and args.workers:
-        print(
-            "note: --trace-csv records the in-process search only; "
-            "ignored with --workers (use --trace-jsonl instead)",
-            file=sys.stderr,
-        )
-        args.trace_csv = None
-    trace = TraceRecorder() if args.trace_csv else None
     serving = args.serve_status is not None
     live = (
         LiveMonitor(ring_size=args.flight_recorder or 256)
@@ -655,7 +642,7 @@ def _cmd_solve(args) -> int:
             )
             token = StopToken()
             with graceful_interrupts(token):
-                result = BranchAndBound(params, trace=trace, obs=obs).solve(
+                result = BranchAndBound(params, obs=obs).solve(
                     problem,
                     checkpoint=checkpointer,
                     resume=snapshot,
@@ -742,9 +729,6 @@ def _cmd_solve(args) -> int:
         print(render_gantt(schedule))
     if args.bus and schedule is not None:
         print(simulate_bus(schedule).summary())
-    if args.trace_csv and trace is not None:
-        trace.write_csv(args.trace_csv)
-        print(f"wrote {args.trace_csv}")
     if args.trace_jsonl:
         print(f"wrote {args.trace_jsonl}")
     if args.metrics_out and obs.metrics is not None:

@@ -146,7 +146,6 @@ class ClusterCoordinator:
         bind: str = "127.0.0.1:0",
         transport: Transport | None = None,
         split_depth: int = 2,
-        fused: bool | None = None,
         lease: float = 10.0,
         min_workers: int = 1,
         worker_timeout: float = 60.0,
@@ -180,7 +179,6 @@ class ClusterCoordinator:
         self.bind = bind
         self.transport = transport if transport is not None else TcpTransport()
         self.split_depth = split_depth
-        self.fused = fused
         self.lease = lease
         self.min_workers = min_workers
         self.worker_timeout = worker_timeout
@@ -277,7 +275,7 @@ class ClusterCoordinator:
                 self.checkpoint.resume_from(snap)
         else:
             collector = FrontierCollector(self.split_depth)
-            engine = BranchAndBound(params, obs=self.obs, fused=self.fused)
+            engine = BranchAndBound(params, obs=self.obs)
             shallow = engine.solve(problem, dispatcher=collector)
             shards = collector.shards
             if (
@@ -757,8 +755,7 @@ class ClusterCoordinator:
                                 )
                             conn.send(
                                 protocol.welcome(
-                                    fingerprint, problem, params,
-                                    self.lease, self.fused,
+                                    fingerprint, problem, params, self.lease
                                 )
                             )
                             member = members.add(worker_id, conn)

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 MAGIC = "repro-cluster"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 def frame_type(frame) -> str:
@@ -71,9 +71,7 @@ def hello(worker_id: str) -> dict:
     }
 
 
-def welcome(
-    fingerprint: str, problem, params, lease: float, fused
-) -> dict:
+def welcome(fingerprint: str, problem, params, lease: float) -> dict:
     return {
         "t": "welcome",
         "proto": PROTOCOL_VERSION,
@@ -81,7 +79,6 @@ def welcome(
         "problem": problem,
         "params": params,
         "lease": lease,
-        "fused": fused,
     }
 
 

@@ -213,7 +213,7 @@ class ClusterWorker:
         self._hb_interval = max(0.05, self._lease / 3.0)
         # The first heartbeat's vps window opens at the handshake.
         self._last_hb = time.monotonic()
-        return problem, params, frame["fused"], frame["fingerprint"]
+        return problem, params, frame["fingerprint"]
 
     # -- frame handling -----------------------------------------------------
 
@@ -281,13 +281,13 @@ class ClusterWorker:
         """
         self._conn = self._connect()
         try:
-            problem, params, fused, fingerprint = self._handshake()
+            problem, params, fingerprint = self._handshake()
             tt_rule = find_transposition(params.dominance)
             if tt_rule is not None and shared_tt is not None:
                 tt_rule.bind_shared(
                     SharedTranspositionTable.from_handle(shared_tt)
                 )
-            self._serve(problem, params, fused, fingerprint, tt_rule)
+            self._serve(problem, params, fingerprint, tt_rule)
         except (_WorkerDied, TransportClosed):
             pass  # injected death or coordinator gone: just exit
         finally:
@@ -297,9 +297,9 @@ class ClusterWorker:
                 pass
         return self.shards_done
 
-    def _serve(self, problem, params, fused, fingerprint, tt_rule) -> None:
+    def _serve(self, problem, params, fingerprint, tt_rule) -> None:
         elim = params.elimination
-        engine = BranchAndBound(params, fused=fused)
+        engine = BranchAndBound(params)
         while not self._stop:
             if not self._queue:
                 self._maybe_heartbeat()

@@ -78,7 +78,7 @@ from .selection import (
 )
 from .state import AOState, SearchState, ao_root_state, root_state
 from .stats import SearchStats
-from .trace import ExploreEvent, IncumbentEvent, TraceRecorder
+from .trace import IncumbentEvent, TraceRecorder
 from .transposition import (
     TT_POLICIES,
     PayloadCodec,
@@ -123,7 +123,6 @@ __all__ = [
     "EDFUpperBound",
     "ELIMINATION_RULES",
     "EliminationRule",
-    "ExploreEvent",
     "FIFOSelection",
     "FaultPlan",
     "FixedOrderBranching",

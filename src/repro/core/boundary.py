@@ -18,10 +18,9 @@ due.
 
 A boundary services, in order: the stop token, the time and memory
 limits, a due checkpoint, the bound channel's poll, the live monitor's
-sample and the progress heartbeat, and — on the native tier only,
-where no per-vertex telemetry runs — the active-set gauge and the two
-per-explore histograms, sampled once per boundary instead of at every
-explored vertex.
+sample and the progress heartbeat, and the active-set gauge and the two
+search histograms, sampled once per boundary on both tiers rather than
+at every explored vertex.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ class Boundary:
     :class:`~repro.core.checkpoint.SearchCheckpoint` of the search as it
     stands; the engine supplies it because only the engine knows where
     the incumbent schedule lives.  ``metrics`` gets the active-set gauge
-    and histograms registered here; ``sample_metrics`` is set only on the
-    native tier (the Python loop observes them at every explored vertex).
+    and histograms registered here.
 
     After :meth:`service` the loop reads back ``incumbent`` and
     ``threshold`` (a polled external bound may have tightened them) and
@@ -68,7 +66,6 @@ class Boundary:
         live=None,
         progress=None,
         metrics=None,
-        sample_metrics: bool = False,
         sink=None,
         stop_on_bound: bool = False,
         dominance=None,
@@ -96,7 +93,7 @@ class Boundary:
             from ..obs.metrics import DEFAULT_GAP_BUCKETS, DEFAULT_SIZE_BUCKETS
 
             self.m_active = metrics.gauge(
-                "bnb_active_set_size", "Active-set size at last explore"
+                "bnb_active_set_size", "Active-set size at the last boundary"
             )
             self.h_gap = metrics.histogram(
                 "bnb_lower_bound_gap",
@@ -105,19 +102,18 @@ class Boundary:
             )
             self.h_active = metrics.histogram(
                 "bnb_active_set_size_distribution",
-                "Active-set size observed at each explored vertex",
+                "Active-set size sampled at each boundary",
                 buckets=DEFAULT_SIZE_BUCKETS,
             )
         self.metrics = metrics
-        self.sample_metrics = sample_metrics and metrics is not None
         self.incumbent = math.inf
         self.threshold = math.inf
         self.stopped: tuple[str, str] | None = None
-        active = self.sample_metrics or any(
+        active = any(
             hook is not None
             for hook in (
                 stop, self.time_limit, self.memory_limit, checkpoint,
-                channel, live, progress,
+                channel, live, progress, metrics,
             )
         )
         self.check_at = stats.explored if active else NEVER
@@ -151,7 +147,7 @@ class Boundary:
                     stats.pruned_active += frontier.prune_above(self.threshold)
         if self.live is not None or self.progress is not None:
             self._sample(frontier, vertex.lower_bound)
-        if self.sample_metrics:
+        if self.metrics is not None:
             size = len(frontier)
             self.m_active.set(size)
             self.h_active.observe(size)

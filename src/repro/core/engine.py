@@ -26,8 +26,9 @@ profiler, a metrics registry and a progress heartbeat.  Every hook is
 guarded by an ``is not None`` check on a local, so a solve with
 observability off runs the same loop it always did.  Everything
 periodic — stop token, limits, checkpoints, bound-channel polls, live
-samples, heartbeats — rides one :class:`~repro.core.boundary.Boundary`,
-which the native chunk driver calls too.
+samples, heartbeats, the search gauges — rides one
+:class:`~repro.core.boundary.Boundary`, which the native chunk driver
+calls too.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from .selection import (
     _LLBFrontier,
 )
 from .stats import SearchStats
-from .trace import TraceRecorder
 from .vertex import Vertex
 
 if TYPE_CHECKING:
@@ -319,11 +319,11 @@ def _tt_metrics(metrics: MetricsRegistry, tel: dict[str, int]) -> None:
               tel["tt_capacity"])
 
 
-def _object_refusal(fused, user_sink, profiler, prepared, params):
+def _object_refusal(fused, hot_sink, profiler, prepared, params):
     """Why the object engine runs the reference loop (None: it is fused)."""
     if fused is False:
         return "reference loop forced (fused=False)"
-    if fused is None and user_sink is not None:
+    if fused is None and hot_sink is not None:
         return "trace sink attached"
     if fused is None and profiler is not None:
         return "profiler attached"
@@ -333,8 +333,8 @@ def _object_refusal(fused, user_sink, profiler, prepared, params):
 
 
 def _native_refusal(
-    expander, frontier, problem, rb, *, dispatcher, trace, hot_sink,
-    profiled, early_stop,
+    expander, frontier, problem, rb, *, dispatcher, hot_sink, profiled,
+    early_stop,
 ):
     """Why the native driver cannot run this array-engine solve.
 
@@ -343,8 +343,6 @@ def _native_refusal(
     """
     if dispatcher is not None:
         return "dispatcher"
-    if trace is not None:
-        return "trace recorder attached"
     if hot_sink is not None:
         return "trace sink attached"
     if profiled:
@@ -370,31 +368,29 @@ def _native_refusal(
 class BranchAndBound:
     """Reusable solver bound to one parametrization.
 
-    Pass a :class:`~repro.core.trace.TraceRecorder` to log the search's
-    explore/incumbent events (anytime convergence profile), and/or an
-    :class:`~repro.obs.Observability` bundle for streamed event traces,
-    phase profiling, metrics and progress heartbeats; both are off by
-    default and cost nothing when off.
+    Pass an :class:`~repro.obs.Observability` bundle for event sinks
+    (a :class:`~repro.core.trace.TraceRecorder` for the anytime
+    profile, a :class:`~repro.obs.JsonlSink` for a streamed trace),
+    phase profiling, metrics and progress heartbeats; it is off by
+    default and costs nothing when off.
 
     ``fused`` selects the expansion path: ``True`` forces the fused
     :class:`~repro.core.expand.FusedExpander` hot path (incremental
     bounds, admission pre-check, scratch buffers), ``False`` forces the
     reference per-child loop, and ``None`` (the default) uses the fused
-    path exactly when no event sink or profiler is attached — those two
-    consumers observe per-child branch/bound granularity that the fused
-    path folds into a single ``expand`` phase.  Both paths produce
+    path exactly when no per-vertex sink or profiler is attached — those
+    two consumers observe per-child branch/bound granularity that the
+    fused path folds into a single ``expand`` phase.  Both paths produce
     identical results and statistics (``tests/test_core_expand.py``).
     """
 
     def __init__(
         self,
         params: BnBParameters | None = None,
-        trace: TraceRecorder | None = None,
         obs: Observability | None = None,
         fused: bool | None = None,
     ) -> None:
         self.params = params or BnBParameters()
-        self.trace = trace
         self.obs = obs
         self.fused = fused
 
@@ -486,30 +482,23 @@ class BranchAndBound:
         user_sink = obs.sink if obs is not None else None
         live = obs.live if obs is not None else None
         # The live monitor rides the event stream for low-frequency
-        # kinds (its sink rejects explore/prune/goal before payloads
-        # are built); the fused-path decision below deliberately keys
-        # off ``user_sink`` so attaching a monitor never changes the
-        # search's performance class.
+        # kinds only (its sink rejects explore/prune/goal statically).
         sink = user_sink if live is None else live.compose_sink(user_sink)
-        # A sink that rejects every sampled kind *statically* (the live
-        # monitor's — no per-event state backs the answer) is dropped
-        # from the per-vertex emit checks entirely; low-frequency events
-        # still go through ``sink``.  Composites wrapping a user sink do
-        # not set the flag, so stateful sampling still sees every event.
+        # The per-vertex observer is the user's sink, unless it rejects
+        # every sampled kind *statically* (no per-event state backs the
+        # answer, as with a TraceRecorder): then no per-vertex emit check
+        # runs and the fused and native tiers stay available.
+        # Composites do not set the flag, so stateful sampling still
+        # sees every event.
         hot_sink = (
             None
-            if sink is None or getattr(sink, "rejects_sampled_kinds", False)
-            else sink
+            if user_sink is None
+            or getattr(user_sink, "rejects_sampled_kinds", False)
+            else user_sink
         )
         profiler = obs.profiler if obs is not None else None
         metrics = obs.metrics if obs is not None else None
         progress = obs.progress if obs is not None else None
-        trace = self.trace
-        telem = (
-            trace is not None
-            or hot_sink is not None
-            or metrics is not None
-        )
 
         if profiler is not None:
             _pc = time.perf_counter
@@ -568,8 +557,6 @@ class BranchAndBound:
                 found_cost = incumbent_cost
                 incumbent_source = "initial-upper-bound"
             threshold = pruning_threshold(incumbent_cost, params.inaccuracy)
-            if trace is not None:
-                trace.on_start(incumbent_cost)
             if progress is not None:
                 progress.start()
             if sink is not None and sink.accepts("start"):
@@ -603,7 +590,7 @@ class BranchAndBound:
 
             use_fused = self.fused
             if use_fused is None:
-                use_fused = user_sink is None and profiler is None
+                use_fused = hot_sink is None and profiler is None
             expander = None
             if params.engine != "object" and self.fused is not False:
                 # Array engine: arena-backed batch expansion behind the
@@ -710,7 +697,7 @@ class BranchAndBound:
             driver = None
             if params.engine == "object":
                 engine_fallback = _object_refusal(
-                    self.fused, user_sink, profiler, prepared, params
+                    self.fused, hot_sink, profiler, prepared, params
                 )
             elif expander is None:
                 engine_fallback = (
@@ -721,7 +708,7 @@ class BranchAndBound:
             else:
                 engine_fallback = _native_refusal(
                     expander, frontier, problem, rb,
-                    dispatcher=dispatcher, trace=trace, hot_sink=hot_sink,
+                    dispatcher=dispatcher, hot_sink=hot_sink,
                     profiled=lap is not None, early_stop=early_stop,
                 )
                 if engine_fallback is None:
@@ -783,8 +770,6 @@ class BranchAndBound:
                 # One incumbent improvement, told to everyone listening.
                 if channel is not None:
                     channel.publish(incumbent_cost)
-                if trace is not None:
-                    trace.on_incumbent(stats.generated, incumbent_cost)
                 if sink is not None and sink.accepts("incumbent"):
                     sink.emit(
                         "incumbent",
@@ -838,16 +823,11 @@ class BranchAndBound:
                 live=live,
                 progress=progress,
                 metrics=metrics,
-                sample_metrics=driver is not None,
                 sink=sink,
                 stop_on_bound=stop_on_bound,
                 dominance=dominance,
             )
             check_at = boundary.check_at
-            # The Python loop observes these at every explored vertex.
-            m_active, h_active, h_gap = (
-                boundary.m_active, boundary.h_active, boundary.h_gap
-            )
 
             if lap is not None:
                 lap("setup")
@@ -965,17 +945,8 @@ class BranchAndBound:
                     if lap is not None:
                         lap("select")
 
-                    if telem:
-                        active_size = len(frontier)
-                        if trace is not None:
-                            trace.on_explore(
-                                stats.explored,
-                                stats.generated,
-                                vertex.level,
-                                vertex.lower_bound,
-                                active_size,
-                            )
-                        if hot_sink is not None and hot_sink.accepts("explore"):
+                    if hot_sink is not None:
+                        if hot_sink.accepts("explore"):
                             hot_sink.emit(
                                 "explore",
                                 {
@@ -983,16 +954,9 @@ class BranchAndBound:
                                     "generated": stats.generated,
                                     "level": vertex.level,
                                     "lb": vertex.lower_bound,
-                                    "active": active_size,
+                                    "active": len(frontier),
                                 },
                             )
-                        if metrics is not None:
-                            m_active.set(active_size)
-                            h_active.observe(active_size)
-                            if not math.isinf(incumbent_cost):
-                                h_gap.observe(
-                                    incumbent_cost - vertex.lower_bound
-                                )
                         if lap is not None:
                             lap("telemetry")
 

@@ -163,7 +163,6 @@ class ParallelBnB:
         *,
         workers: int | None = None,
         split_depth: int = 2,
-        fused: bool | None = None,
         obs: Observability | None = None,
         max_shard_attempts: int = 3,
         retry_backoff: float = 0.05,
@@ -191,7 +190,6 @@ class ParallelBnB:
         self.params = params or BnBParameters()
         self.workers = workers if workers is not None else default_worker_count()
         self.split_depth = split_depth
-        self.fused = fused
         self.obs = obs
         self.max_shard_attempts = max_shard_attempts
         self.retry_backoff = retry_backoff
@@ -209,7 +207,6 @@ class ParallelBnB:
             self.params,
             local_workers=self.workers,
             split_depth=self.split_depth,
-            fused=self.fused,
             lease=self.heartbeat_timeout,
             prefetch=1,  # one shard per worker, as shards are accounted
             max_shard_attempts=self.max_shard_attempts,

@@ -8,6 +8,7 @@ Presets reproduce every configuration the evaluation section uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from ..errors import ConfigurationError
@@ -80,9 +81,10 @@ class BnBParameters:
     engine: str = "object"
 
     def __post_init__(self) -> None:
-        if self.inaccuracy < 0:
+        if not (math.isfinite(self.inaccuracy) and self.inaccuracy >= 0):
             raise ConfigurationError(
-                f"inaccuracy limit BR must be >= 0, got {self.inaccuracy}"
+                f"inaccuracy limit BR must be finite and >= 0, "
+                f"got {self.inaccuracy}"
             )
         if self.child_order not in CHILD_ORDERS:
             raise ConfigurationError(

@@ -1,45 +1,31 @@
-"""Search tracing: per-event logs and anytime convergence profiles.
+"""Anytime convergence profiles: the incumbent series of one solve.
 
-A :class:`TraceRecorder` can be attached to :class:`~repro.core.engine.BranchAndBound`
-to record what the search did, turn by turn:
-
-* one :class:`ExploreEvent` per branched vertex (level, bound, active-set
-  size at selection time);
-* one :class:`IncumbentEvent` per incumbent improvement (cost and the
-  generated-vertex count at which it happened).
+A :class:`TraceRecorder` is an event sink (attach it via
+``Observability(sink=TraceRecorder())``) that keeps the two things the
+anytime analysis needs: the initial bound from the ``start`` event and
+one :class:`IncumbentEvent` per ``incumbent`` event (cost and the
+generated-vertex count at which it happened).
 
 The incumbent series is the search's *anytime profile* — how quickly the
 B&B converges toward the optimum — which is what distinguishes LIFO's
 dive-then-prune behaviour from LLB's breadth-first wade even when both
 eventually explore similar vertex counts.
 
-Recording costs one append per explored vertex; leave the recorder off
-(the default) for benchmark runs.  The recorder keeps events in memory
-(bounded by ``max_explore_events``); for long solves prefer streaming
-events to disk with a :class:`repro.obs.JsonlSink` attached via
-:class:`repro.obs.Observability`, which samples and buffers instead of
-accumulating.
+The recorder rejects every per-vertex kind statically, so attaching it
+keeps the fused and native tiers.  For a per-vertex explore log, stream
+events with :class:`repro.obs.JsonlSink` and read them back with
+``repro report``.
 """
 
 from __future__ import annotations
 
-import io
+import math
 from dataclasses import dataclass
+from typing import Any
 
-__all__ = ["ExploreEvent", "IncumbentEvent", "TraceRecorder"]
+from ..obs.events import SAMPLED_KINDS, BaseSink
 
-
-@dataclass(frozen=True, slots=True)
-class ExploreEvent:
-    """One vertex selected and branched."""
-
-    #: Running count of explored vertices (1-based).
-    step: int
-    #: Generated-vertex count when this vertex was selected.
-    generated: int
-    level: int
-    lower_bound: float
-    active_size: int
+__all__ = ["IncumbentEvent", "TraceRecorder"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,41 +37,29 @@ class IncumbentEvent:
     cost: float
 
 
-class TraceRecorder:
-    """Collects search events; attach via ``BranchAndBound(params, trace=...)``.
+class TraceRecorder(BaseSink):
+    """Records the initial bound and every incumbent improvement."""
 
-    ``max_explore_events`` bounds the explore log (the incumbent log is
-    always complete — it is tiny); after the cap only incumbent events
-    are recorded, so long searches stay traceable without unbounded
-    memory.
-    """
+    #: No per-event state backs the rejection, so the engine never
+    #: offers this sink explore/prune/goal events.
+    rejects_sampled_kinds = True
 
-    def __init__(self, max_explore_events: int = 1_000_000) -> None:
-        self.max_explore_events = max_explore_events
-        self.explored: list[ExploreEvent] = []
+    def __init__(self) -> None:
         self.incumbents: list[IncumbentEvent] = []
         self.initial_bound: float | None = None
 
-    # -- hooks called by the engine -------------------------------------
+    def accepts(self, kind: str) -> bool:
+        return kind not in SAMPLED_KINDS
 
-    def on_start(self, initial_bound: float) -> None:
-        self.initial_bound = initial_bound
-
-    def on_explore(
-        self,
-        step: int,
-        generated: int,
-        level: int,
-        lower_bound: float,
-        active_size: int,
-    ) -> None:
-        if len(self.explored) < self.max_explore_events:
-            self.explored.append(
-                ExploreEvent(step, generated, level, lower_bound, active_size)
+    def emit(self, kind: str, payload: dict[str, Any]) -> None:
+        if kind == "incumbent":
+            self.incumbents.append(
+                IncumbentEvent(payload["generated"], payload["cost"])
             )
-
-    def on_incumbent(self, generated: int, cost: float) -> None:
-        self.incumbents.append(IncumbentEvent(generated, cost))
+        elif kind == "start":
+            # Events carry None for an infinite bound (JSON has no inf).
+            bound = payload["initial_bound"]
+            self.initial_bound = math.inf if bound is None else bound
 
     # -- analysis --------------------------------------------------------
 
@@ -99,55 +73,10 @@ class TraceRecorder:
 
     def cost_at(self, generated: int) -> float:
         """Best incumbent cost once `generated` vertices had been created."""
-        best = float("inf") if self.initial_bound is None else self.initial_bound
+        best = math.inf if self.initial_bound is None else self.initial_bound
         for e in self.incumbents:
             if e.generated <= generated:
                 best = e.cost
             else:
                 break
         return best
-
-    def max_level_reached(self) -> int:
-        return max((e.level for e in self.explored), default=0)
-
-    def mean_active_size(self) -> float:
-        if not self.explored:
-            return 0.0
-        return sum(e.active_size for e in self.explored) / len(self.explored)
-
-    def write_csv(self, path_or_file) -> int:
-        """Stream the explore log as CSV to a path or open text file.
-
-        Writes row by row, so a million-event trace never materializes a
-        second copy of itself in memory (unlike :meth:`to_csv`).  Returns
-        the number of data rows written.
-        """
-        if hasattr(path_or_file, "write"):
-            return self._write_csv(path_or_file)
-        with open(path_or_file, "w") as fh:
-            return self._write_csv(fh)
-
-    def _write_csv(self, fh) -> int:
-        fh.write("step,generated,level,lower_bound,active_size\n")
-        for e in self.explored:
-            fh.write(
-                f"{e.step},{e.generated},{e.level},{e.lower_bound},"
-                f"{e.active_size}\n"
-            )
-        return len(self.explored)
-
-    def to_csv(self) -> str:
-        """Explore log as one CSV string (small traces; prefer
-        :meth:`write_csv` for anything large)."""
-        out = io.StringIO()
-        self._write_csv(out)
-        return out.getvalue()
-
-    def __len__(self) -> int:
-        return len(self.explored)
-
-    def __repr__(self) -> str:
-        return (
-            f"TraceRecorder(explored={len(self.explored)}, "
-            f"incumbents={len(self.incumbents)})"
-        )

@@ -8,8 +8,9 @@ schedule after ~n expansions and keeps improving it, while best-first
 must expand the whole shallow low-bound frontier before producing any
 schedule at all.
 
-This experiment runs both selection rules with ``U = none`` under a
-:class:`~repro.core.trace.TraceRecorder` and reports, per system size:
+This experiment runs both selection rules with ``U = none`` with a
+:class:`~repro.core.trace.TraceRecorder` as the event sink and reports,
+per system size:
 
 * vertices generated until the *first* incumbent;
 * vertices generated until the incumbent is within 5% of the optimum;
@@ -31,6 +32,7 @@ from ..core.trace import TraceRecorder
 from ..core.upper import NoUpperBound
 from ..model.compile import compile_problem
 from ..model.platform import shared_bus_platform
+from ..obs import Observability
 from ..workload.generator import generate_task_graph
 from ..workload.suites import spec_for_profile
 from .runner import ExperimentOutput, default_resources
@@ -79,8 +81,10 @@ def anytime_convergence(
             graph = generate_task_graph(spec, seed=base_seed + k)
             problem = compile_problem(graph, platform)
             for label, params in strategies.items():
-                trace = TraceRecorder(max_explore_events=0)
-                result = BranchAndBound(params, trace=trace).solve(problem)
+                trace = TraceRecorder()
+                result = BranchAndBound(
+                    params, obs=Observability(sink=trace)
+                ).solve(problem)
                 if not result.found_solution:
                     # A capped best-first run may terminate before any
                     # goal vertex exists; it contributes nothing (counted

@@ -2,13 +2,15 @@
 
 The engine narrates a solve as a stream of typed events — ``start``,
 ``explore``, ``incumbent``, ``goal``, ``prune``, ``resource`` and a
-final ``summary`` — each a flat JSON-serializable mapping.  Anything implementing the :class:`EventSink` protocol can
-receive them; the stock sinks are
+final ``summary`` — each a flat JSON-serializable mapping.  The event
+sink is the engine's only per-vertex observer: anything implementing
+the :class:`EventSink` protocol can receive the stream; the stock sinks
+are
 
 * :class:`JsonlSink` — buffered JSON-lines writer for on-disk traces of
   arbitrarily long runs (bounded overhead via an event sampling rate and
-  a buffer flush size), the replacement for
-  :class:`~repro.core.trace.TraceRecorder`'s grow-only in-memory lists;
+  a buffer flush size); with ``sample_every=1`` it is the search's
+  explore log, one ``explore`` event per explored vertex;
 * :class:`MemorySink` — keeps events in a list (tests, notebooks);
 * :class:`CallbackSink` — forwards every event to a callable;
 * :class:`MultiSink` — fans one stream out to several sinks.
@@ -19,6 +21,12 @@ builds the payload dict, so a sink recording every 1000th explore event
 costs 999 cheap counter bumps and one dict per thousand vertices.
 Low-frequency kinds (start, incumbent, resource, summary) are always
 delivered — they are the events analyses cannot afford to lose.
+
+A sink whose class sets ``rejects_sampled_kinds = True`` promises that
+:meth:`EventSink.accepts` is false for every sampled kind regardless of
+state (:class:`~repro.core.trace.TraceRecorder`, the live monitor's
+sink).  The engine then never offers it per-vertex events and keeps
+its fast tiers: the fused expander and the native driver.
 """
 
 from __future__ import annotations

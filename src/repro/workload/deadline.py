@@ -29,9 +29,10 @@ experiments can report the realized laxity).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ..errors import DeadlineAssignmentError
+from ..errors import ConfigurationError, DeadlineAssignmentError
 from ..model.taskgraph import TaskGraph
 
 __all__ = ["DeadlineAssignment", "end_to_end_deadline", "assign_deadlines"]
@@ -66,6 +67,10 @@ def end_to_end_deadline(
     ``mode="critical-path"``: laxity ratio times the heaviest
     input-to-output path.
     """
+    if not math.isfinite(laxity_ratio):
+        raise ConfigurationError(
+            f"laxity ratio must be finite, got {laxity_ratio}"
+        )
     if laxity_ratio <= 0:
         raise DeadlineAssignmentError(
             f"laxity ratio must be positive, got {laxity_ratio}"

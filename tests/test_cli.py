@@ -111,6 +111,22 @@ class TestSolve:
         assert exc.value.code == 2
         assert "--checkpoint-seconds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_br_must_be_finite(self, graph_file, value, capsys):
+        assert main(["solve", graph_file, "--br", value]) == 2
+        assert "BR must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_laxity_must_be_finite(self, tmp_path, value, capsys):
+        stg_path = str(tmp_path / "g.stg")
+        main(["generate", "--profile", "tiny", "--seed", "2", "-o", stg_path])
+        assert main(["solve", stg_path, "--laxity", value]) == 2
+        assert "laxity ratio must be finite" in capsys.readouterr().err
+
+    def test_trace_csv_is_gone(self, graph_file, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["solve", graph_file, "--trace-csv", str(tmp_path / "t.csv")])
+
     def test_parallel_mode_deterministic_is_gone(self, graph_file):
         with pytest.raises(SystemExit):
             main([
@@ -163,15 +179,6 @@ class TestNewFeatures:
         out = capsys.readouterr().out
         assert "p0 |" in out  # gantt chart row
         assert "bus[fcfs]" in out
-
-    def test_solve_trace_csv(self, graph_file, tmp_path, capsys):
-        csv_path = tmp_path / "trace.csv"
-        assert main([
-            "solve", graph_file, "-m", "2", "--trace-csv", str(csv_path),
-        ]) == 0
-        lines = csv_path.read_text().splitlines()
-        assert lines[0].startswith("step,generated")
-        assert len(lines) >= 1
 
     def test_convert_json_to_stg_and_back(self, graph_file, tmp_path, capsys):
         stg_path = tmp_path / "g.stg"

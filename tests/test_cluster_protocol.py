@@ -26,7 +26,7 @@ class TestFrames:
         h = protocol.hello("w0")
         assert protocol.frame_type(h) == "hello"
         assert protocol.check_hello(h) == "w0"
-        w = protocol.welcome("abc123", "problem", "params", 5.0, None)
+        w = protocol.welcome("abc123", "problem", "params", 5.0)
         assert protocol.frame_type(w) == "welcome"
         assert w["proto"] == protocol.PROTOCOL_VERSION
         assert w["lease"] == 5.0

@@ -224,6 +224,11 @@ class TestParams:
         with pytest.raises(ConfigurationError):
             BnBParameters(inaccuracy=-0.1)
 
+    @pytest.mark.parametrize("br", [math.nan, math.inf, -math.inf])
+    def test_non_finite_br_rejected(self, br):
+        with pytest.raises(ConfigurationError, match="finite"):
+            BnBParameters(inaccuracy=br)
+
     def test_bad_child_order_rejected(self):
         with pytest.raises(ConfigurationError):
             BnBParameters(child_order="bogus")

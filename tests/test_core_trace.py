@@ -1,4 +1,6 @@
-"""Unit tests for repro.core.trace and the engine tracing hooks."""
+"""Unit tests for repro.core.trace and the engine's event stream."""
+
+import math
 
 import pytest
 
@@ -8,8 +10,10 @@ from repro.core import (
     LLBSelection,
     NoUpperBound,
     TraceRecorder,
+    _native,
 )
 from repro.model import compile_problem, shared_bus_platform
+from repro.obs import MemorySink, MultiSink, Observability
 from repro.workload import generate_task_graph, scaled_spec
 
 from conftest import make_diamond
@@ -23,59 +27,94 @@ def hard_problem():
     )
 
 
+def _traced(problem, params=None, *, sink=None, fused=None):
+    """Solve with a TraceRecorder (plus ``sink``, if given) attached."""
+    trace = TraceRecorder()
+    attached = trace if sink is None else MultiSink(sink, trace)
+    res = BranchAndBound(
+        params or BnBParameters(), obs=Observability(sink=attached),
+        fused=fused,
+    ).solve(problem)
+    return res, trace
+
+
 class TestRecorderMechanics:
     def test_events_recorded(self, hard_problem):
-        trace = TraceRecorder()
-        res = BranchAndBound(BnBParameters(), trace=trace).solve(hard_problem)
-        assert len(trace) == res.stats.explored
+        sink = MemorySink()
+        res, trace = _traced(hard_problem, sink=sink)
+        assert len(sink.of_kind("explore")) == res.stats.explored
         assert len(trace.incumbents) == res.stats.incumbent_updates
+        assert len(sink.of_kind("incumbent")) == res.stats.incumbent_updates
         assert trace.initial_bound == pytest.approx(res.initial_upper_bound)
 
     def test_explore_events_monotone_steps(self, hard_problem):
-        trace = TraceRecorder()
-        BranchAndBound(BnBParameters(), trace=trace).solve(hard_problem)
-        steps = [e.step for e in trace.explored]
+        sink = MemorySink()
+        _traced(hard_problem, sink=sink)
+        explores = sink.of_kind("explore")
+        steps = [e["step"] for e in explores]
         assert steps == sorted(steps)
-        gens = [e.generated for e in trace.explored]
+        gens = [e["generated"] for e in explores]
         assert all(b >= a for a, b in zip(gens, gens[1:]))
 
     def test_incumbent_costs_strictly_improve(self, hard_problem):
-        trace = TraceRecorder()
-        BranchAndBound(BnBParameters(), trace=trace).solve(hard_problem)
+        _, trace = _traced(hard_problem)
         costs = [e.cost for e in trace.incumbents]
         assert costs == sorted(costs, reverse=True)
         assert len(set(costs)) == len(costs)
 
     def test_final_incumbent_matches_result(self, hard_problem):
-        trace = TraceRecorder()
-        res = BranchAndBound(BnBParameters(), trace=trace).solve(hard_problem)
+        res, trace = _traced(hard_problem)
         if trace.incumbents:
             assert trace.incumbents[-1].cost == pytest.approx(res.best_cost)
 
     def test_explore_cap_bounds_memory(self, hard_problem):
-        trace = TraceRecorder(max_explore_events=10)
-        res = BranchAndBound(BnBParameters(), trace=trace).solve(hard_problem)
-        assert len(trace.explored) == 10
-        # Incumbent log stays complete past the cap.
+        # A sampling sink bounds the explore log; incumbent events are
+        # never sampled, so the anytime series stays complete.
+        sink = MemorySink(sample_every=10)
+        res, trace = _traced(hard_problem, sink=sink)
+        assert len(sink.of_kind("explore")) == math.ceil(
+            res.stats.explored / 10
+        )
         assert len(trace.incumbents) == res.stats.incumbent_updates
 
     def test_no_trace_is_default(self, hard_problem):
         solver = BranchAndBound(BnBParameters())
-        assert solver.trace is None
-        solver.solve(hard_problem)  # runs fine without recording
+        assert solver.obs is None
+        res = solver.solve(hard_problem)  # runs fine without recording
+        assert res.stats.engine_path == "fused"
+
+
+class TestTierParity:
+    def test_incumbent_series_equal_on_every_tier(self, hard_problem):
+        # An incumbent-only recorder keeps the fused and native tiers.
+        params = BnBParameters(upper_bound=NoUpperBound())
+        runs = {
+            "reference": _traced(hard_problem, params, fused=False),
+            "fused": _traced(hard_problem, params),
+        }
+        if _native.native_available():
+            runs["native"] = _traced(
+                hard_problem, params.evolve(engine="array")
+            )
+        series = {}
+        for path, (res, trace) in runs.items():
+            assert res.stats.engine_path == path
+            assert trace.initial_bound == math.inf
+            assert trace.incumbents
+            series[path] = [(e.generated, e.cost) for e in trace.incumbents]
+        for path in runs:
+            assert series[path] == series["reference"]
 
 
 class TestAnytimeProfile:
     def test_profile_starts_at_initial_bound(self, hard_problem):
-        trace = TraceRecorder()
-        res = BranchAndBound(BnBParameters(), trace=trace).solve(hard_problem)
+        res, trace = _traced(hard_problem)
         profile = trace.anytime_profile()
         assert profile[0] == (0, res.initial_upper_bound)
         assert profile[-1][1] == pytest.approx(res.best_cost)
 
     def test_cost_at_interpolates(self, hard_problem):
-        trace = TraceRecorder()
-        res = BranchAndBound(BnBParameters(), trace=trace).solve(hard_problem)
+        res, trace = _traced(hard_problem)
         assert trace.cost_at(0) == pytest.approx(res.initial_upper_bound)
         assert trace.cost_at(10**9) == pytest.approx(res.best_cost)
 
@@ -85,8 +124,7 @@ class TestAnytimeProfile:
         vertices than best-first (which must wade through the shallow
         frontier before reaching any goal)."""
         def first_incumbent(params):
-            trace = TraceRecorder()
-            BranchAndBound(params, trace=trace).solve(hard_problem)
+            _, trace = _traced(hard_problem, params)
             assert trace.incumbents
             return trace.incumbents[0].generated
 
@@ -97,20 +135,21 @@ class TestAnytimeProfile:
         assert lifo < llb
 
     def test_max_level_and_mean_active(self, hard_problem):
-        trace = TraceRecorder()
-        BranchAndBound(BnBParameters(), trace=trace).solve(hard_problem)
-        assert 0 < trace.max_level_reached() < hard_problem.n
-        assert trace.mean_active_size() >= 0.0
+        sink = MemorySink()
+        _traced(hard_problem, sink=sink)
+        explores = sink.of_kind("explore")
+        assert 0 < max(e["level"] for e in explores) < hard_problem.n
+        assert sum(e["active"] for e in explores) / len(explores) >= 0.0
 
 
-class TestCsv:
-    def test_csv_round_shape(self):
+class TestExplorePayload:
+    def test_explore_payload_shape(self):
         prob = compile_problem(make_diamond(), shared_bus_platform(2))
-        trace = TraceRecorder()
-        BranchAndBound(BnBParameters(), trace=trace).solve(prob)
-        csv = trace.to_csv()
-        lines = csv.strip().splitlines()
-        assert lines[0] == "step,generated,level,lower_bound,active_size"
-        assert len(lines) == len(trace.explored) + 1
-        if len(lines) > 1:
-            assert lines[1].count(",") == 4
+        sink = MemorySink()
+        res = BranchAndBound(
+            BnBParameters(), obs=Observability(sink=sink)
+        ).solve(prob)
+        explores = sink.of_kind("explore")
+        assert len(explores) == res.stats.explored
+        for event in explores:
+            assert set(event) == {"step", "generated", "level", "lb", "active"}

@@ -3,16 +3,15 @@
 Covers the 50-task traced solve (parseable JSONL, phase breakdown
 covering >= 90% of wall clock, metrics snapshot), the ``repro report``
 subcommand, the new solve flags, and the satellite fixes (clock stopped
-in ``finally``, streaming CSV).
+in ``finally``).
 """
 
-import io
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.core import BnBParameters, BranchAndBound, TraceRecorder
+from repro.core import BnBParameters, BranchAndBound
 from repro.core.resources import ResourceBounds
 from repro.errors import ResourceLimitExceeded
 from repro.io import save_graph
@@ -147,13 +146,6 @@ class TestSolveFlags:
             metrics.read_text()
         )
 
-    def test_trace_csv_streams(self, graph_file, tmp_path):
-        csv = tmp_path / "t.csv"
-        assert main(["solve", graph_file, "--trace-csv", str(csv)]) == 0
-        lines = csv.read_text().splitlines()
-        assert lines[0] == "step,generated,level,lower_bound,active_size"
-        assert len(lines) > 1
-
 
 class TestSatelliteFixes:
     def test_clock_stopped_on_resource_exception(self):
@@ -202,21 +194,6 @@ class TestSatelliteFixes:
         res = BranchAndBound(BnBParameters()).solve(prob)
         assert res.stats is not None
         assert res.stats.generated >= 1
-
-    def test_write_csv_matches_to_csv(self, tmp_path):
-        prob = compile_problem(
-            generate_task_graph(tiny_spec(), seed=0), shared_bus_platform(2)
-        )
-        trace = TraceRecorder()
-        BranchAndBound(BnBParameters(), trace=trace).solve(prob)
-        path = tmp_path / "t.csv"
-        rows = trace.write_csv(str(path))
-        assert rows == len(trace.explored)
-        assert path.read_text() == trace.to_csv()
-        # File-object variant streams to any writable.
-        buf = io.StringIO()
-        trace.write_csv(buf)
-        assert buf.getvalue() == trace.to_csv()
 
 
 class TestExperimentMetrics:

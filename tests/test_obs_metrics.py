@@ -126,33 +126,20 @@ class TestEngineMetrics:
             stats.elapsed
         )
 
-    def test_histograms_observe_every_explore(self, hard_problem):
+    @pytest.mark.parametrize("engine", ["object", "array"])
+    def test_histograms_sampled_per_boundary(self, hard_problem, engine):
+        # Both tiers sample the active-set gauge and the histograms once
+        # per boundary, never per explored vertex; EDF's finite incumbent
+        # means the gap histogram is sampled at every boundary too.
         reg = MetricsRegistry()
         res = BranchAndBound(
-            BnBParameters(), obs=Observability(metrics=reg)
+            BnBParameters(engine=engine), obs=Observability(metrics=reg)
         ).solve(hard_problem)
-        h = reg["bnb_active_set_size_distribution"]
-        assert h.count == res.stats.explored
-        gap = reg["bnb_lower_bound_gap"]
-        # EDF provides a finite incumbent from the start, so the gap
-        # histogram sees every explored vertex too.
-        assert gap.count == res.stats.explored
-        assert not math.isnan(gap.mean)
-
-    def test_histograms_sampled_per_boundary_on_native(self, hard_problem):
-        from repro.core import _native
-
-        if not _native.native_available():
-            pytest.skip("native kernel unavailable")
-        reg = MetricsRegistry()
-        res = BranchAndBound(
-            BnBParameters(engine="array"), obs=Observability(metrics=reg)
-        ).solve(hard_problem)
-        assert res.stats.engine_path == "native"
         for name in (
             "bnb_active_set_size_distribution", "bnb_lower_bound_gap"
         ):
             assert 1 <= reg[name].count <= res.stats.explored
+        assert not math.isnan(reg["bnb_lower_bound_gap"].mean)
 
     def test_counters_accumulate_across_solves(self, hard_problem):
         reg = MetricsRegistry()

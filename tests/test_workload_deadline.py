@@ -1,8 +1,10 @@
 """Unit tests for repro.workload.deadline (the slicing pass)."""
 
+import math
+
 import pytest
 
-from repro.errors import DeadlineAssignmentError
+from repro.errors import ConfigurationError, DeadlineAssignmentError
 from repro.model import TaskGraph
 from repro.workload import (
     assign_deadlines,
@@ -33,6 +35,11 @@ class TestEndToEndDeadline:
     def test_bad_laxity_rejected(self, diamond):
         with pytest.raises(DeadlineAssignmentError, match="laxity"):
             end_to_end_deadline(diamond, 0.0)
+
+    @pytest.mark.parametrize("laxity", [math.nan, math.inf, -math.inf])
+    def test_non_finite_laxity_rejected(self, diamond, laxity):
+        with pytest.raises(ConfigurationError, match="finite"):
+            assign_deadlines(diamond, laxity_ratio=laxity)
 
 
 class TestSlicing:
