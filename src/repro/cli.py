@@ -44,12 +44,8 @@ from .core.checkpoint import (
     load_checkpoint,
 )
 from .core.engine import BranchAndBound, SolveStatus
-from .core.stats import describe_engine
-from .core.transposition import (
-    TT_POLICIES,
-    TranspositionDominance,
-    find_transposition,
-)
+from .core.stats import SearchStats, describe_engine
+from .core.transposition import TranspositionDominance, find_transposition
 from .core.params import ENGINES, BnBParameters
 from .core.resources import ResourceBounds
 from .core.selection import SELECTION_RULES
@@ -176,11 +172,6 @@ def _search_flags() -> argparse.ArgumentParser:
     p.add_argument(
         "--tt-bytes", type=_positive_int, default=16 << 20, metavar="BYTES",
         help="transposition-table memory budget in bytes (default 16 MiB)",
-    )
-    p.add_argument(
-        "--tt-policy", choices=TT_POLICIES, default="depth",
-        help="replacement policy once the table fills (default depth: "
-        "keep shallow entries, whose subtrees are largest)",
     )
     p.add_argument(
         "--engine", choices=ENGINES, default="object",
@@ -497,21 +488,19 @@ def _build_dominance(args) -> DominanceRule | None:
         )
     if not use_tt:
         return base
-    tt = TranspositionDominance(
-        table_bytes=args.tt_bytes, policy=args.tt_policy
-    )
+    tt = TranspositionDominance(table_bytes=args.tt_bytes)
     return tt if base is None else ChainedDominance(tt, base)
 
 
-def _tt_summary(tel: dict) -> str:
+def _tt_summary(stats: SearchStats) -> str:
     return (
-        f"transposition: duplicates={tel.get('duplicate_pruned', 0)} "
-        f"hits={tel.get('tt_hits', 0)} misses={tel.get('tt_misses', 0)} "
-        f"inserts={tel.get('tt_inserts', 0)} "
-        f"evictions={tel.get('tt_evictions', 0)} "
-        f"rejects={tel.get('tt_rejects', 0)} "
-        f"collisions={tel.get('tt_collisions', 0)} "
-        f"filled={tel.get('tt_filled', 0)}/{tel.get('tt_capacity', 0)}"
+        f"transposition: duplicates={stats.pruned_duplicate} "
+        f"hits={stats.tt_hits} misses={stats.tt_misses} "
+        f"inserts={stats.tt_inserts} "
+        f"evictions={stats.tt_evictions} "
+        f"rejects={stats.tt_rejects} "
+        f"collisions={stats.tt_collisions} "
+        f"filled={stats.tt_filled}/{stats.tt_capacity}"
     )
 
 
@@ -683,8 +672,8 @@ def _cmd_solve(args) -> int:
     if parallel is not None and parallel.last_report is not None:
         rep = parallel.last_report
         print(
-            f"parallel: mode=throughput workers={rep.workers} "
-            f"split-depth={rep.split_depth} shards={rep.shards} "
+            f"parallel: mode=throughput workers={parallel.workers} "
+            f"split-depth={parallel.split_depth} shards={rep.shards} "
             f"stale={rep.shards_stale}"
         )
         if rep.worker_restarts or rep.shard_retries or rep.quarantined:
@@ -707,14 +696,8 @@ def _cmd_solve(args) -> int:
             )
         if rep.resumed:
             print("resumed cluster solve from checkpoint")
-    tt_rule = find_transposition(params.dominance)
-    if tt_rule is not None:
-        if parallel is not None and parallel.last_report is not None:
-            tt_tel = parallel.last_report.tt_stats
-        else:
-            tt_tel = tt_rule.telemetry_total()
-        if tt_tel:
-            print(_tt_summary(tt_tel))
+    if find_transposition(params.dominance) is not None:
+        print(_tt_summary(result.stats))
     print(result.summary())
     print(
         "engine: "

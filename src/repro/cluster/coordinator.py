@@ -92,9 +92,6 @@ class ClusterReport:
     checkpoint_writes: int
     #: Local worker processes respawned after their member was dropped.
     worker_restarts: int = 0
-    #: Transposition telemetry summed over the coordinator and every
-    #: worker's ``bye`` (None without a transposition rule).
-    tt_stats: dict | None = None
 
     def summary(self) -> str:
         extra = ""
@@ -128,7 +125,6 @@ class _Loop:
         self.quarantined: list[int] = []
         self.handshakes: list[tuple] = []  # (conn, deadline)
         self.worker_restarts = 0
-        self.worker_tt: list[dict] = []  # telemetry from bye frames
 
 
 class ClusterCoordinator:
@@ -191,8 +187,8 @@ class ClusterCoordinator:
         self.obs = obs
         self.stop = stop
         self.local_workers = local_workers
-        #: Test-only :class:`~repro.core.parallel.FaultPlan` handed to
-        #: spawned local workers.
+        #: Test-only fault plan (an object with ``match(shard, attempt)``)
+        #: handed to spawned local workers.
         self.fault_plan = None
         self.last_report: ClusterReport | None = None
         #: The actual listen address (useful with port 0); set by
@@ -226,11 +222,10 @@ class ClusterCoordinator:
             shared_tt = SharedTranspositionTable.create(
                 tt_rule.table_bytes,
                 PayloadCodec.for_problem(problem),
-                tt_rule.policy,
             )
             tt_rule.bind_shared(shared_tt)
         try:
-            return self._solve(problem, tt_rule, shared_tt, deadline)
+            return self._solve(problem, shared_tt, deadline)
         finally:
             # Also closes a listener bind_now() opened for a solve the
             # shallow pass finished: a waiting worker sees EOF at once.
@@ -241,10 +236,9 @@ class ClusterCoordinator:
                 tt_rule.bind_shared(None)
                 shared_tt.close()
 
-    def _solve(self, problem, tt_rule, shared_tt, deadline) -> BnBResult:
+    def _solve(self, problem, shared_tt, deadline) -> BnBResult:
         t0 = time.perf_counter()
         params = self.params
-        tt_mark = tt_rule.spawn_mark() if tt_rule is not None else 0
         fingerprint = problem_fingerprint(problem, params)
         merged = SearchStats()
         shallow_engine = ("", None)
@@ -284,12 +278,7 @@ class ClusterCoordinator:
                 or shallow.stats.time_limit_hit
             ):
                 self.last_report = ClusterReport(
-                    0, 0, 0, 0, 0, len(shards), 0, 0, (), False, 0,
-                    tt_stats=(
-                        tt_rule.telemetry_total(tt_mark)
-                        if tt_rule is not None
-                        else None
-                    ),
+                    0, 0, 0, 0, 0, len(shards), 0, 0, (), False, 0
                 )
                 return shallow
             best_cost = shallow.best_cost
@@ -341,17 +330,6 @@ class ClusterCoordinator:
 
         found = best_proc is not None
         status = BranchAndBound._status(params, merged, loop.target, found)
-        tt_stats = None
-        if tt_rule is not None:
-            tt_stats = tt_rule.telemetry_total(tt_mark)
-            for worker_tt in loop.worker_tt:
-                for k, v in worker_tt.items():
-                    # Every hit/miss/insert/fill happens in exactly one
-                    # process, so process-local counts sum to the total.
-                    if k == "tt_capacity":
-                        tt_stats[k] = v
-                    else:
-                        tt_stats[k] = tt_stats.get(k, 0) + v
         monitor = self.obs.live if self.obs is not None else None
         if monitor is not None:
             monitor.bus.update(
@@ -382,7 +360,6 @@ class ClusterCoordinator:
                 self.checkpoint.writes if self.checkpoint is not None else 0
             ),
             worker_restarts=loop.worker_restarts,
-            tt_stats=tt_stats,
         )
         return BnBResult(
             problem=problem,
@@ -1012,8 +989,6 @@ class ClusterCoordinator:
                             # counters and schedule.
                             handle_frame(member, frame)
                         elif kind == "bye":
-                            if frame.get("tt"):
-                                loop.worker_tt.append(frame["tt"])
                             break
                 except (TransportClosed, ClusterError):
                     pass

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 MAGIC = "repro-cluster"
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 
 def frame_type(frame) -> str:
@@ -171,6 +171,5 @@ def stop_frame() -> dict:
     return {"t": "stop"}
 
 
-def bye(tt: dict | None = None) -> dict:
-    """``tt`` is the worker's transposition-table telemetry, if any."""
-    return {"t": "bye", "tt": tt}
+def bye() -> dict:
+    return {"t": "bye"}

@@ -22,13 +22,14 @@ incumbent improvements back to the coordinator best-effort.  A worker
 that hangs stops doing all three, which is exactly what lease expiry
 is for.
 
-Fault injection (:class:`~repro.core.parallel.FaultPlan`) is honoured
-in-process: ``crash`` and ``crash-mid`` tear the connection down
-abruptly, ``hang`` sleeps past the lease without heartbeats and then
-*finishes the shard anyway* — exercising the duplicate-result path
-after the coordinator reassigned it (a local worker is terminated at
-lease expiry instead).  Real deployments crash with signals; no plan
-needed.
+Fault injection (a plan whose ``match(shard, attempt)`` returns None
+or the planted fault, with its ``kind``, ``hang_seconds`` and
+``after_polls``) is honoured in-process: ``crash`` and ``crash-mid``
+tear the connection down abruptly, ``hang`` sleeps past the lease
+without heartbeats and then *finishes the shard anyway* — exercising
+the duplicate-result path after the coordinator reassigned it (a local
+worker is terminated at lease expiry instead).  Real deployments crash
+with signals; no plan needed.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ class ClusterWorker:
                 tt_rule.bind_shared(
                     SharedTranspositionTable.from_handle(shared_tt)
                 )
-            self._serve(problem, params, fingerprint, tt_rule)
+            self._serve(problem, params, fingerprint)
         except (_WorkerDied, TransportClosed):
             pass  # injected death or coordinator gone: just exit
         finally:
@@ -297,7 +298,7 @@ class ClusterWorker:
                 pass
         return self.shards_done
 
-    def _serve(self, problem, params, fingerprint, tt_rule) -> None:
+    def _serve(self, problem, params, fingerprint) -> None:
         elim = params.elimination
         engine = BranchAndBound(params)
         while not self._stop:
@@ -315,11 +316,7 @@ class ClusterWorker:
             ):
                 return  # voluntary mid-solve leave (elasticity tests)
         try:
-            self._conn.send(
-                protocol.bye(
-                    tt_rule.telemetry_total() if tt_rule is not None else None
-                )
-            )
+            self._conn.send(protocol.bye())
         except TransportClosed:
             pass
 

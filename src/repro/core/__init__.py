@@ -51,13 +51,7 @@ from .feasibility import (
     LatenessTargetFilter,
     NoFilter,
 )
-from .parallel import (
-    FaultPlan,
-    ParallelBnB,
-    ParallelReport,
-    ShardFault,
-    default_worker_count,
-)
+from .parallel import ParallelBnB, default_worker_count
 from .params import CHILD_ORDERS, BnBParameters
 from .resources import UNBOUNDED, ResourceBounds, current_rss_bytes
 from .shards import (
@@ -80,7 +74,6 @@ from .state import AOState, SearchState, ao_root_state, root_state
 from .stats import SearchStats
 from .trace import IncumbentEvent, TraceRecorder
 from .transposition import (
-    TT_POLICIES,
     PayloadCodec,
     SharedTranspositionTable,
     TranspositionDominance,
@@ -124,7 +117,6 @@ __all__ = [
     "ELIMINATION_RULES",
     "EliminationRule",
     "FIFOSelection",
-    "FaultPlan",
     "FixedOrderBranching",
     "FrontierCollector",
     "LB0",
@@ -141,7 +133,6 @@ __all__ = [
     "NoFilter",
     "NoUpperBound",
     "ParallelBnB",
-    "ParallelReport",
     "PayloadCodec",
     "ResourceBounds",
     "RetryQueue",
@@ -152,13 +143,11 @@ __all__ = [
     "SelectionRule",
     "SharedTranspositionTable",
     "Shard",
-    "ShardFault",
     "IncumbentEvent",
     "SolveStatus",
     "StateDominance",
     "StopToken",
     "SubtreeSpec",
-    "TT_POLICIES",
     "TraceRecorder",
     "TranspositionDominance",
     "TranspositionTable",

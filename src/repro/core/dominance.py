@@ -279,7 +279,7 @@ class ChainedDominance(DominanceRule):
 
 #: Registry used by the CLI and parameter presets.  Values are rule
 #: *classes*; constructor keywords (``StateDominance(max_front=...)``,
-#: ``TranspositionDominance(table_bytes=..., policy=...)``) are wired
+#: ``TranspositionDominance(table_bytes=...)``) are wired
 #: through by the CLI.  ``repro.core.transposition`` registers its rule
 #: here on import.
 DOMINANCE_RULES: dict[str, type[DominanceRule]] = {

@@ -70,7 +70,7 @@ from .selection import (
     _LIFOFrontier,
     _LLBFrontier,
 )
-from .stats import SearchStats
+from .stats import TT_COUNTERS, SearchStats
 from .vertex import Vertex
 
 if TYPE_CHECKING:
@@ -1287,13 +1287,17 @@ class BranchAndBound:
         # Fold the dominance checker's post-solve telemetry into the
         # run's stats: transposition hits are split out of the dominated
         # count into `pruned_duplicate` so reports break pruning down by
-        # rule (elimination vs dominance vs transposition).
+        # rule (elimination vs dominance vs transposition), and the
+        # table's counters ride the result.
         dom_tel = dominance.telemetry()
         if dom_tel:
             dup = dom_tel.get("duplicate_pruned", 0)
             if dup:
                 stats.pruned_duplicate = dup
                 stats.pruned_dominated -= dup
+            for key in TT_COUNTERS:
+                if key in dom_tel:
+                    setattr(stats, key, dom_tel[key])
 
         if metrics is not None:
             _final_metrics(metrics, stats, incumbent_cost)

@@ -15,9 +15,10 @@ equal-cost schedule wins depends on cross-process timing.  With a
 transposition rule, all shards share one
 :class:`~repro.core.transposition.SharedTranspositionTable`.
 
-Statistics merge by summation (:meth:`SearchStats.absorb`), and the
-compiled problem ships by pickling — it serializes as its source
-(graph, platform) pair and recompiles on the other side.
+Statistics merge by summation (:meth:`SearchStats.absorb`, table
+counters included), and the compiled problem ships by pickling — it
+serializes as its source (graph, platform) pair and recompiles on the
+other side.
 
 Fault tolerance
 ---------------
@@ -27,15 +28,16 @@ link closes or whose lease (``heartbeat_timeout``) expires is killed
 and respawned, its shard is re-queued with exponential backoff and a
 bounded attempt budget, after which it is *quarantined* (the run
 completes, reports the loss, and is marked TRUNCATED — never silently
-wrong).  An injectable :class:`FaultPlan` drives the fault-injection
-test suite (crash a worker on a given shard/attempt, hang it, or kill
-it mid-search).
+wrong).  An injectable fault plan (any object whose ``match(shard,
+attempt)`` names a planted fault or returns None) drives the
+fault-injection test suite: crash a worker on a given shard/attempt,
+hang it, or kill it mid-search.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
 from ..model.compile import CompiledProblem
@@ -43,13 +45,10 @@ from ..obs import Observability
 from .engine import BnBResult
 from .params import BnBParameters
 
-__all__ = [
-    "FaultPlan",
-    "ParallelBnB",
-    "ParallelReport",
-    "ShardFault",
-    "default_worker_count",
-]
+if TYPE_CHECKING:
+    from ..cluster.coordinator import ClusterReport
+
+__all__ = ["ParallelBnB", "default_worker_count"]
 
 
 def default_worker_count() -> int:
@@ -61,88 +60,8 @@ def default_worker_count() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fault injection
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardFault:
-    """One planted failure: fires when ``shard`` runs on ``attempt``.
-
-    ``shard`` is the shard index; ``-1`` matches any shard.  ``attempt``
-    is 1-based, so the default plants the fault on the first try and
-    lets the retry succeed.
-
-    Kinds:
-
-    * ``"crash"`` — the worker dies before touching the shard, as if the
-      OOM killer got it between tasks.
-    * ``"crash-mid"`` — the worker dies *during* the sub-search, at its
-      ``after_polls``-th bound-channel poll (one per chunk boundary):
-      state is torn mid-expansion, the strictest recovery case.
-    * ``"hang"`` — the worker sleeps ``hang_seconds`` without sending a
-      heartbeat; only lease expiry reclaims the shard.
-    """
-
-    kind: str
-    shard: int = -1
-    attempt: int = 1
-    hang_seconds: float = 3600.0
-    after_polls: int = 2
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("crash", "crash-mid", "hang"):
-            raise ConfigurationError(
-                f"unknown fault kind {self.kind!r} "
-                "(expected crash, crash-mid or hang)"
-            )
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """An injectable set of :class:`ShardFault` entries (tests only).
-
-    The plan ships to workers by pickling; matching is pure, so a
-    respawned worker consults the same plan and the *attempt* number is
-    what distinguishes the retry from the original.
-    """
-
-    faults: tuple[ShardFault, ...] = ()
-
-    def match(self, shard: int, attempt: int) -> ShardFault | None:
-        for fault in self.faults:
-            if fault.shard in (-1, shard) and fault.attempt == attempt:
-                return fault
-        return None
-
-
-# ---------------------------------------------------------------------------
 # The driver
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParallelReport:
-    """How a parallel solve was executed (``ParallelBnB.last_report``)."""
-
-    workers: int
-    split_depth: int
-    #: Subtree shards collected by the shallow pass.
-    shards: int
-    #: Shards never searched because a polled incumbent pruned them.
-    shards_stale: int = 0
-    #: Worker processes replaced after a crash or hang.
-    worker_restarts: int = 0
-    #: Shards re-queued (with backoff) after their worker died.
-    shard_retries: int = 0
-    #: Shard indices abandoned after ``max_shard_attempts`` failures;
-    #: non-empty quarantine forces a TRUNCATED result status.
-    quarantined: tuple = ()
-    #: Merged transposition-table telemetry (coordinator + workers) when
-    #: the transposition layer was active, else None.  Counter keys are
-    #: summed across processes (each global event happens in exactly one
-    #: process); ``tt_capacity`` is the shared geometry.
-    tt_stats: dict | None = None
 
 
 class ParallelBnB:
@@ -150,7 +69,8 @@ class ParallelBnB:
 
     ``workers=None`` uses one worker per usable CPU; ``split_depth`` is
     the tree level at which subtrees become shards.  See the module doc
-    for the contract; ``last_report`` describes the most recent solve.
+    for the contract; ``last_report`` is the coordinator's
+    :class:`~repro.cluster.ClusterReport` of the most recent solve.
 
     Resource bounds apply to the whole solve: the MAXVERT budget is
     split across shards as they finish, and TIMELIMIT is one deadline
@@ -167,7 +87,7 @@ class ParallelBnB:
         max_shard_attempts: int = 3,
         retry_backoff: float = 0.05,
         heartbeat_timeout: float = 30.0,
-        fault_plan: FaultPlan | None = None,
+        fault_plan=None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -196,7 +116,7 @@ class ParallelBnB:
         #: The worker lease, in seconds.
         self.heartbeat_timeout = heartbeat_timeout
         self.fault_plan = fault_plan
-        self.last_report: ParallelReport | None = None
+        self.last_report: ClusterReport | None = None
 
     # ------------------------------------------------------------------
 
@@ -215,17 +135,7 @@ class ParallelBnB:
         )
         coordinator.fault_plan = self.fault_plan
         result = coordinator.solve(problem)
-        rep = coordinator.last_report
-        self.last_report = ParallelReport(
-            workers=self.workers,
-            split_depth=self.split_depth,
-            shards=rep.shards,
-            shards_stale=rep.shards_stale,
-            worker_restarts=rep.worker_restarts,
-            shard_retries=rep.shard_retries,
-            quarantined=rep.quarantined,
-            tt_stats=rep.tt_stats,
-        )
+        self.last_report = coordinator.last_report
         return result
 
     def solve_graph(self, graph, platform) -> BnBResult:

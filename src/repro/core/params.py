@@ -127,9 +127,7 @@ class BnBParameters:
         """Functional update (rules are stateless and shareable)."""
         return replace(self, **changes)
 
-    def with_transposition(
-        self, table_bytes: int = 16 << 20, policy: str = "depth"
-    ) -> "BnBParameters":
+    def with_transposition(self, table_bytes: int = 16 << 20) -> "BnBParameters":
         """Compose the duplicate-state transposition layer onto ``D``.
 
         When a dominance rule is already configured the transposition
@@ -140,7 +138,7 @@ class BnBParameters:
         explored or itself soundly pruned, so duplicate subtrees cannot
         contain a strictly better completion.
         """
-        tt = TranspositionDominance(table_bytes=table_bytes, policy=policy)
+        tt = TranspositionDominance(table_bytes=table_bytes)
         if isinstance(self.dominance, NoDominance):
             return self.evolve(dominance=tt)
         return self.evolve(dominance=ChainedDominance(tt, self.dominance))

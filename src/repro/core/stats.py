@@ -13,7 +13,21 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["SearchStats", "describe_engine"]
+__all__ = ["SearchStats", "TT_COUNTERS", "describe_engine"]
+
+#: The transposition-table counters a solve records on its stats.  All
+#: but ``tt_capacity`` (the table's slot count) count events of this
+#: solve; ``tt_filled`` counts the empty slots it filled.
+TT_COUNTERS = (
+    "tt_hits",
+    "tt_misses",
+    "tt_inserts",
+    "tt_evictions",
+    "tt_rejects",
+    "tt_collisions",
+    "tt_filled",
+    "tt_capacity",
+)
 
 
 def describe_engine(path: str, fallback: str | None) -> str:
@@ -70,6 +84,17 @@ class SearchStats:
     #: ``"trace sink attached"`` or ``"native kernel unavailable: …"``
     #: (None when the fastest tier ran).
     engine_fallback: str | None = None
+    #: Transposition-table counters (:data:`TT_COUNTERS`; all 0 without
+    #: the layer).  Like the engine tier they stay out of
+    #: :meth:`as_dict`: a resumed solve starts a fresh table.
+    tt_hits: int = 0
+    tt_misses: int = 0
+    tt_inserts: int = 0
+    tt_evictions: int = 0
+    tt_rejects: int = 0
+    tt_collisions: int = 0
+    tt_filled: int = 0
+    tt_capacity: int = 0
     _t0: float = field(default=0.0, repr=False)
     _stopped: bool = field(default=False, repr=False)
     #: Seconds already spent before this process's clock started (set
@@ -97,10 +122,12 @@ class SearchStats:
         """Fold a sub-search's counters into this run's totals.
 
         Used by the shard coordinator when merging the shallow pass and
-        per-worker results.  ``peak_active`` keeps the largest single
-        footprint.  ``elapsed`` is deliberately not merged — the
-        caller's wall clock already spans the sub-searches (across
-        processes, the sums would exceed the wall clock).
+        per-worker results.  ``peak_active`` and ``tt_capacity`` keep
+        the largest single value; the other ``tt_*`` counters sum (on a
+        shared table each event happens in exactly one process).
+        ``elapsed`` is deliberately not merged — the caller's wall clock
+        already spans the sub-searches (across processes, the sums
+        would exceed the wall clock).
         """
         self.generated += other.generated
         self.explored += other.explored
@@ -114,6 +141,10 @@ class SearchStats:
         self.incumbent_updates += other.incumbent_updates
         if other.peak_active > self.peak_active:
             self.peak_active = other.peak_active
+        for key in TT_COUNTERS:
+            if key != "tt_capacity":
+                setattr(self, key, getattr(self, key) + getattr(other, key))
+        self.tt_capacity = max(self.tt_capacity, other.tt_capacity)
         self.time_limit_hit = self.time_limit_hit or other.time_limit_hit
         self.truncated = self.truncated or other.truncated
         self.interrupted = self.interrupted or other.interrupted

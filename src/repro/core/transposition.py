@@ -38,11 +38,10 @@ Table engineering
     :class:`TranspositionTable` is an 8-way set-associative,
     open-addressing store sized from a byte budget.  Entries are
     two-level — a 64-bit hash word plus the packed payload slot — and a
-    full bucket is resolved by one of three replacement policies:
-    ``always`` (deterministic pseudo-random way), ``depth`` (prefer to
-    keep shallow entries, whose subtrees are larger; reject insertions
-    deeper than everything resident) and ``clock`` (second-chance sweep
-    over per-entry reference bits, an LRU approximation).
+    full bucket is resolved by depth-preferred replacement: keep shallow
+    entries, whose subtrees are larger, evicting the deepest resident
+    entry for a newcomer no deeper than it and rejecting a newcomer
+    deeper than everything resident.
 
 Sharing across processes
     :class:`SharedTranspositionTable` keeps the same geometry in a
@@ -80,15 +79,12 @@ __all__ = [
     "TranspositionDominance",
     "child_signature",
     "find_transposition",
-    "TT_POLICIES",
 ]
 
 _MASK64 = (1 << 64) - 1
 
 #: Bucket width of the set-associative tables (a power of two).
 WAYS = 8
-
-TT_POLICIES = ("always", "depth", "clock")
 
 
 def child_signature(parent: SearchState, task: int, proc: int, s: float) -> int:
@@ -205,19 +201,12 @@ def _geometry(table_bytes: int, entry_cost: int) -> int:
     return nbuckets
 
 
-def _check_policy(policy: str) -> str:
-    if policy not in TT_POLICIES:
-        raise ConfigurationError(
-            f"unknown transposition replacement policy {policy!r}; "
-            f"choose from {TT_POLICIES}"
-        )
-    return policy
-
-
 class _CountersMixin:
     """Process-local probe counters shared by both table variants."""
 
     def _init_counters(self) -> None:
+        # ``filled`` counts this process's fills of empty slots, so on a
+        # shared table the processes' counts sum to the table's fill.
         self.hits = 0
         self.misses = 0
         self.inserts = 0
@@ -235,7 +224,6 @@ class _CountersMixin:
             "tt_rejects": self.rejects,
             "tt_collisions": self.collisions,
             "tt_filled": self.filled,
-            "tt_capacity": self.slots,
         }
 
 
@@ -250,25 +238,18 @@ class TranspositionTable(_CountersMixin):
     """
 
     #: Per-entry byte estimate for capacity sizing: hash word (array
-    #: slot) + depth byte + clock byte + payload-list pointer + CPython
-    #: bytes-object header + the payload itself.
+    #: slot) + depth byte + payload-list pointer + CPython bytes-object
+    #: header + the payload itself.
     _PTR_AND_HEADER = 8 + 33
 
-    def __init__(
-        self,
-        table_bytes: int,
-        codec: PayloadCodec,
-        policy: str = "depth",
-    ) -> None:
+    def __init__(self, table_bytes: int, codec: PayloadCodec) -> None:
         self.codec = codec
-        self.policy = _check_policy(policy)
         self.table_bytes = table_bytes
-        self.entry_cost = 8 + 1 + 1 + self._PTR_AND_HEADER + codec.payload_len
+        self.entry_cost = 8 + 1 + self._PTR_AND_HEADER + codec.payload_len
         self.nbuckets = _geometry(table_bytes, self.entry_cost)
         self.slots = self.nbuckets * WAYS
         self._hash = array("Q", bytes(8 * self.slots))
         self._depth = bytearray(self.slots)
-        self._ref = bytearray(self.slots)
         self._payload: list[bytes | None] = [None] * self.slots
         self._init_counters()
 
@@ -296,7 +277,6 @@ class TranspositionTable(_CountersMixin):
                     pay = payload()
                 if pays[i] == pay:
                     self.hits += 1
-                    self._ref[i] = 1
                     return True
                 self.collisions += 1
         self.misses += 1
@@ -308,46 +288,27 @@ class TranspositionTable(_CountersMixin):
             harr[empty] = h
             pays[empty] = pay
             self._depth[empty] = depth
-            self._ref[empty] = 0
             self.filled += 1
             self.inserts += 1
             return False
-        victim = self._select_victim(base, h, depth)
-        if victim < 0:
+        # Keep shallow entries (bigger subtrees behind them): evict the
+        # deepest resident, unless the newcomer is deeper still.
+        darr = self._depth
+        victim = base
+        worst_depth = darr[base]
+        for i in range(base + 1, base + WAYS):
+            if darr[i] > worst_depth:
+                worst_depth = darr[i]
+                victim = i
+        if depth > worst_depth:
             self.rejects += 1
             return False
         harr[victim] = h
         pays[victim] = pay
-        self._depth[victim] = depth
-        self._ref[victim] = 0
+        darr[victim] = depth
         self.inserts += 1
         self.evictions += 1
         return False
-
-    def _select_victim(self, base: int, h: int, depth: int) -> int:
-        policy = self.policy
-        if policy == "always":
-            return base + (mix64(h ^ 0xA5A5A5A5A5A5A5A5) & (WAYS - 1))
-        if policy == "depth":
-            darr = self._depth
-            worst = base
-            worst_depth = darr[base]
-            for i in range(base + 1, base + WAYS):
-                if darr[i] > worst_depth:
-                    worst_depth = darr[i]
-                    worst = i
-            # Keep shallow entries (bigger subtrees behind them); a
-            # newcomer deeper than everything resident is not stored.
-            return worst if depth <= worst_depth else -1
-        # clock: second-chance sweep from a hash-derived start way.
-        ref = self._ref
-        s0 = mix64(h) & (WAYS - 1)
-        for k in range(WAYS):
-            i = base + ((s0 + k) & (WAYS - 1))
-            if ref[i] == 0:
-                return i
-            ref[i] = 0
-        return base + s0
 
 
 # ---------------------------------------------------------------------------
@@ -365,24 +326,23 @@ class SharedTranspositionTable(_CountersMixin):
 
     Record layout per slot: ``hash`` (8 bytes, 0 = empty), ``version``
     (4-byte seqlock word: odd while a writer is mid-update), ``depth``
-    (1), ``ref`` (1, clock bit), 2 padding bytes, then the fixed-size
-    payload.  All writes happen under the bucket's stripe lock and bump
-    the version to odd first and back to even last; the lock-free read
-    path re-checks the version around its hash + payload read and
-    accepts only an even, unchanged version.  See the module docstring
+    (1), 3 padding bytes, then the fixed-size payload.  All writes
+    happen under the bucket's stripe lock and bump the version to odd
+    first and back to even last; the lock-free read path re-checks the
+    version around its hash + payload read and accepts only an even,
+    unchanged version.  See the module docstring
     for the racy-read/safe-prune contract.
 
     Probe counters are process-local (each worker reports its own view);
     only the slot contents are shared.
     """
 
-    _META = 16  # hash + version + depth + ref + padding
+    _META = 16  # hash + version + depth + padding
 
-    def __init__(self, shm, locks, codec: PayloadCodec, policy: str) -> None:
+    def __init__(self, shm, locks, codec: PayloadCodec) -> None:
         self.shm = shm
         self.locks = locks
         self.codec = codec
-        self.policy = _check_policy(policy)
         self.record = self._META + codec.payload_len
         buf = shm.buf
         magic, n, m, uniform, nbuckets, plen = _HEADER.unpack_from(buf, 0)
@@ -412,7 +372,6 @@ class SharedTranspositionTable(_CountersMixin):
         cls,
         table_bytes: int,
         codec: PayloadCodec,
-        policy: str = "depth",
         ctx=None,
     ) -> "SharedTranspositionTable":
         from multiprocessing import get_context, shared_memory
@@ -435,18 +394,18 @@ class SharedTranspositionTable(_CountersMixin):
         )
         ctx = ctx or get_context()
         locks = tuple(ctx.Lock() for _ in range(min(64, nbuckets)))
-        table = cls(shm, locks, codec, policy)
+        table = cls(shm, locks, codec)
         table._owner = True
         return table
 
     @classmethod
     def attach(
-        cls, name: str, locks, codec: PayloadCodec, policy: str
+        cls, name: str, locks, codec: PayloadCodec
     ) -> "SharedTranspositionTable":
         from multiprocessing import shared_memory
 
         shm = shared_memory.SharedMemory(name=name)
-        table = cls(shm, locks, codec, policy)
+        table = cls(shm, locks, codec)
         table._owner = False
         return table
 
@@ -497,7 +456,6 @@ class SharedTranspositionTable(_CountersMixin):
             v2 = int.from_bytes(buf[off + 8 : off + 12], "little")
             if v1 == v2 and stored == pay:
                 self.hits += 1
-                buf[off + 13] = 1  # clock ref bit; benign single-byte race
                 return True
 
         if pay is None:
@@ -519,7 +477,6 @@ class SharedTranspositionTable(_CountersMixin):
                     )
                     if stored == pay:
                         self.hits += 1
-                        buf[off + 13] = 1
                         return True
                     self.collisions += 1
             self.misses += 1
@@ -528,8 +485,15 @@ class SharedTranspositionTable(_CountersMixin):
                 self.filled += 1
                 self.inserts += 1
                 return False
-            victim = self._select_victim(base, h, depth)
-            if victim < 0:
+            # Depth-preferred replacement, as in TranspositionTable.
+            victim = 0
+            worst_depth = buf[base + 12]
+            for w in range(1, WAYS):
+                d = buf[base + w * rec + 12]
+                if d > worst_depth:
+                    worst_depth = d
+                    victim = w
+            if depth > worst_depth:
                 self.rejects += 1
                 return False
             self._write_slot(base + victim * rec, h, depth, pay)
@@ -543,49 +507,23 @@ class SharedTranspositionTable(_CountersMixin):
         buf[off + 8 : off + 12] = ((ver + 1) & 0xFFFFFFFF).to_bytes(4, "little")
         buf[off : off + 8] = h.to_bytes(8, "little")
         buf[off + 12] = depth
-        buf[off + 13] = 0
         buf[off + self._META : off + self._META + len(pay)] = pay
         buf[off + 8 : off + 12] = ((ver + 2) & 0xFFFFFFFF).to_bytes(4, "little")
-
-    def _select_victim(self, base: int, h: int, depth: int) -> int:
-        policy = self.policy
-        buf = self._buf
-        rec = self.record
-        if policy == "always":
-            return mix64(h ^ 0xA5A5A5A5A5A5A5A5) & (WAYS - 1)
-        if policy == "depth":
-            worst = 0
-            worst_depth = buf[base + 12]
-            for w in range(1, WAYS):
-                d = buf[base + w * rec + 12]
-                if d > worst_depth:
-                    worst_depth = d
-                    worst = w
-            return worst if depth <= worst_depth else -1
-        s0 = mix64(h) & (WAYS - 1)
-        for k in range(WAYS):
-            w = (s0 + k) & (WAYS - 1)
-            off = base + w * rec + 13
-            if buf[off] == 0:
-                return w
-            buf[off] = 0
-        return s0
 
     # -- worker plumbing ------------------------------------------------
 
     def handle(self) -> tuple:
-        """Picklable (name, locks, codec params, policy) for initargs."""
+        """Picklable (name, locks, codec params) for a worker process."""
         return (
             self.shm.name,
             self.locks,
             (self.codec.n, self.codec.m, self.codec.uniform),
-            self.policy,
         )
 
     @classmethod
     def from_handle(cls, handle: tuple) -> "SharedTranspositionTable":
-        name, locks, (n, m, uniform), policy = handle
-        return cls.attach(name, locks, PayloadCodec(n, m, uniform), policy)
+        name, locks, (n, m, uniform) = handle
+        return cls.attach(name, locks, PayloadCodec(n, m, uniform))
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +533,11 @@ class SharedTranspositionTable(_CountersMixin):
 
 class _TranspositionChecker(DominanceChecker):
     """Per-solve checker over a (local or shared) transposition table.
+
+    A local table lives exactly as long as its checker, i.e. one solve.
+    :meth:`telemetry` reports this solve's counters: deltas against the
+    table's state at bind time (a shared table outlives solves), plus
+    the table's ``tt_capacity``.
 
     Honours the replay-consistent observation contract:
     :meth:`probe_placement` performs bit-for-bit the same signature
@@ -616,7 +559,6 @@ class _TranspositionChecker(DominanceChecker):
         table = self.rule.table_for(problem)
         self._table = table
         self._codec = table.codec
-        # Shared tables outlive solves; report per-solve deltas.
         self._base = dict(table.counters_dict())
         return table
 
@@ -656,10 +598,8 @@ class _TranspositionChecker(DominanceChecker):
         if table is not None:
             base = self._base
             for key, value in table.counters_dict().items():
-                if key in ("tt_filled", "tt_capacity"):
-                    out[key] = value
-                else:
-                    out[key] = value - base.get(key, 0)
+                out[key] = value - base[key]
+            out["tt_capacity"] = table.slots
         return out
 
 
@@ -669,31 +609,26 @@ class TranspositionDominance(DominanceRule):
     Plugs into ``BnBParameters.dominance`` (alone, or composed with
     :class:`~repro.core.dominance.StateDominance` via
     :class:`~repro.core.dominance.ChainedDominance`).  Each solve gets a
-    fresh local :class:`TranspositionTable` sized by ``table_bytes``;
-    the parallel driver instead binds one
+    fresh local :class:`TranspositionTable` sized by ``table_bytes``,
+    freed with the solve; the parallel driver instead binds one
     :class:`SharedTranspositionTable` via :meth:`bind_shared` so all
-    shards prune against the same store.
+    shards prune against the same store.  A solve's table counters
+    arrive on its ``SearchStats`` (``tt_*``), not on the rule.
 
-    Runtime handles (the bound shared table, spawned checkers) do not
-    survive pickling — workers re-bind after transport.
+    The bound shared table does not survive pickling — workers re-bind
+    after transport.
     """
 
     name = "transposition"
 
-    def __init__(
-        self, table_bytes: int = 16 << 20, policy: str = "depth"
-    ) -> None:
+    def __init__(self, table_bytes: int = 16 << 20) -> None:
         if table_bytes < 1:
             raise ConfigurationError("table_bytes must be positive")
         self.table_bytes = table_bytes
-        self.policy = _check_policy(policy)
         self._shared: SharedTranspositionTable | None = None
-        self._spawned: list[_TranspositionChecker] = []
 
     def fresh(self) -> DominanceChecker:
-        checker = _TranspositionChecker(self)
-        self._spawned.append(checker)
-        return checker
+        return _TranspositionChecker(self)
 
     def bind_shared(self, table: SharedTranspositionTable | None) -> None:
         self._shared = table
@@ -708,36 +643,17 @@ class TranspositionDominance(DominanceRule):
                 )
             return shared
         return TranspositionTable(
-            self.table_bytes, PayloadCodec.for_problem(problem), self.policy
+            self.table_bytes, PayloadCodec.for_problem(problem)
         )
 
-    def spawn_mark(self) -> int:
-        """Marker for :meth:`telemetry_total`'s ``since`` (rules persist
-        across solves; callers aggregating one solve window use this)."""
-        return len(self._spawned)
-
-    def telemetry_total(self, since: int = 0) -> dict[str, int]:
-        """Counters summed over checkers this rule spawned locally."""
-        merged: dict[str, int] = {}
-        for checker in self._spawned[since:]:
-            for k, v in checker.telemetry().items():
-                if k in ("tt_filled", "tt_capacity"):
-                    merged[k] = v  # snapshots, not deltas
-                else:
-                    merged[k] = merged.get(k, 0) + v
-        return merged
-
     def __getstate__(self):
-        return {"table_bytes": self.table_bytes, "policy": self.policy}
+        return {"table_bytes": self.table_bytes}
 
     def __setstate__(self, state):
         self.__init__(**state)
 
     def __repr__(self) -> str:
-        return (
-            f"TranspositionDominance(table_bytes={self.table_bytes}, "
-            f"policy={self.policy!r})"
-        )
+        return f"TranspositionDominance(table_bytes={self.table_bytes})"
 
 
 DOMINANCE_RULES[TranspositionDominance.name] = TranspositionDominance

@@ -1,6 +1,6 @@
 """Shared helpers for the fault-tolerance test suites.
 
-Two kinds of plumbing live here so :mod:`test_checkpoint` and
+Three kinds of plumbing live here so :mod:`test_checkpoint` and
 :mod:`test_supervision` stay readable:
 
 * subprocess drivers for the real CLI (``python -m repro``), including
@@ -8,7 +8,9 @@ Two kinds of plumbing live here so :mod:`test_checkpoint` and
   first snapshot lands on disk;
 * workload builders for instances whose search trees are *non-trivial*
   (the EDF initial bound must not already be optimal, or nothing is
-  ever explored and a checkpoint is never due).
+  ever explored and a checkpoint is never due);
+* :class:`FaultPlan` / :class:`ShardFault`, the planted failures the
+  parallel driver and the cluster worker honour (``fault_plan=``).
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.checkpoint import Checkpointer
+from repro.errors import ConfigurationError
 from repro.model import compile_problem, shared_bus_platform
 from repro.workload import WorkloadSpec, generate_task_graph
 
@@ -48,6 +52,63 @@ def hard_problem(seed: int = 0, processors: int = 2):
 
 def hard_graph(seed: int = 0):
     return generate_task_graph(hard_spec(), seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# Fault injection
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ShardFault:
+    """One planted failure: fires when ``shard`` runs on ``attempt``.
+
+    ``shard`` is the shard index; ``-1`` matches any shard.  ``attempt``
+    is 1-based, so the default plants the fault on the first try and
+    lets the retry succeed.
+
+    Kinds:
+
+    * ``"crash"`` — the worker dies before touching the shard, as if the
+      OOM killer got it between tasks.
+    * ``"crash-mid"`` — the worker dies *during* the sub-search, at its
+      ``after_polls``-th bound-channel poll (one per chunk boundary):
+      state is torn mid-expansion, the strictest recovery case.
+    * ``"hang"`` — the worker sleeps ``hang_seconds`` without sending a
+      heartbeat; only lease expiry reclaims the shard.
+    """
+
+    kind: str
+    shard: int = -1
+    attempt: int = 1
+    hang_seconds: float = 3600.0
+    after_polls: int = 2
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("crash", "crash-mid", "hang"):
+            raise ConfigurationError(
+                f"unknown fault kind {self.kind!r} "
+                "(expected crash, crash-mid or hang)"
+            )
+
+
+@dataclass(frozen=True)
+class FaultPlan:
+    """An injectable set of :class:`ShardFault` entries.
+
+    The cluster worker only calls :meth:`match`.  The plan ships to
+    workers by pickling; matching is pure, so a respawned worker
+    consults the same plan and the *attempt* number is what
+    distinguishes the retry from the original.
+    """
+
+    faults: tuple[ShardFault, ...] = ()
+
+    def match(self, shard: int, attempt: int) -> ShardFault | None:
+        for fault in self.faults:
+            if fault.shard in (-1, shard) and fault.attempt == attempt:
+                return fault
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,13 @@ class TestSolve:
         with pytest.raises(SystemExit):
             main(["solve", graph_file, "--trace-csv", str(tmp_path / "t.csv")])
 
+    def test_tt_policy_is_gone(self, graph_file):
+        with pytest.raises(SystemExit):
+            main([
+                "solve", graph_file, "--transposition",
+                "--tt-policy", "depth",
+            ])
+
     def test_parallel_mode_deterministic_is_gone(self, graph_file):
         with pytest.raises(SystemExit):
             main([

@@ -36,12 +36,13 @@ from repro.core import (
 )
 from repro.core import engine as engine_mod
 from repro.core.checkpoint import Checkpointer, StopToken, load_checkpoint
-from repro.core.parallel import FaultPlan, ShardFault
 from repro.errors import CheckpointError, ResourceLimitExceeded
 from repro.obs import LiveMonitor, Observability
 
 from faultlib import (
     HARD_SEEDS,
+    FaultPlan,
+    ShardFault,
     assert_cluster_parity,
     hard_problem,
     run_cluster,
@@ -107,6 +108,46 @@ def test_single_worker_cluster():
     result, coord = run_cluster(PROBLEMS[seed], workers=1)
     assert_cluster_parity(result, REFERENCE[seed])
     assert coord.last_report.steals == 0  # nobody to steal from
+
+
+@pytest.mark.parametrize(
+    "worker_kwargs",
+    [{}, [{"max_shards": 1}, {}]],
+    ids=["stay", "one-leaves-early"],
+)
+def test_table_counters_sum_the_shallow_pass_and_every_shard(
+    monkeypatch, worker_kwargs
+):
+    """Remote workers search each shard on a private table; the result's
+    ``tt_*`` counters are the shallow pass's plus every shard's, also
+    those of a worker that leaves after its first shard."""
+    seed = HARD_SEEDS[0]
+    searched = []
+    real_solve = BranchAndBound.solve
+
+    def recording(self, problem, *args, **kwargs):
+        result = real_solve(self, problem, *args, **kwargs)
+        searched.append(result.stats)
+        return result
+
+    monkeypatch.setattr(BranchAndBound, "solve", recording)
+    result, coord = run_cluster(
+        PROBLEMS[seed],
+        BnBParameters().with_transposition(),
+        workers=2,
+        worker_kwargs=worker_kwargs,
+        # Both workers get a first shard; none is searched twice.
+        coordinator_kwargs={"steal": False, "min_workers": 2, "prefetch": 1},
+    )
+    assert_cluster_parity(result, REFERENCE[seed])
+    shallow, shards = searched[0], searched[1:]
+    assert shards and coord.last_report.shards >= len(shards)
+    for key in ("tt_inserts", "tt_hits", "tt_misses", "tt_filled"):
+        assert getattr(result.stats, key) == sum(
+            getattr(s, key) for s in searched
+        ), key
+    assert result.stats.tt_inserts > shallow.tt_inserts
+    assert result.stats.tt_capacity == shallow.tt_capacity > 0
 
 
 def test_listener_closes_when_the_shallow_pass_finishes():

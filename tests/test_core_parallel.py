@@ -29,13 +29,14 @@ from repro.core import (
 )
 from repro.core.engine import SubtreeSpec
 from repro.core.expand import FusedExpander
-from repro.core.parallel import FaultPlan, ShardFault, default_worker_count
+from repro.core.parallel import default_worker_count
 from repro.core.selection import SELECTION_RULES
 from repro.errors import ConfigurationError, ResourceLimitExceeded
 from repro.model import compile_problem, shared_bus_platform
 from repro.workload import WorkloadSpec, generate_task_graph, spec_for_profile
 
 from conftest import make_chain, make_diamond, make_forkjoin
+from faultlib import FaultPlan, ShardFault
 
 
 def _problems():

@@ -7,19 +7,21 @@ Covers the three halves of the subsystem separately and together:
   interconnects (and deliberate label sensitivity on non-uniform ones),
   and the packed-payload codec;
 * the memory-bounded table — hit/miss/insert accounting, hash-collision
-  verification, the capacity bound and all three replacement policies,
+  verification, the capacity bound and depth-preferred replacement,
   plus the shared-memory variant's create/attach/probe lifecycle;
 * engine integration — a full differential sweep over the ⟨B,S,E,L⟩
   registry asserting the table never changes the reported cost and
   never increases the searched-vertex count, fused/reference parity
-  with the table on, composition with :class:`StateDominance`, the
-  parallel driver's shared-table mode, and the deterministic-mode
-  refusal.
+  with the table on, composition with :class:`StateDominance`, one
+  table per solve (freed with it, its counters on the solve's stats),
+  and the parallel driver's shared-table mode.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -31,7 +33,6 @@ from repro.core.elimination import ELIMINATION_RULES
 from repro.core.selection import SELECTION_RULES
 from repro.core.state import root_state
 from repro.core.transposition import (
-    TT_POLICIES,
     WAYS,
     PayloadCodec,
     SharedTranspositionTable,
@@ -162,9 +163,9 @@ def _pay(i: int, codec=None):
     return i.to_bytes(4, "little") + bytes(codec.payload_len - 4)
 
 
-def _tiny_table(policy: str) -> TranspositionTable:
+def _tiny_table() -> TranspositionTable:
     """One bucket (= WAYS slots): every probe contends for the same set."""
-    table = TranspositionTable(1, _codec(), policy=policy)
+    table = TranspositionTable(1, _codec())
     assert table.nbuckets == 1 and table.slots == WAYS
     return table
 
@@ -180,7 +181,7 @@ def test_table_hit_miss_accounting():
 
 def test_table_collision_requires_exact_payload():
     """Equal hashes never prune on their own: payloads must match."""
-    table = _tiny_table("depth")
+    table = _tiny_table()
     assert table.probe(7, 1, lambda: _pay(1)) is False
     assert table.probe(7, 1, lambda: _pay(2)) is False  # same hash, new state
     assert table.collisions == 1
@@ -202,7 +203,7 @@ def test_table_capacity_is_bounded():
 
 
 def test_depth_policy_keeps_shallow_entries():
-    table = _tiny_table("depth")
+    table = _tiny_table()
     for i in range(WAYS):
         table.probe(i + 1, 2, lambda i=i: _pay(i))
     assert table.filled == WAYS
@@ -216,36 +217,19 @@ def test_depth_policy_keeps_shallow_entries():
     assert table.probe(101, 1, lambda: _pay(101)) is True
 
 
-def test_always_policy_always_replaces():
-    table = _tiny_table("always")
-    for i in range(WAYS + 3):
-        table.probe(i + 1, 9, lambda i=i: _pay(i))
-    assert table.evictions == 3 and table.rejects == 0
-    assert table.filled == WAYS
-
-
-def test_clock_policy_second_chance_protects_hit_entries():
-    table = _tiny_table("clock")
-    for i in range(WAYS):
-        table.probe(i + 1, 1, lambda i=i: _pay(i))
-    for i in range(WAYS):  # touch everything: all ref bits set
-        assert table.probe(i + 1, 1, lambda i=i: _pay(i)) is True
-    # The sweep clears ref bits as it passes and evicts exactly one way.
-    assert table.probe(200, 1, lambda: _pay(200)) is False
-    assert table.evictions == 1 and table.filled == WAYS
-    assert table.probe(200, 1, lambda: _pay(200)) is True
-
-
 def test_unknown_policy_rejected():
-    with pytest.raises(ConfigurationError):
+    """Replacement is depth-preferred only: no policy can be chosen."""
+    with pytest.raises(TypeError):
         TranspositionTable(1 << 16, _codec(), policy="mru")
-    with pytest.raises(ConfigurationError):
-        TranspositionDominance(policy="mru")
+    with pytest.raises(TypeError):
+        TranspositionDominance(policy="depth")
+    with pytest.raises(TypeError):
+        BnBParameters().with_transposition(policy="depth")
 
 
 def test_shared_table_create_attach_probe():
     codec = _codec()
-    owner = SharedTranspositionTable.create(1 << 16, codec, "depth")
+    owner = SharedTranspositionTable.create(1 << 16, codec)
     try:
         assert owner.probe(11, 1, lambda: _pay(11, codec)) is False
         other = SharedTranspositionTable.from_handle(owner.handle())
@@ -261,8 +245,24 @@ def test_shared_table_create_attach_probe():
         owner.close()
 
 
+def test_shared_table_depth_policy_keeps_shallow_entries():
+    """The shared store replaces exactly as the in-process one does."""
+    owner = SharedTranspositionTable.create(1, _codec())
+    try:
+        assert owner.slots == WAYS
+        for i in range(WAYS):
+            owner.probe(i + 1, 2, lambda i=i: _pay(i))
+        assert owner.probe(100, 5, lambda: _pay(100)) is False
+        assert owner.rejects == 1 and owner.evictions == 0
+        assert owner.probe(101, 1, lambda: _pay(101)) is False
+        assert owner.evictions == 1
+        assert owner.probe(101, 1, lambda: _pay(101)) is True
+    finally:
+        owner.close()
+
+
 def test_shared_table_geometry_mismatch_rejected():
-    owner = SharedTranspositionTable.create(1 << 16, _codec(), "depth")
+    owner = SharedTranspositionTable.create(1 << 16, _codec())
     try:
         rule = TranspositionDominance()
         rule.bind_shared(owner)
@@ -274,16 +274,19 @@ def test_shared_table_geometry_mismatch_rejected():
 
 
 def test_rule_pickles_without_runtime_handles():
-    rule = TranspositionDominance(table_bytes=1 << 20, policy="clock")
-    rule.fresh()
-    clone = pickle.loads(pickle.dumps(rule))
+    owner = SharedTranspositionTable.create(1 << 16, _codec())
+    try:
+        rule = TranspositionDominance(table_bytes=1 << 20)
+        rule.bind_shared(owner)
+        clone = pickle.loads(pickle.dumps(rule))
+    finally:
+        owner.close()
     assert clone.table_bytes == 1 << 20
-    assert clone.policy == "clock"
-    assert clone._shared is None and clone._spawned == []
+    assert clone._shared is None
+    assert repr(clone) == "TranspositionDominance(table_bytes=1048576)"
 
 
-def test_policies_registry_consistent():
-    assert set(TT_POLICIES) == {"always", "depth", "clock"}
+def test_rule_registered():
     from repro.core.dominance import DOMINANCE_RULES
 
     assert DOMINANCE_RULES["transposition"] is TranspositionDominance
@@ -355,17 +358,16 @@ def test_fused_matches_reference_with_table_on():
 
 def test_duplicate_pruning_attributed_in_stats():
     problem = _search_problem("scaled", 0, 2)
-    rule = TranspositionDominance()
-    params = BnBParameters.paper_default(dominance=rule)
-    result = BranchAndBound(params).solve(problem)
-    tel = rule.telemetry_total()
-    assert result.stats.pruned_duplicate == tel["duplicate_pruned"] > 0
-    assert result.stats.pruned_dominated == 0  # pure-duplicate rule
-    assert tel["tt_hits"] == tel["duplicate_pruned"]
-    assert tel["tt_inserts"] <= tel["tt_capacity"]
-    assert result.stats.pruned_duplicate in (
-        result.stats.as_dict()["pruned_duplicate"],
-    )
+    params = BnBParameters.paper_default(dominance=TranspositionDominance())
+    stats = BranchAndBound(params).solve(problem).stats
+    assert stats.pruned_duplicate > 0
+    assert stats.pruned_dominated == 0  # pure-duplicate rule
+    assert stats.tt_hits == stats.pruned_duplicate
+    assert 0 < stats.tt_inserts <= stats.tt_capacity
+    assert stats.tt_filled == stats.tt_inserts - stats.tt_evictions
+    assert stats.as_dict()["pruned_duplicate"] == stats.pruned_duplicate
+    # The table's counters ride the result, outside the snapshot dict.
+    assert not any(key.startswith("tt_") for key in stats.as_dict())
 
 
 def test_chained_with_state_dominance_keeps_cost():
@@ -384,15 +386,35 @@ def test_small_budget_evicts_but_stays_sound():
     """A table far too small for the search still never changes the cost."""
     problem = _search_problem("scaled", 0, 2)
     plain = BranchAndBound(BnBParameters.paper_default()).solve(problem)
-    for policy in TT_POLICIES:
-        rule = TranspositionDominance(table_bytes=1, policy=policy)
-        result = BranchAndBound(
-            BnBParameters.paper_default(dominance=rule)
-        ).solve(problem)
-        assert result.best_cost == pytest.approx(plain.best_cost, abs=1e-9)
-        tel = rule.telemetry_total()
-        assert tel["tt_capacity"] == WAYS
-        assert tel["tt_filled"] <= WAYS
+    rule = TranspositionDominance(table_bytes=1)
+    result = BranchAndBound(
+        BnBParameters.paper_default(dominance=rule)
+    ).solve(problem)
+    assert result.best_cost == pytest.approx(plain.best_cost, abs=1e-9)
+    stats = result.stats
+    assert stats.tt_capacity == WAYS
+    assert stats.tt_filled <= WAYS
+    assert stats.tt_evictions + stats.tt_rejects > 0
+
+
+def test_each_solve_frees_its_table():
+    """Solves sharing one rule keep no table alive between them."""
+    tables = []
+
+    class Recording(TranspositionDominance):
+        def table_for(self, problem):
+            table = super().table_for(problem)
+            tables.append(weakref.ref(table))
+            return table
+
+    problem = _search_problem("scaled", 0, 2)
+    params = BnBParameters.paper_default(dominance=Recording())
+    runs = [BranchAndBound(params).solve(problem).stats for _ in range(3)]
+    gc.collect()
+    assert len(tables) == 3
+    assert all(ref() is None for ref in tables)
+    # Each solve starts from an empty table: identical counters.
+    assert len({(s.generated, s.tt_inserts, s.tt_hits) for s in runs}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +433,7 @@ def test_parallel_throughput_shares_the_table():
     solver = ParallelBnB(params, workers=2, split_depth=2)
     par = solver.solve(problem)
     assert par.best_cost == pytest.approx(seq.best_cost, abs=1e-9)
-    stats = solver.last_report.tt_stats
-    assert stats is not None and stats["tt_inserts"] > 0
+    assert par.stats.tt_inserts > 0
+    assert par.stats.tt_filled <= par.stats.tt_capacity
+    assert solver.last_report.shards >= 1
 

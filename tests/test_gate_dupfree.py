@@ -31,7 +31,7 @@ def test_ao_matches_tt_cost_without_duplicates(seed, processors, expect_win):
     problem = hard_problem(seed, processors)
     tt_params = BnBParameters.paper_default(
         resources=_BOUNDS
-    ).with_transposition(table_bytes=64 << 20, policy="depth")
+    ).with_transposition(table_bytes=64 << 20)
     ao_params = BnBParameters.dupfree(resources=_BOUNDS)
     ml_params = BnBParameters.dupfree(
         selection=MemoryLimitedSelection(cap=256), resources=_BOUNDS

@@ -19,7 +19,7 @@ from bench_cells import QUICK_CELLS, schedule_fingerprint
 def test_table_keeps_fused_equal_reference_and_cost(cell):
     problem = cell.problem()
     params = cell.params()
-    tt_params = params.with_transposition(table_bytes=64 << 20, policy="depth")
+    tt_params = params.with_transposition(table_bytes=64 << 20)
     base = BranchAndBound(params).solve(problem)
     ref = BranchAndBound(tt_params, fused=False).solve(problem)
     tt = BranchAndBound(tt_params, fused=True).solve(problem)

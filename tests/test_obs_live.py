@@ -16,14 +16,13 @@ import time
 
 import pytest
 
-from faultlib import hard_graph, hard_problem, spawn_cli
+from faultlib import FaultPlan, ShardFault, hard_graph, hard_problem, spawn_cli
 from repro.core import (
     BnBParameters,
     BranchAndBound,
     ParallelBnB,
     ResourceBounds,
 )
-from repro.core.parallel import FaultPlan, ShardFault
 from repro.io import save_graph
 from repro.obs import (
     LiveMonitor,

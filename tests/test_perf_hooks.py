@@ -14,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.core.parallel import ParallelReport
+from repro.cluster import ClusterReport
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +37,7 @@ def test_perf_spans_instrument_cli_resolves():
 
 
 def test_parallel_report_has_the_fields_perf_reads():
-    fields = {f.name for f in dataclasses.fields(ParallelReport)}
+    """``ParallelBnB.last_report`` is the coordinator's report."""
+    fields = {f.name for f in dataclasses.fields(ClusterReport)}
     assert {"shards", "shards_stale", "worker_restarts",
             "shard_retries"} <= fields

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from faultlib import hard_problem
+from faultlib import FaultPlan, ShardFault, hard_problem
 from repro.core import (
     BnBParameters,
     BranchAndBound,
@@ -19,7 +19,6 @@ from repro.core import (
     ResourceBounds,
     SolveStatus,
 )
-from repro.core.parallel import FaultPlan, ShardFault
 from repro.errors import ConfigurationError, ResourceLimitExceeded
 from repro.obs import MemorySink, MetricsRegistry, Observability
 
