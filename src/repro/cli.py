@@ -277,23 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tree level at which subtrees are sharded to workers "
         "(default 2)",
     )
-    slv.add_argument(
-        "--cluster", default=None, metavar="HOST:PORT",
-        help="solve on a worker cluster: bind a coordinator at this "
-        "address and dispatch shards to 'repro cluster worker' processes "
-        "that connect to it (tuning knobs live on 'repro cluster "
-        "coordinator')",
-    )
-    slv.set_defaults(
-        cluster_lease=10.0,
-        cluster_min_workers=1,
-        cluster_wait=60.0,
-        cluster_prefetch=2,
-        cluster_attempts=3,
-        cluster_backoff=0.05,
-        cluster_steal=True,
-    )
-
     clu = sub.add_parser(
         "cluster", help="distributed coordinator/worker cluster mode"
     )
@@ -304,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cco.add_argument("graph", help="task-graph path (.json or .stg)")
     cco.add_argument(
-        "--bind", dest="cluster", default="127.0.0.1:0", metavar="HOST:PORT",
+        "--bind", default="127.0.0.1:0", metavar="HOST:PORT",
         help="address to listen on (default 127.0.0.1 with an ephemeral "
         "port; pass an explicit port so workers know where to connect)",
     )
@@ -559,11 +542,6 @@ def _cmd_solve(args) -> int:
             "drop --workers (parallel workers recover via the "
             "supervision layer instead)"
         )
-    if args.cluster and args.workers:
-        raise ConfigurationError(
-            "--cluster and --workers are mutually exclusive: the cluster "
-            "dispatches to remote 'repro cluster worker' processes"
-        )
     parallel = None
     coordinator = None
     snapshot = load_checkpoint(args.resume) if args.resume else None
@@ -581,7 +559,7 @@ def _cmd_solve(args) -> int:
         print(f"monitor: {server.url}/ (status, metrics, events)",
               file=sys.stderr)
     try:
-        if args.cluster:
+        if args.command == "cluster":
             from .cluster import ClusterCoordinator
 
             problem = compile_problem(
@@ -590,7 +568,7 @@ def _cmd_solve(args) -> int:
             token = StopToken()
             coordinator = ClusterCoordinator(
                 params,
-                bind=args.cluster,
+                bind=args.bind,
                 split_depth=args.split_depth,
                 lease=args.cluster_lease,
                 min_workers=args.cluster_min_workers,

@@ -75,6 +75,11 @@ __all__ = ["ClusterCoordinator", "ClusterReport"]
 _INF = math.inf
 
 
+def _source(best_proc, best_cost, initial_ub, source) -> str:
+    """Where the held schedule came from: a shard beat U, or ``source``."""
+    return "search" if best_proc is not None and best_cost < initial_ub else source
+
+
 @dataclass(frozen=True)
 class ClusterReport:
     """How a cluster solve went (``ClusterCoordinator.last_report``)."""
@@ -312,6 +317,7 @@ class ClusterCoordinator:
             outcome = self._run(
                 problem, fingerprint, live, budget, incumbent0,
                 (best_cost, best_proc, best_start),
+                (initial_ub, incumbent_source),
                 merged, elapsed_base, t0, members, loop, pending, resumed,
                 shared_tt,
             )
@@ -368,10 +374,8 @@ class ClusterCoordinator:
             best_cost=best_cost if found else _INF,
             proc_of=best_proc,
             start=best_start,
-            incumbent_source=(
-                "search"
-                if found and best_cost < initial_ub
-                else incumbent_source
+            incumbent_source=_source(
+                best_proc, best_cost, initial_ub, incumbent_source
             ),
             initial_upper_bound=initial_ub,
             stats=merged,
@@ -380,13 +384,14 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
 
     def _run(
-        self, problem, fingerprint, live, budget, incumbent0, best,
+        self, problem, fingerprint, live, budget, incumbent0, best, origin,
         merged, elapsed_base, t0, members: MembershipTable, loop: _Loop,
         pending: RetryQueue, resumed: bool, shared_tt,
     ):
         """The event loop; returns the final (cost, proc, start)."""
         params = self.params
         best_cost, best_proc, best_start = best
+        initial_ub, incumbent_source = origin
         acked_cost = best_cost if best_proc is not None else _INF
         loop.broadcast = min(incumbent0, acked_cost)
         remaining = budget
@@ -578,10 +583,10 @@ class ClusterCoordinator:
                 found_cost=acked_cost,
                 best_proc=best_proc,
                 best_start=best_start,
-                incumbent_source=(
-                    "search" if best_proc is not None else "initial-upper-bound"
+                incumbent_source=_source(
+                    best_proc, best_cost, initial_ub, incumbent_source
                 ),
-                initial_upper_bound=incumbent0,
+                initial_upper_bound=initial_ub,
                 stats=stats_now,
             )
             checkpointer.write(snapshot)
@@ -675,15 +680,6 @@ class ClusterCoordinator:
                 loop.published.pop(idx, None)
                 member.stale += 1
                 merged.pruned_active += 1
-            elif kind == "error":
-                if frame["fingerprint"] != fingerprint:
-                    return
-                error = frame["error"]
-                if not isinstance(error, Exception):
-                    raise ClusterError(
-                        f"worker {member.worker_id} sent a malformed error"
-                    )
-                raise error
             elif kind == "bye":
                 raise TransportClosed("worker said bye")
 

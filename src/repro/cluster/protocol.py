@@ -13,7 +13,7 @@ instance:
   version and the coordinator's :func:`~repro.core.checkpoint.problem_fingerprint`;
   the worker recompiles the shipped problem and refuses to proceed when
   its own fingerprint disagrees (corrupted transfer, version skew);
-* every ``shard``/``result``/``stale``/``error`` frame repeats the fingerprint,
+* every ``shard``/``result``/``stale`` frame repeats the fingerprint,
   so a straggler frame from a previous solve on a reused address is
   discarded instead of polluting the current one.
 
@@ -40,7 +40,6 @@ __all__ = [
     "shard_frame",
     "result_frame",
     "stale_frame",
-    "error_frame",
     "bound_frame",
     "heartbeat",
     "revoke",
@@ -49,7 +48,7 @@ __all__ = [
 ]
 
 MAGIC = "repro-cluster"
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 
 def frame_type(frame) -> str:
@@ -140,17 +139,6 @@ def result_frame(
 
 def stale_frame(shard_index: int, fingerprint: str) -> dict:
     return {"t": "stale", "shard": shard_index, "fingerprint": fingerprint}
-
-
-def error_frame(shard_index: int, error: Exception, fingerprint: str) -> dict:
-    """A shard raised an error the caller must see, as the sequential
-    engine would raise it (``fail_on_exhaustion``)."""
-    return {
-        "t": "error",
-        "shard": shard_index,
-        "error": error,
-        "fingerprint": fingerprint,
-    }
 
 
 def bound_frame(cost: float, epoch: int, shard_index: int = -1) -> dict:

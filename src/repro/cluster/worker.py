@@ -42,7 +42,7 @@ from ..core.checkpoint import StopToken, problem_fingerprint
 from ..core.elimination import pruning_threshold
 from ..core.engine import BranchAndBound, SolveStatus, SubtreeSpec
 from ..core.transposition import SharedTranspositionTable, find_transposition
-from ..errors import ClusterError, ResourceLimitExceeded, TransportClosed
+from ..errors import ClusterError, TransportClosed
 from . import protocol
 from .transport import (
     SocketPairListener,
@@ -354,24 +354,18 @@ class ClusterWorker:
                 return
             channel = _ClusterBoundChannel(self, incumbent)
             self._engine_stop = StopToken()
-            try:
-                result = engine.solve(
-                    problem,
-                    subtree=SubtreeSpec(
-                        job["state"], job["lb"], incumbent, job["budget"]
-                    ),
-                    bound_channel=(
-                        _CrashMid(channel, fault.after_polls)
-                        if fault is not None and fault.kind == "crash-mid"
-                        else channel
-                    ),
-                    stop=self._engine_stop,
-                )
-            except ResourceLimitExceeded as exc:
-                # fail_on_exhaustion: the coordinator re-raises it to the
-                # caller (pickling drops the partial result).
-                self._conn.send(protocol.error_frame(index, exc, fingerprint))
-                return
+            result = engine.solve(
+                problem,
+                subtree=SubtreeSpec(
+                    job["state"], job["lb"], incumbent, job["budget"]
+                ),
+                bound_channel=(
+                    _CrashMid(channel, fault.after_polls)
+                    if fault is not None and fault.kind == "crash-mid"
+                    else channel
+                ),
+                stop=self._engine_stop,
+            )
             # The shard's tail after its last boundary counts toward the
             # next heartbeat's rate.  A shard cut short by a coordinator
             # stop still reports: its counters and best schedule are

@@ -47,8 +47,7 @@ class Boundary:
 
     After :meth:`service` the loop reads back ``incumbent`` and
     ``threshold`` (a polled external bound may have tightened them) and
-    ``check_at``.  ``stopped`` holds ``(kind, detail)`` once a stop
-    condition fired.
+    ``check_at``.
     """
 
     def __init__(
@@ -108,7 +107,6 @@ class Boundary:
         self.metrics = metrics
         self.incumbent = math.inf
         self.threshold = math.inf
-        self.stopped: tuple[str, str] | None = None
         active = any(
             hook is not None
             for hook in (
@@ -178,7 +176,6 @@ class Boundary:
         return None
 
     def _stopped(self, kind: str, detail: str) -> str:
-        self.stopped = (kind, detail)
         sink = self.sink
         if sink is not None and sink.accepts("resource"):
             sink.emit("resource", {"kind": kind, "detail": detail})

@@ -71,6 +71,11 @@ class DominanceChecker(ABC):
     #: consumes no sequence number on either path).
     supports_probe: bool = False
 
+    #: Running count of this checker's verdicts that were duplicate
+    #: states (the transposition layer); the engine books those prunes
+    #: under ``pruned_duplicate`` and the rest under ``pruned_dominated``.
+    duplicate_pruned: int = 0
+
     @abstractmethod
     def is_dominated(self, state: SearchState) -> bool:
         """Whether the state is dominated by one seen before (and record it)."""
@@ -90,11 +95,11 @@ class DominanceChecker(ABC):
     def telemetry(self) -> dict[str, int] | None:
         """Post-solve counters for observability (``None`` = nothing).
 
-        Recognised keys the engine folds into :class:`SearchStats` and
-        the metrics registry: ``duplicate_pruned`` plus the transposition
-        table counters (``tt_hits``, ``tt_misses``, ``tt_inserts``,
-        ``tt_evictions``, ``tt_rejects``, ``tt_collisions``,
-        ``tt_filled``, ``tt_capacity``).
+        The engine copies the transposition table counters (``tt_hits``,
+        ``tt_misses``, ``tt_inserts``, ``tt_evictions``, ``tt_rejects``,
+        ``tt_collisions``, ``tt_filled``, ``tt_capacity``) onto
+        :class:`SearchStats` and into the metrics registry; the whole
+        dict is the ``tt`` trace event.
         """
         return None
 
@@ -226,6 +231,10 @@ class _ChainedChecker(DominanceChecker):
         self.supports_probe = all(
             c.is_noop or c.supports_probe for c in checkers
         )
+
+    @property
+    def duplicate_pruned(self) -> int:
+        return sum(c.duplicate_pruned for c in self.checkers)
 
     def is_dominated(self, state: SearchState) -> bool:
         for c in self.checkers:

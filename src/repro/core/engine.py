@@ -40,11 +40,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from ..errors import (
-    CheckpointError,
-    ConfigurationError,
-    ResourceLimitExceeded,
-)
+from ..errors import CheckpointError, ConfigurationError
 from ..model.compile import CompiledProblem, compile_problem
 from ..model.platform import Platform
 from ..model.schedule import Schedule
@@ -573,6 +569,9 @@ class BranchAndBound:
             prepared = params.branching.prepare(problem)
             frontier = params.selection.make_frontier()
             dominance = params.dominance.fresh()
+            # The checker's duplicate verdicts booked so far: its prunes
+            # count as pruned_duplicate up to its running total.
+            dup_seen = 0
             if (
                 getattr(params.branching, "duplicate_free", False)
                 and not dominance.is_noop
@@ -781,33 +780,6 @@ class BranchAndBound:
                         },
                     )
 
-            def _limit_exceeded(which: str, detail: str) -> None:
-                # fail_on_exhaustion path: raise, but hand the caller
-                # the anytime result it would otherwise have received.
-                stats.stop_clock()
-                if best_proc is None:
-                    pstatus = SolveStatus.FAILED
-                elif which == "TIMELIMIT":
-                    pstatus = SolveStatus.TIMEOUT
-                elif which == "MEMLIMIT":
-                    pstatus = SolveStatus.MEMORY
-                else:
-                    pstatus = SolveStatus.TRUNCATED
-                partial = BnBResult(
-                    problem=problem,
-                    params=params,
-                    status=pstatus,
-                    best_cost=(
-                        found_cost if best_proc is not None else math.inf
-                    ),
-                    proc_of=best_proc,
-                    start=best_start,
-                    incumbent_source=incumbent_source,
-                    initial_upper_bound=initial_upper_bound,
-                    stats=stats,
-                )
-                raise ResourceLimitExceeded(which, detail, partial=partial)
-
             boundary = Boundary(
                 stats=stats,
                 rb=rb,
@@ -977,7 +949,11 @@ class BranchAndBound:
                         stats.generated += n_gen
                         stats.goals_evaluated += n_goals
                         stats.pruned_infeasible += n_infeasible
-                        stats.pruned_dominated += n_dominated
+                        if n_dominated:
+                            n_dup = dominance.duplicate_pruned - dup_seen
+                            dup_seen += n_dup
+                            stats.pruned_duplicate += n_dup
+                            stats.pruned_dominated += n_dominated - n_dup
                         # Close the expand span before any event dispatch so
                         # sink time is attributed to telemetry, not expand.
                         if lap is not None:
@@ -1069,7 +1045,11 @@ class BranchAndBound:
                             if lap is not None:
                                 lap("filter")
                             if dominance.is_dominated(child_state):
-                                stats.pruned_dominated += 1
+                                if dominance.duplicate_pruned > dup_seen:
+                                    dup_seen += 1
+                                    stats.pruned_duplicate += 1
+                                else:
+                                    stats.pruned_dominated += 1
                                 if (
                                     hot_sink is not None
                                     and hot_sink.accepts("prune")
@@ -1165,16 +1145,6 @@ class BranchAndBound:
 
                     # RB: MAXSZDB caps the child set (keep the best bounds).
                     if len(kept) > max_children:
-                        if rb.fail_on_exhaustion:
-                            if sink is not None and sink.accepts("resource"):
-                                sink.emit(
-                                    "resource",
-                                    {"kind": "MAXSZDB",
-                                     "detail": f"{len(kept)} children"},
-                                )
-                            _limit_exceeded(
-                                "MAXSZDB", f"{len(kept)} children"
-                            )
                         kept.sort(key=_BY_BOUND)
                         dropped_db = len(kept) - int(rb.max_children)
                         stats.dropped_resource += dropped_db
@@ -1202,16 +1172,6 @@ class BranchAndBound:
 
                     # RB: MAXSZAS disposes of the worst active vertices.
                     if active > max_active:
-                        if rb.fail_on_exhaustion:
-                            if sink is not None and sink.accepts("resource"):
-                                sink.emit(
-                                    "resource",
-                                    {"kind": "MAXSZAS",
-                                     "detail": f"{active} active"},
-                                )
-                            _limit_exceeded(
-                                "MAXSZAS", f"{active} active"
-                            )
                         dropped = frontier.drop_worst(active - int(rb.max_active))
                         stats.dropped_resource += dropped
                         stats.truncated = True
@@ -1231,19 +1191,17 @@ class BranchAndBound:
                         lap("eliminate")
 
             if stop_kind == "MAXVERT":
-                detail = f"{stats.generated} generated"
                 if sink is not None and sink.accepts("resource"):
-                    sink.emit("resource", {"kind": "MAXVERT", "detail": detail})
-                if rb.fail_on_exhaustion:
-                    _limit_exceeded("MAXVERT", detail)
+                    sink.emit(
+                        "resource",
+                        {"kind": "MAXVERT",
+                         "detail": f"{stats.generated} generated"},
+                    )
                 stats.truncated = True
-            elif stop_kind is not None and stop_kind != "INTERRUPTED":
-                if rb.fail_on_exhaustion:
-                    _limit_exceeded(*boundary.stopped)
         finally:
-            # Always populate stats.elapsed, even when a resource bound
-            # raises mid-solve (stop_clock is idempotent, so the normal
-            # path is unaffected).
+            # Always populate stats.elapsed, even when the search raises
+            # mid-solve (stop_clock is idempotent, so the normal path is
+            # unaffected).
             stats.stop_clock()
 
         status = self._status(
@@ -1284,17 +1242,9 @@ class BranchAndBound:
         if lap is not None:
             lap("finalize")
 
-        # Fold the dominance checker's post-solve telemetry into the
-        # run's stats: transposition hits are split out of the dominated
-        # count into `pruned_duplicate` so reports break pruning down by
-        # rule (elimination vs dominance vs transposition), and the
-        # table's counters ride the result.
+        # The transposition table's counters ride the result.
         dom_tel = dominance.telemetry()
         if dom_tel:
-            dup = dom_tel.get("duplicate_pruned", 0)
-            if dup:
-                stats.pruned_duplicate = dup
-                stats.pruned_dominated -= dup
             for key in TT_COUNTERS:
                 if key in dom_tel:
                     setattr(stats, key, dom_tel[key])

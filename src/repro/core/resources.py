@@ -4,9 +4,9 @@ The paper's semantics:
 
 * **TIMELIMIT** — maximum wall-clock time to find a solution.  On
   expiry the algorithm "either fails or terminates with the best
-  solution found so far"; we do the latter by default and raise
-  :class:`~repro.errors.ResourceLimitExceeded` when
-  ``fail_on_exhaustion`` is set.
+  solution found so far"; we do the latter: the result carries the best
+  schedule (or ``FAILED`` when there is none) and a status naming the
+  bound that stopped it.
 * **MAXSZAS** — maximum size of the active set.  On overflow "the
   algorithm must dispose of one or more of the active intermediate
   solutions, thereby running the risk of missing the optimal solution";
@@ -71,8 +71,6 @@ class ResourceBounds:
     max_children: float = UNBOUNDED
     max_vertices: float = UNBOUNDED
     max_memory_bytes: float = UNBOUNDED
-    #: When True, exceeding any bound raises instead of degrading.
-    fail_on_exhaustion: bool = False
 
     def __post_init__(self) -> None:
         for field_name in (

@@ -53,8 +53,8 @@ class SearchStats:
     #: Children discarded by the dominance rule D.
     pruned_dominated: int = 0
     #: Children discarded as duplicates of an already-seen state (the
-    #: transposition layer; split out of ``pruned_dominated`` post-solve
-    #: so reports can attribute pruning per rule).
+    #: transposition layer), counted apart from ``pruned_dominated`` as
+    #: they are pruned.
     pruned_duplicate: int = 0
     #: Children discarded by the characteristic function F.
     pruned_infeasible: int = 0

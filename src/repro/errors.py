@@ -18,8 +18,6 @@ __all__ = [
     "SpecificationError",
     "GenerationError",
     "DeadlineAssignmentError",
-    "SearchError",
-    "ResourceLimitExceeded",
     "ConfigurationError",
     "SerializationError",
     "ProblemFormatError",
@@ -120,47 +118,8 @@ class DeadlineAssignmentError(WorkloadError):
 
 
 # ---------------------------------------------------------------------------
-# Search layer
+# Configuration, I/O and distribution
 # ---------------------------------------------------------------------------
-
-
-class SearchError(ReproError):
-    """The branch-and-bound engine hit an unrecoverable condition."""
-
-
-class ResourceLimitExceeded(SearchError):
-    """A hard resource bound was exceeded and the caller asked to fail.
-
-    The engine normally *degrades* on resource exhaustion (returning the
-    best solution found so far, per the paper's RB semantics); this is
-    only raised when ``ResourceBounds.fail_on_exhaustion`` is set.
-
-    ``partial`` carries the anytime :class:`~repro.core.engine.BnBResult`
-    at the moment the bound tripped — the best incumbent found so far,
-    its schedule, and the run's statistics — so callers that still catch
-    the exception can recover the paid-for work instead of losing it.
-    It is ``None`` only when the engine could not assemble one, and it
-    is deliberately dropped when the exception crosses a process
-    boundary (a partial result pins the whole compiled problem, which
-    the coordinator already has).
-    """
-
-    def __init__(self, which: str, detail: str = "", partial=None) -> None:
-        self.which = which
-        self.detail = detail
-        self.partial = partial
-        msg = f"resource bound exceeded: {which}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
-
-    def __reduce__(self):
-        # Default exception pickling replays __init__ with ``args`` —
-        # here the already-formatted message — which would double-wrap
-        # the prefix and drop ``which``.  Replay the real constructor
-        # arguments instead (workers raise this across process
-        # boundaries); ``partial`` stays behind on purpose.
-        return (type(self), (self.which, self.detail))
 
 
 class ConfigurationError(ReproError, ValueError):

@@ -74,8 +74,7 @@ class BenchCell:
         if self.max_vertices is None:
             bounds = ResourceBounds(max_vertices=2_000_000)
         else:
-            bounds = ResourceBounds(max_vertices=self.max_vertices,
-                                    fail_on_exhaustion=False)
+            bounds = ResourceBounds(max_vertices=self.max_vertices)
         return PRESETS[self.preset](resources=bounds)
 
 

@@ -252,7 +252,7 @@ def test_native_stop_then_object_resume_matches_fused(
     params = BnBParameters(
         selection=selection(),
         upper_bound=NoUpperBound(),
-        resources=ResourceBounds(max_vertices=5_000, fail_on_exhaustion=False),
+        resources=ResourceBounds(max_vertices=5_000),
     )
     straight = BranchAndBound(params).solve(problem)
     token = StopToken()

@@ -51,10 +51,15 @@ from repro.core.checkpoint import (
     problem_fingerprint,
     write_checkpoint,
 )
-from repro.core.selection import FIFOSelection, MemoryLimitedSelection
+from repro.core.selection import (
+    FIFOSelection,
+    LLBSelection,
+    MemoryLimitedSelection,
+)
 from repro.core.stats import SearchStats
 from repro.errors import CheckpointError
 from repro.io import save_graph
+from repro.obs import LiveMonitor, Observability
 
 PROBLEM = hard_problem(seed=0)
 
@@ -295,6 +300,55 @@ def test_kill_resume_differential_with_transposition(tmp_path):
     )
     assert resumed.best_cost == straight.best_cost
     assert resumed.stats.generated >= straight.stats.generated
+
+
+def test_resumed_transposition_run_adds_to_the_snapshots_duplicates(
+    tmp_path,
+):
+    # Duplicates are booked as they are pruned: the snapshot holds the
+    # capped run's duplicates under pruned_duplicate, and the resumed
+    # run adds its own table's hits on top of them.
+    problem = hard_problem(seed=11, processors=4)
+    params = BnBParameters(selection=LLBSelection()).with_transposition()
+    path = tmp_path / "cp.pkl"
+    capped = BranchAndBound(
+        params.evolve(resources=ResourceBounds(max_vertices=900))
+    ).solve(problem, checkpoint=Checkpointer(str(path), seconds=0))
+    assert capped.status is SolveStatus.TRUNCATED
+    snap = load_checkpoint(str(path))
+    assert snap.stats["pruned_dominated"] == 0
+    assert snap.stats["pruned_duplicate"] > 0
+
+    resumed = BranchAndBound(params).solve(problem, resume=snap)
+    assert resumed.stats.pruned_dominated == 0
+    assert resumed.stats.tt_hits > 0
+    assert resumed.stats.pruned_duplicate == (
+        snap.stats["pruned_duplicate"] + resumed.stats.tt_hits
+    )
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "reference"])
+def test_live_samples_report_duplicates_mid_solve(fused):
+    class Recorder(LiveMonitor):
+        def __init__(self):
+            super().__init__(interval=0.0)
+            self.prunes = []
+
+        def on_sample(self, **kw):
+            taken = super().on_sample(**kw)
+            if taken:
+                self.prunes.append(self.bus.snapshot()["status"]["prunes"])
+            return taken
+
+    monitor = Recorder()
+    params = BnBParameters(selection=LLBSelection()).with_transposition()
+    result = BranchAndBound(
+        params, obs=Observability(live=monitor), fused=fused
+    ).solve(hard_problem(seed=11, processors=4))
+    assert result.stats.pruned_duplicate > 0
+    assert monitor.prunes
+    assert all(p["dominated"] == 0 for p in monitor.prunes)
+    assert monitor.prunes[-1]["duplicate"] > 0
 
 
 def test_resume_rejects_a_different_parametrization(tmp_path):

@@ -141,6 +141,13 @@ class TestSolve:
                 "--parallel-mode", "deterministic",
             ])
 
+    def test_cluster_flag_is_gone(self, graph_file, capsys):
+        # The coordinator lives on 'repro cluster coordinator --bind'.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", graph_file, "--cluster", "127.0.0.1:0"])
+        assert exc.value.code == 2
+        assert "--cluster" in capsys.readouterr().err
+
 
 class TestExperimentAndList:
     def test_list(self, capsys):

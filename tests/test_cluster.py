@@ -31,12 +31,11 @@ from repro.core import (
     BranchAndBound,
     LIFOSelection,
     LLBSelection,
-    ResourceBounds,
     SolveStatus,
 )
 from repro.core import engine as engine_mod
 from repro.core.checkpoint import Checkpointer, StopToken, load_checkpoint
-from repro.errors import CheckpointError, ResourceLimitExceeded
+from repro.errors import CheckpointError
 from repro.obs import LiveMonitor, Observability
 
 from faultlib import (
@@ -240,16 +239,6 @@ def test_native_heartbeats_rate_the_engines_explored_count(monkeypatch):
         # Consecutive boundaries of the driver, not of the Python loop.
         assert explored1 - explored0 == 16
         assert vps == pytest.approx((explored1 - explored0) / (t1 - t0))
-
-
-def test_worker_resource_failure_is_raised_not_retried():
-    # fail_on_exhaustion in a worker must reach the caller as the
-    # sequential engine raises it, not look like a crash.
-    params = BnBParameters().evolve(
-        resources=ResourceBounds(max_vertices=30, fail_on_exhaustion=True)
-    )
-    with pytest.raises(ResourceLimitExceeded):
-        run_cluster(PROBLEMS[HARD_SEEDS[0]], params, workers=1)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +500,37 @@ def test_interrupted_coordinator_resumes_to_same_cost(tmp_path):
     writes = coord2.last_report.checkpoint_writes
     assert writes >= 2
     assert load_checkpoint(path).version == snap.version + writes
+
+
+@pytest.mark.parametrize("seed", HARD_SEEDS)
+def test_snapshot_records_the_upper_bound_and_its_source(seed, tmp_path):
+    # A snapshot holding U's schedule says so: the resumed result names
+    # the same source and U as the sequential run.
+    problem = PROBLEMS[seed]
+    reference = REFERENCE[seed]
+    path = str(tmp_path / "cluster.ckpt")
+    token = StopToken()
+    token.set("test interrupt")
+    ClusterCoordinator(
+        None,
+        bind="mem://phase1",
+        transport=MemoryTransport(),
+        checkpoint=Checkpointer(path, seconds=0),
+        stop=token,
+    ).solve(problem)
+    snap = load_checkpoint(path)
+    assert snap.initial_upper_bound == reference.initial_upper_bound
+    assert snap.incumbent_source == reference.incumbent_source
+
+    for resumed in (
+        BranchAndBound(BnBParameters()).solve(problem, resume=snap),
+        run_cluster(
+            problem, workers=1, coordinator_kwargs=dict(resume=snap)
+        )[0],
+    ):
+        assert resumed.best_cost == reference.best_cost
+        assert resumed.incumbent_source == reference.incumbent_source
+        assert resumed.initial_upper_bound == reference.initial_upper_bound
 
 
 def test_resume_rejects_mismatched_problem(tmp_path):

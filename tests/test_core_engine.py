@@ -22,7 +22,6 @@ from repro.core import (
     StateDominance,
     solve,
 )
-from repro.errors import ResourceLimitExceeded
 from repro.model import compile_problem, shared_bus_platform
 from repro.scheduling import edf_schedule
 from repro.workload import generate_task_graph, scaled_spec
@@ -212,17 +211,6 @@ class TestFailureAndBounds:
         ).solve(prob)
         assert res.found_solution
         assert res.stats.dropped_resource > 0
-
-    def test_fail_on_exhaustion_raises(self):
-        prob = compile_problem(
-            generate_task_graph(scaled_spec(), seed=0), shared_bus_platform(3)
-        )
-        rb = ResourceBounds(max_vertices=10, fail_on_exhaustion=True)
-        # Without an initial bound the search cannot root-prune, so the
-        # vertex cap is guaranteed to trip.
-        params = BnBParameters(resources=rb, upper_bound=NoUpperBound())
-        with pytest.raises(ResourceLimitExceeded, match="MAXVERT"):
-            BranchAndBound(params).solve(prob)
 
     def test_time_limit_flag(self):
         # A generous limit should not trip on a trivial problem.

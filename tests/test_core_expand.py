@@ -45,7 +45,7 @@ from conftest import native_disabled
 
 #: Cap so that weak configurations (TrivialBound, NoElimination) stay
 #: cheap; truncation is fine — both paths must truncate identically.
-_CAPPED = ResourceBounds(max_vertices=20_000, fail_on_exhaustion=False)
+_CAPPED = ResourceBounds(max_vertices=20_000)
 
 
 def _problem(seed: int, m: int = 2, profile: str = "tiny"):
@@ -126,9 +126,7 @@ _VARIANTS = {
     "no-elimination": {
         "elimination": NoElimination(),
         # Uncut searches explode; a tight cap keeps them comparable.
-        "resources": ResourceBounds(
-            max_vertices=4_000, fail_on_exhaustion=False
-        ),
+        "resources": ResourceBounds(max_vertices=4_000),
     },
     "inaccuracy-br": {"inaccuracy": 0.10},
     "best-last-order": {"child_order": "best-last"},

@@ -31,7 +31,7 @@ from repro.core.engine import SubtreeSpec
 from repro.core.expand import FusedExpander
 from repro.core.parallel import default_worker_count
 from repro.core.selection import SELECTION_RULES
-from repro.errors import ConfigurationError, ResourceLimitExceeded
+from repro.errors import ConfigurationError
 from repro.model import compile_problem, shared_bus_platform
 from repro.workload import WorkloadSpec, generate_task_graph, spec_for_profile
 
@@ -89,19 +89,6 @@ def _assert_identical(par, seq):
 # ---------------------------------------------------------------------------
 # Contract
 # ---------------------------------------------------------------------------
-
-
-def test_maxvert_exhaustion_raises_in_both_modes():
-    problem = PROBLEMS[-1]
-    params = BnBParameters(
-        selection=LIFOSelection(),
-        resources=ResourceBounds(max_vertices=40, fail_on_exhaustion=True),
-    )
-    with pytest.raises(ResourceLimitExceeded) as seq_err:
-        BranchAndBound(params).solve(problem)
-    with pytest.raises(ResourceLimitExceeded) as par_err:
-        ParallelBnB(params, workers=2, split_depth=2).solve(problem)
-    assert seq_err.value.which == par_err.value.which == "MAXVERT"
 
 
 def test_time_limit_is_one_deadline_for_the_whole_solve():

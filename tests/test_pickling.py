@@ -24,7 +24,6 @@ import pytest
 from repro.core import BnBParameters, BranchAndBound, root_state
 from repro.core.expand import FusedExpander, PendingChild
 from repro.core.state import SearchState
-from repro.errors import ResourceLimitExceeded
 from repro.model import compile_problem, shared_bus_platform
 from repro.workload import WorkloadSpec, generate_task_graph
 
@@ -170,12 +169,3 @@ def test_parameters_and_results_round_trip():
     assert res_clone.status == result.status
     assert res_clone.proc_of == result.proc_of
     assert res_clone.stats.as_dict() == result.stats.as_dict()
-
-
-def test_resource_error_round_trips():
-    err = ResourceLimitExceeded("MAXVERT", "123 generated")
-    clone = pickle.loads(pickle.dumps(err))
-    assert isinstance(clone, ResourceLimitExceeded)
-    assert str(clone) == str(err)
-    assert clone.which == "MAXVERT"
-    assert clone.detail == "123 generated"

@@ -16,10 +16,9 @@ from repro.core import (
     BnBParameters,
     BranchAndBound,
     ParallelBnB,
-    ResourceBounds,
     SolveStatus,
 )
-from repro.errors import ConfigurationError, ResourceLimitExceeded
+from repro.errors import ConfigurationError
 from repro.obs import MemorySink, MetricsRegistry, Observability
 
 PROBLEM = hard_problem(seed=0)
@@ -152,50 +151,3 @@ class TestThroughputSupervision:
         assert restart["attempt"] == 1
         assert obs.metrics.counter("bnb_worker_restart_total").value >= 1
         assert obs.metrics.counter("bnb_shard_retry_total").value >= 1
-
-    def test_worker_resource_failure_propagates_not_retries(self):
-        # A worker *raising* (fail_on_exhaustion) is a result, not a
-        # crash: it must surface to the caller, not burn retries.
-        params = PARAMS.evolve(
-            resources=ResourceBounds(
-                max_vertices=30, fail_on_exhaustion=True
-            )
-        )
-        solver = ParallelBnB(params, workers=2, split_depth=2, **FAST)
-        with pytest.raises(ResourceLimitExceeded):
-            solver.solve(PROBLEM)
-
-
-# ---------------------------------------------------------------------------
-# Satellite: the anytime result attached to ResourceLimitExceeded
-# ---------------------------------------------------------------------------
-
-
-class TestPartialResult:
-    def test_sequential_exhaustion_carries_the_incumbent(self):
-        params = PARAMS.evolve(
-            resources=ResourceBounds(
-                max_vertices=100, fail_on_exhaustion=True
-            )
-        )
-        with pytest.raises(ResourceLimitExceeded) as exc:
-            BranchAndBound(params).solve(PROBLEM)
-        partial = exc.value.partial
-        assert partial is not None
-        assert partial.found_solution
-        assert partial.best_cost <= SEQ.initial_upper_bound
-        partial.schedule().validate()
-
-    def test_partial_is_dropped_across_process_boundaries(self):
-        import pickle
-
-        params = PARAMS.evolve(
-            resources=ResourceBounds(
-                max_vertices=100, fail_on_exhaustion=True
-            )
-        )
-        with pytest.raises(ResourceLimitExceeded) as exc:
-            BranchAndBound(params).solve(PROBLEM)
-        clone = pickle.loads(pickle.dumps(exc.value))
-        assert clone.which == exc.value.which
-        assert clone.partial is None
