@@ -558,6 +558,7 @@ def _cmd_solve(args) -> int:
         server.start()
         print(f"monitor: {server.url}/ (status, metrics, events)",
               file=sys.stderr)
+    token = StopToken()
     try:
         if args.command == "cluster":
             from .cluster import ClusterCoordinator
@@ -565,7 +566,6 @@ def _cmd_solve(args) -> int:
             problem = compile_problem(
                 graph, shared_bus_platform(args.processors)
             )
-            token = StopToken()
             coordinator = ClusterCoordinator(
                 params,
                 bind=args.bind,
@@ -600,14 +600,14 @@ def _cmd_solve(args) -> int:
                 split_depth=args.split_depth,
                 obs=obs if obs.enabled else None,
             )
-            result = parallel.solve_graph(
-                graph, shared_bus_platform(args.processors)
-            )
+            with graceful_interrupts(token):
+                result = parallel.solve_graph(
+                    graph, shared_bus_platform(args.processors), stop=token
+                )
         else:
             problem = compile_problem(
                 graph, shared_bus_platform(args.processors)
             )
-            token = StopToken()
             with graceful_interrupts(token):
                 result = BranchAndBound(params, obs=obs).solve(
                     problem,

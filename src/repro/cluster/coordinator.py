@@ -54,7 +54,13 @@ from ..core.checkpoint import (
     problem_fingerprint,
 )
 from ..core.elimination import pruning_threshold
-from ..core.engine import BnBResult, BranchAndBound, SolveStatus
+from ..core.engine import (
+    BnBResult,
+    BranchAndBound,
+    SolveStatus,
+    announce_start,
+    publish,
+)
 from ..core.params import BnBParameters
 from ..core.shards import BackoffPolicy, FrontierCollector, RetryQueue, Shard
 from ..core.stats import SearchStats
@@ -272,11 +278,19 @@ class ClusterCoordinator:
             ]
             if self.checkpoint is not None:
                 self.checkpoint.resume_from(snap)
+            announce_start(self.obs, problem, params, incumbent0)
         else:
+            # The shallow pass is part of this solve, not a solve of its
+            # own: it reports nothing, and the coordinator publishes the
+            # whole solve once, at the end.
             collector = FrontierCollector(self.split_depth)
-            engine = BranchAndBound(params, obs=self.obs)
-            shallow = engine.solve(problem, dispatcher=collector)
+            shallow = BranchAndBound(params).solve(
+                problem, dispatcher=collector
+            )
             shards = collector.shards
+            announce_start(
+                self.obs, problem, params, shallow.initial_upper_bound
+            )
             if (
                 not shards
                 or shallow.status is SolveStatus.TARGET_REACHED
@@ -285,6 +299,7 @@ class ClusterCoordinator:
                 self.last_report = ClusterReport(
                     0, 0, 0, 0, 0, len(shards), 0, 0, (), False, 0
                 )
+                publish(shallow, self.obs, active=len(shards))
                 return shallow
             best_cost = shallow.best_cost
             best_proc = shallow.proc_of
@@ -336,21 +351,6 @@ class ClusterCoordinator:
 
         found = best_proc is not None
         status = BranchAndBound._status(params, merged, loop.target, found)
-        monitor = self.obs.live if self.obs is not None else None
-        if monitor is not None:
-            monitor.bus.update(
-                phase="done",
-                result_status=status.value,
-                incumbent=best_cost if found else None,
-                explored=merged.explored,
-                generated=merged.generated,
-                elapsed=round(merged.elapsed, 3),
-                vps=round(merged.vertices_per_second or 0.0, 1),
-            )
-            monitor.bus.record_event(
-                "cluster_done",
-                {"status": status.value, "workers": members.joins},
-            )
         self.last_report = ClusterReport(
             workers=members.joins,
             joins=members.joins,
@@ -367,7 +367,7 @@ class ClusterCoordinator:
             ),
             worker_restarts=loop.worker_restarts,
         )
-        return BnBResult(
+        result = BnBResult(
             problem=problem,
             params=params,
             status=status,
@@ -380,6 +380,9 @@ class ClusterCoordinator:
             initial_upper_bound=initial_ub,
             stats=merged,
         )
+        open_shards = len(live) - len(loop.completed) - len(loop.stale)
+        publish(result, self.obs, active=open_shards)
+        return result
 
     # ------------------------------------------------------------------
 
@@ -399,12 +402,9 @@ class ClusterCoordinator:
             pending.add(s)
         total = len(live)
 
-        user_sink = self.obs.sink if self.obs is not None else None
         monitor = self.obs.live if self.obs is not None else None
         progress = self.obs.progress if self.obs is not None else None
-        sink = (
-            user_sink if monitor is None else monitor.compose_sink(user_sink)
-        )
+        sink = self.obs.event_sink() if self.obs is not None else None
         metrics = self.obs.metrics if self.obs is not None else None
 
         def emit(kind, payload):
@@ -830,8 +830,9 @@ class ClusterCoordinator:
                 pass  # revoke is advisory; duplicates dedupe anyway
 
         try:
-            for _ in range(min(self.local_workers, total)):
-                spawn_local()
+            if self.stop is None or not self.stop.is_set():
+                for _ in range(min(self.local_workers, total)):
+                    spawn_local()
             while True:
                 accounted = (
                     len(loop.completed)
@@ -942,7 +943,6 @@ class ClusterCoordinator:
                             gap,
                             vps_total,
                         )
-                        monitor.last_gap = gap
                     if progress is not None:
                         progress.maybe_emit(
                             explored=merged.explored,

@@ -35,6 +35,7 @@ with signals; no plan needed.
 from __future__ import annotations
 
 import os
+import signal
 import socket
 import time
 
@@ -397,8 +398,10 @@ def run_local_worker(sock, worker_id: str, fault_plan, shared_tt) -> None:
 
     ``sock`` is the child end of a
     :class:`~repro.cluster.transport.SocketPairListener` link; the
-    handshake over it is the same one a remote worker makes.
+    handshake over it is the same one a remote worker makes.  It ignores
+    SIGINT: a terminal Ctrl-C is for the coordinator, which stops it.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     ClusterWorker(
         SocketPairListener.address,
         transport=SocketPairTransport(sock),

@@ -238,42 +238,3 @@ class Boundary:
                 "bnb_checkpoint_written_total", "Search snapshots written"
             ).inc()
         return path
-
-    def finish(
-        self, status: str, *, optimal: bool, frontier, incumbent,
-        open_lower_bound,
-    ) -> None:
-        """Close the heartbeat and leave ``/status`` showing the outcome.
-
-        Short solves may never reach the sampling interval, so the live
-        monitor always gets a terminal snapshot.
-        """
-        stats = self.stats
-        if self.progress is not None:
-            self.progress.finish(f"{status}; {stats.summary()}")
-        live = self.live
-        if live is None:
-            return
-        if incumbent is not None and open_lower_bound is not None:
-            gap = max(0.0, incumbent - open_lower_bound)
-        elif optimal:
-            gap = 0.0
-        else:
-            gap = None
-        live.last_gap = gap
-        live.bus.update(
-            gap=gap,
-            phase="done",
-            result_status=status,
-            elapsed=round(stats.elapsed, 3),
-            explored=stats.explored,
-            generated=stats.generated,
-            active=len(frontier),
-            incumbent=(
-                None
-                if incumbent is None or math.isinf(incumbent)
-                else incumbent
-            ),
-            open_lower_bound=open_lower_bound,
-            vps=round(stats.vertices_per_second or 0.0, 1),
-        )

@@ -93,13 +93,13 @@ class DominanceChecker(ABC):
         return self.is_dominated(parent.child_placed(task, proc, s, f))
 
     def telemetry(self) -> dict[str, int] | None:
-        """Post-solve counters for observability (``None`` = nothing).
+        """The transposition table's counters (``None`` = no table).
 
-        The engine copies the transposition table counters (``tt_hits``,
-        ``tt_misses``, ``tt_inserts``, ``tt_evictions``, ``tt_rejects``,
-        ``tt_collisions``, ``tt_filled``, ``tt_capacity``) onto
-        :class:`SearchStats` and into the metrics registry; the whole
-        dict is the ``tt`` trace event.
+        ``tt_hits``, ``tt_misses``, ``tt_inserts``, ``tt_evictions``,
+        ``tt_rejects``, ``tt_collisions``, ``tt_filled`` and
+        ``tt_capacity``: the live monitor samples them mid-solve, and the
+        engine copies them onto :class:`SearchStats`, whence the ``tt``
+        trace event and the ``bnb_tt_*`` metrics report them.
         """
         return None
 
@@ -135,7 +135,6 @@ class _StateChecker(DominanceChecker):
 
     def __init__(self, max_front: int) -> None:
         self.max_front = max_front
-        self.dominated_pruned = 0
         self.front_evictions = 0
         self._fronts: dict[
             tuple[int, tuple[int, ...]],
@@ -177,7 +176,6 @@ class _StateChecker(DominanceChecker):
             if all(of <= nf for of, nf in zip(ofin, fin)) and all(
                 oa <= na for oa, na in zip(oav, av)
             ):
-                self.dominated_pruned += 1
                 return True
         # Bounded front with deterministic FIFO eviction: once a key's
         # front is full, the oldest recorded state makes room.  Evicting
@@ -190,14 +188,6 @@ class _StateChecker(DominanceChecker):
             self.front_evictions += 1
         front.append((fin, av))
         return False
-
-    def telemetry(self) -> dict[str, int]:
-        return {
-            "dominated_pruned": self.dominated_pruned,
-            "front_evictions": self.front_evictions,
-            "front_keys": len(self._fronts),
-            "front_entries": sum(len(v) for v in self._fronts.values()),
-        }
 
     def store_size(self) -> int:
         """Total recorded states across all fronts (bound regression hook)."""

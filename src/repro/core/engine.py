@@ -28,7 +28,8 @@ observability off runs the same loop it always did.  Everything
 periodic — stop token, limits, checkpoints, bound-channel polls, live
 samples, heartbeats, the search gauges — rides one
 :class:`~repro.core.boundary.Boundary`, which the native chunk driver
-calls too.
+calls too.  The finished solve is reported once, by :func:`publish`,
+which is also how the cluster coordinator reports a parallel solve.
 """
 
 from __future__ import annotations
@@ -243,40 +244,45 @@ class SubtreeSpec:
     max_generated: float = math.inf
 
 
-def _final_metrics(
-    metrics: MetricsRegistry, stats: SearchStats, incumbent_cost: float
-) -> None:
-    """Fold one run's :class:`SearchStats` into the standard counters.
+#: The ``bnb_<name>_total`` counters a finished solve adds to, each the
+#: :class:`SearchStats` field of that name (less a ``_vertices`` suffix).
+_COUNTERS = (
+    ("generated_vertices",
+     "Vertices created by branching (the paper's cost measure)"),
+    ("explored_vertices", "Vertices selected from the active set and branched"),
+    ("pruned_children", "Children discarded by the elimination rule E"),
+    ("pruned_active", "Active vertices swept when the incumbent improved"),
+    ("pruned_dominated", "Children discarded by the dominance rule D"),
+    ("pruned_duplicate",
+     "Children discarded as duplicate states (transposition hits)"),
+    ("pruned_infeasible", "Children discarded by the characteristic function F"),
+    ("dropped_resource", "Vertices dropped by MAXSZAS / MAXSZDB overflow"),
+    ("goals_evaluated", "Complete schedules compared to the incumbent"),
+    ("incumbent_updates", "Times the incumbent improved"),
+)
+
+#: The same for a solve that probed a transposition table.
+_TT_COUNTERS = (
+    ("tt_hits", "Transposition probes answered by a stored duplicate"),
+    ("tt_misses", "Transposition probes that found no duplicate"),
+    ("tt_inserts", "States recorded in the transposition table"),
+    ("tt_evictions", "Stored states displaced by the replacement policy"),
+    ("tt_rejects", "Insertions refused by the depth-preferred policy"),
+    ("tt_collisions", "Equal 64-bit signatures with differing payloads"),
+)
+
+
+def _final_metrics(metrics: MetricsRegistry, result: BnBResult) -> None:
+    """Fold a finished solve into the standard ``bnb_*`` instruments.
 
     Counters accumulate across solves sharing a registry (Prometheus
     counter semantics); gauges reflect the most recent run.
     """
+    stats = result.stats
     c = metrics.counter
-    c("bnb_generated_vertices_total",
-      "Vertices created by branching (the paper's cost measure)",
-      ).inc(stats.generated)
-    c("bnb_explored_vertices_total",
-      "Vertices selected from the active set and branched").inc(stats.explored)
-    c("bnb_pruned_children_total",
-      "Children discarded by the elimination rule E").inc(stats.pruned_children)
-    c("bnb_pruned_active_total",
-      "Active vertices swept when the incumbent improved").inc(
-          stats.pruned_active)
-    c("bnb_pruned_dominated_total",
-      "Children discarded by the dominance rule D").inc(stats.pruned_dominated)
-    c("bnb_pruned_duplicate_total",
-      "Children discarded as duplicate states (transposition hits)").inc(
-          stats.pruned_duplicate)
-    c("bnb_pruned_infeasible_total",
-      "Children discarded by the characteristic function F").inc(
-          stats.pruned_infeasible)
-    c("bnb_dropped_resource_total",
-      "Vertices dropped by MAXSZAS / MAXSZDB overflow").inc(
-          stats.dropped_resource)
-    c("bnb_goals_evaluated_total",
-      "Complete schedules compared to the incumbent").inc(stats.goals_evaluated)
-    c("bnb_incumbent_updates_total",
-      "Times the incumbent improved").inc(stats.incumbent_updates)
+    for name, help_text in _COUNTERS:
+        field = name.removesuffix("_vertices")
+        c(f"bnb_{name}_total", help_text).inc(getattr(stats, field))
     c("bnb_solves_total", "Branch-and-bound runs recorded").inc()
     g = metrics.gauge
     g("bnb_engine_path",
@@ -286,33 +292,106 @@ def _final_metrics(
     g("bnb_peak_active_set_size",
       "Largest active-set size of the last run").set(stats.peak_active)
     g("bnb_elapsed_seconds", "Wall-clock of the last run").set(stats.elapsed)
+    incumbent_cost = min(result.best_cost, result.initial_upper_bound)
     if not math.isinf(incumbent_cost):
         g("bnb_incumbent_cost",
           "Best maximum lateness found").set(incumbent_cost)
-
-
-def _tt_metrics(metrics: MetricsRegistry, tel: dict[str, int]) -> None:
-    """Fold transposition-table telemetry into the metrics registry."""
-    c = metrics.counter
-    for key, help_text in (
-        ("tt_hits", "Transposition probes answered by a stored duplicate"),
-        ("tt_misses", "Transposition probes that found no duplicate"),
-        ("tt_inserts", "States recorded in the transposition table"),
-        ("tt_evictions", "Stored states displaced by the replacement policy"),
-        ("tt_rejects", "Insertions refused by the depth-preferred policy"),
-        ("tt_collisions", "Equal 64-bit signatures with differing payloads"),
-    ):
-        if key in tel:
-            c(f"bnb_{key}_total", help_text).inc(tel[key])
-    g = metrics.gauge
-    if "tt_filled" in tel:
+    if stats.tt_capacity:
+        for name, help_text in _TT_COUNTERS:
+            c(f"bnb_{name}_total", help_text).inc(getattr(stats, name))
         g("bnb_tt_filled_entries",
           "Occupied transposition slots after the last run").set(
-              tel["tt_filled"])
-    if "tt_capacity" in tel:
+              stats.tt_filled)
         g("bnb_tt_capacity_entries",
           "Total transposition slots (memory bound / entry size)").set(
-              tel["tt_capacity"])
+              stats.tt_capacity)
+
+
+def announce_start(
+    obs: Observability | None,
+    problem: CompiledProblem,
+    params: BnBParameters,
+    initial_bound: float,
+) -> None:
+    """Open a solve's report: re-arm the heartbeat, emit its ``start``."""
+    if obs is None:
+        return
+    if obs.progress is not None:
+        obs.progress.start()
+    sink = obs.event_sink()
+    if sink is not None and sink.accepts("start"):
+        sink.emit(
+            "start",
+            {
+                "n": problem.n,
+                "m": problem.m,
+                "initial_bound": _json_num(initial_bound),
+                "params": params.describe(),
+            },
+        )
+
+
+def publish(
+    result: BnBResult, obs: Observability | None, *, active: int = 0
+) -> None:
+    """Report a finished solve, read from its result, to every consumer.
+
+    The one end-of-solve report of :meth:`BranchAndBound.solve` and of
+    the cluster coordinator: the ``bnb_*`` metrics, the terminal
+    ``/status``, the ``tt`` (if a table was probed) and ``summary``
+    events and the heartbeat's ``done`` line.  ``active`` is the size of
+    the open search at the end.
+    """
+    if obs is None:
+        return
+    stats = result.stats
+    status = result.status.value
+    best_cost = _json_num(result.best_cost) if result.found_solution else None
+    if obs.metrics is not None:
+        _final_metrics(obs.metrics, result)
+    live = obs.live
+    if live is not None:
+        gap = result.optimality_gap
+        if gap is None and result.status is SolveStatus.OPTIMAL:
+            gap = 0.0
+        live.last_gap = gap
+        live.bus.update(
+            phase="done",
+            result_status=status,
+            best_cost=best_cost,
+            incumbent=best_cost,
+            gap=gap,
+            open_lower_bound=result.open_lower_bound,
+            elapsed=round(stats.elapsed, 3),
+            explored=stats.explored,
+            generated=stats.generated,
+            active=active,
+            vps=round(stats.vertices_per_second, 1),
+            engine_path=stats.engine_path,
+            engine_fallback=stats.engine_fallback,
+        )
+    sink = obs.event_sink()
+    if sink is not None:
+        if stats.tt_capacity and sink.accepts("tt"):
+            tt = {key: getattr(stats, key) for key in TT_COUNTERS}
+            sink.emit("tt", {"duplicate_pruned": stats.pruned_duplicate, **tt})
+        if sink.accepts("summary"):
+            profile = result.profile
+            sink.emit(
+                "summary",
+                {
+                    "status": status,
+                    "best_cost": best_cost,
+                    "initial_upper_bound": _json_num(result.initial_upper_bound),
+                    "incumbent_source": result.incumbent_source,
+                    "stats": stats.as_dict(),
+                    "engine_path": stats.engine_path,
+                    "engine_fallback": stats.engine_fallback,
+                    "profile": profile.to_dict() if profile is not None else None,
+                },
+            )
+    if obs.progress is not None:
+        obs.progress.finish(f"{status}; {stats.summary()}")
 
 
 def _object_refusal(fused, hot_sink, profiler, prepared, params):
@@ -479,7 +558,7 @@ class BranchAndBound:
         live = obs.live if obs is not None else None
         # The live monitor rides the event stream for low-frequency
         # kinds only (its sink rejects explore/prune/goal statically).
-        sink = user_sink if live is None else live.compose_sink(user_sink)
+        sink = obs.event_sink() if obs is not None else None
         # The per-vertex observer is the user's sink, unless it rejects
         # every sampled kind *statically* (no per-event state backs the
         # answer, as with a TraceRecorder): then no per-vertex emit check
@@ -553,18 +632,7 @@ class BranchAndBound:
                 found_cost = incumbent_cost
                 incumbent_source = "initial-upper-bound"
             threshold = pruning_threshold(incumbent_cost, params.inaccuracy)
-            if progress is not None:
-                progress.start()
-            if sink is not None and sink.accepts("start"):
-                sink.emit(
-                    "start",
-                    {
-                        "n": problem.n,
-                        "m": problem.m,
-                        "initial_bound": _json_num(incumbent_cost),
-                        "params": params.describe(),
-                    },
-                )
+            announce_start(obs, problem, params, incumbent_cost)
 
             prepared = params.branching.prepare(problem)
             frontier = params.selection.make_frontier()
@@ -952,8 +1020,11 @@ class BranchAndBound:
                         if n_dominated:
                             n_dup = dominance.duplicate_pruned - dup_seen
                             dup_seen += n_dup
+                            n_dominated -= n_dup
                             stats.pruned_duplicate += n_dup
-                            stats.pruned_dominated += n_dominated - n_dup
+                            stats.pruned_dominated += n_dominated
+                        else:
+                            n_dup = 0
                         # Close the expand span before any event dispatch so
                         # sink time is attributed to telemetry, not expand.
                         if lap is not None:
@@ -980,6 +1051,13 @@ class BranchAndBound:
                                     "prune",
                                     {"cause": "dominated",
                                      "count": n_dominated,
+                                     "level": vertex.level + 1},
+                                )
+                            if n_dup and hot_sink.accepts("prune"):
+                                hot_sink.emit(
+                                    "prune",
+                                    {"cause": "duplicate",
+                                     "count": n_dup,
                                      "level": vertex.level + 1},
                                 )
                             if lap is not None:
@@ -1048,15 +1126,17 @@ class BranchAndBound:
                                 if dominance.duplicate_pruned > dup_seen:
                                     dup_seen += 1
                                     stats.pruned_duplicate += 1
+                                    cause = "duplicate"
                                 else:
                                     stats.pruned_dominated += 1
+                                    cause = "dominated"
                                 if (
                                     hot_sink is not None
                                     and hot_sink.accepts("prune")
                                 ):
                                     hot_sink.emit(
                                         "prune",
-                                        {"cause": "dominated",
+                                        {"cause": cause,
                                          "lb": _json_num(child_lb),
                                          "level": vertex.level + 1},
                                     )
@@ -1239,9 +1319,6 @@ class BranchAndBound:
             elif checkpoint.writes:
                 checkpoint_path = checkpoint.path
 
-        if lap is not None:
-            lap("finalize")
-
         # The transposition table's counters ride the result.
         dom_tel = dominance.telemetry()
         if dom_tel:
@@ -1249,43 +1326,9 @@ class BranchAndBound:
                 if key in dom_tel:
                     setattr(stats, key, dom_tel[key])
 
-        if metrics is not None:
-            _final_metrics(metrics, stats, incumbent_cost)
-            if dom_tel:
-                _tt_metrics(metrics, dom_tel)
-        if sink is not None and dom_tel and sink.accepts("tt"):
-            sink.emit("tt", {k: int(v) for k, v in dom_tel.items()})
-        if sink is not None and sink.accepts("summary"):
-            sink.emit(
-                "summary",
-                {
-                    "status": status.value,
-                    "best_cost": (
-                        _json_num(found_cost)
-                        if best_proc is not None
-                        else None
-                    ),
-                    "initial_upper_bound": _json_num(initial_upper_bound),
-                    "incumbent_source": incumbent_source,
-                    "stats": stats.as_dict(),
-                    "engine_path": stats.engine_path,
-                    "engine_fallback": stats.engine_fallback,
-                    "profile": (
-                        dict(profiler.totals) if profiler is not None else None
-                    ),
-                },
-            )
-        boundary.finish(
-            status.value,
-            optimal=status is SolveStatus.OPTIMAL,
-            frontier=frontier,
-            incumbent=found_cost if best_proc is not None else None,
-            open_lower_bound=open_lower_bound,
-        )
         if lap is not None:
-            lap("telemetry")
-
-        return BnBResult(
+            lap("finalize")
+        result = BnBResult(
             problem=problem,
             params=params,
             status=status,
@@ -1299,6 +1342,8 @@ class BranchAndBound:
             open_lower_bound=open_lower_bound,
             checkpoint_path=checkpoint_path,
         )
+        publish(result, obs, active=len(frontier))
+        return result
 
     # ------------------------------------------------------------------
 

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING
 from ..errors import ConfigurationError
 from ..model.compile import CompiledProblem
 from ..obs import Observability
+from .checkpoint import StopToken
 from .engine import BnBResult
 from .params import BnBParameters
 
@@ -120,7 +121,10 @@ class ParallelBnB:
 
     # ------------------------------------------------------------------
 
-    def solve(self, problem: CompiledProblem) -> BnBResult:
+    def solve(
+        self, problem: CompiledProblem, *, stop: StopToken | None = None
+    ) -> BnBResult:
+        """Solve ``problem``; ``stop``, once set, ends it ``INTERRUPTED``."""
         from ..cluster import ClusterCoordinator
 
         coordinator = ClusterCoordinator(
@@ -132,13 +136,16 @@ class ParallelBnB:
             max_shard_attempts=self.max_shard_attempts,
             retry_backoff=self.retry_backoff,
             obs=self.obs,
+            stop=stop,
         )
         coordinator.fault_plan = self.fault_plan
         result = coordinator.solve(problem)
         self.last_report = coordinator.last_report
         return result
 
-    def solve_graph(self, graph, platform) -> BnBResult:
+    def solve_graph(
+        self, graph, platform, *, stop: StopToken | None = None
+    ) -> BnBResult:
         from ..model.compile import compile_problem
 
-        return self.solve(compile_problem(graph, platform))
+        return self.solve(compile_problem(graph, platform), stop=stop)

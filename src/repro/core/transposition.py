@@ -593,7 +593,7 @@ class _TranspositionChecker(DominanceChecker):
         return dup
 
     def telemetry(self) -> dict[str, int]:
-        out = {"duplicate_pruned": self.duplicate_pruned}
+        out: dict[str, int] = {}
         table = self._table
         if table is not None:
             base = self._base

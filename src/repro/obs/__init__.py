@@ -119,6 +119,18 @@ class Observability:
             or self.live is not None
         )
 
+    def event_sink(self) -> EventSink | None:
+        """Where a solve's events go: the user's sink plus the monitor's.
+
+        The engine still picks its tier from the user's sink alone, so
+        attaching a monitor never changes the search's performance class.
+        """
+        if self.live is None:
+            return self.sink
+        if self.sink is None:
+            return self.live.event_sink
+        return MultiSink(self.sink, self.live.event_sink)
+
     def close(self) -> None:
         if self.sink is not None:
             self.sink.close()

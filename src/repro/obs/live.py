@@ -38,7 +38,7 @@ import threading
 import time
 from typing import Any
 
-from .events import SAMPLED_KINDS, BaseSink, EventSink, MultiSink
+from .events import SAMPLED_KINDS, BaseSink, EventSink
 
 __all__ = ["TelemetryBus", "LiveMonitor", "WorkerStats", "write_flight_dump"]
 
@@ -253,12 +253,6 @@ class _LiveEventSink(BaseSink):
                 incumbent=payload.get("cost"),
                 incumbent_at=payload.get("elapsed"),
             )
-        elif kind == "summary":
-            self.bus.update(
-                phase="done",
-                result_status=payload.get("status"),
-                best_cost=payload.get("best_cost"),
-            )
         elif kind == "start":
             self.bus.update(
                 phase="solving",
@@ -299,18 +293,6 @@ class LiveMonitor:
     @property
     def event_sink(self) -> EventSink:
         return self._sink
-
-    def compose_sink(self, user_sink: EventSink | None) -> EventSink:
-        """The sink the engine should emit to when this monitor is on.
-
-        Fan-in preserves the user's sink untouched; the engine must
-        still decide its fused/reference path from the *user* sink so
-        attaching a monitor never changes the search's performance
-        class.
-        """
-        if user_sink is None:
-            return self._sink
-        return MultiSink(user_sink, self._sink)
 
     def on_sample(
         self,

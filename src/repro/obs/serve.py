@@ -399,7 +399,7 @@ const es = new EventSource("/events");
 es.onmessage = () => {};
 ["start", "incumbent", "checkpoint", "resume", "resource", "tt",
  "worker_restart", "shard_retry", "quarantine", "summary",
- "worker_join", "worker_leave", "lease_expired", "steal", "cluster_done",
+ "worker_join", "worker_leave", "lease_expired", "steal",
 ].forEach(kind => es.addEventListener(kind, ev => {
   const e = JSON.parse(ev.data);
   const line = document.createElement("div");

@@ -4,8 +4,8 @@
 off, so its soundness is entirely on us: the differential section checks
 it never prunes the optimum on seeded DAGs small enough for the
 independent oracle to enumerate.  The unit section pins the store-size
-bound (``max_front``), the deterministic FIFO eviction order, and the
-telemetry surface; the composition section covers
+bound (``max_front``) and the deterministic FIFO eviction order; the
+composition section covers
 :class:`ChainedDominance` and the rule registry.
 """
 
@@ -114,18 +114,6 @@ def test_duplicate_state_is_dominated_by_itself():
     checker = StateDominance(max_front=4).fresh()
     assert checker.is_dominated(a) is False
     assert checker.is_dominated(a) is True
-    assert checker.telemetry()["dominated_pruned"] == 1
-
-
-def test_telemetry_counts_store_shape():
-    a, b = _incomparable_states()
-    checker = StateDominance(max_front=4).fresh()
-    checker.is_dominated(a)
-    checker.is_dominated(b)
-    tel = checker.telemetry()
-    assert tel["front_keys"] == 1
-    assert tel["front_entries"] == 2
-    assert tel["front_evictions"] == 0
 
 
 def test_max_front_validated():
