@@ -69,7 +69,7 @@ from ..core.transposition import (
     SharedTranspositionTable,
     find_transposition,
 )
-from ..errors import CheckpointError, ClusterError, ConfigurationError, TransportClosed
+from ..errors import ClusterError, ConfigurationError, TransportClosed
 from ..obs import Observability
 from . import protocol
 from .membership import Member, MembershipTable
@@ -258,12 +258,7 @@ class ClusterCoordinator:
 
         if resumed:
             snap = self.resume
-            if snap.fingerprint != fingerprint:
-                raise CheckpointError(
-                    "checkpoint does not match this problem/parametrization "
-                    f"(snapshot fingerprint {snap.fingerprint[:12]}…, "
-                    f"expected {fingerprint[:12]}…)"
-                )
+            snap.require_match(fingerprint)
             merged = SearchStats.from_dict(snap.stats)
             elapsed_base = merged.elapsed
             best_cost = snap.found_cost
@@ -291,6 +286,10 @@ class ClusterCoordinator:
             announce_start(
                 self.obs, problem, params, shallow.initial_upper_bound
             )
+            if shallow.incumbent_source == "search":
+                self._trace_incumbent(
+                    shallow.best_cost, shallow.stats, time.perf_counter() - t0
+                )
             if (
                 not shards
                 or shallow.status is SolveStatus.TARGET_REACHED
@@ -385,6 +384,24 @@ class ClusterCoordinator:
         return result
 
     # ------------------------------------------------------------------
+
+    def _trace_incumbent(self, cost, stats, elapsed) -> None:
+        """Trace an accepted improvement (schedule in hand) of the solve.
+
+        ``stats`` holds the counts merged so far.  The live bus is not
+        told: it recorded the worker's bound frame as it arrived.
+        """
+        trace = self.obs.sink if self.obs is not None else None
+        if trace is not None and trace.accepts("incumbent"):
+            trace.emit(
+                "incumbent",
+                {
+                    "generated": stats.generated,
+                    "explored": stats.explored,
+                    "cost": cost,
+                    "elapsed": round(elapsed, 6),
+                },
+            )
 
     def _run(
         self, problem, fingerprint, live, budget, incumbent0, best, origin,
@@ -660,6 +677,10 @@ class ClusterCoordinator:
                         best_cost = cost
                         best_proc = frame["proc"]
                         best_start = frame["start"]
+                        self._trace_incumbent(
+                            cost, merged,
+                            elapsed_base + (time.perf_counter() - t0),
+                        )
                 if frame["proc"] is not None and cost < loop.broadcast:
                     loop.broadcast = cost
                     rebroadcast()

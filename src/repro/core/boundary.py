@@ -158,24 +158,25 @@ class Boundary:
         stats = self.stats
         if self.stop is not None and self.stop.is_set():
             stats.interrupted = True
-            return self._stopped("INTERRUPTED", self.stop.reason or "")
+            return self.stopped("INTERRUPTED", self.stop.reason or "")
         if (
             self.time_limit is not None
             and stats.time_since_start() >= self.time_limit
         ):
             stats.time_limit_hit = True
-            return self._stopped("TIMELIMIT", f"{self.time_limit}s")
+            return self.stopped("TIMELIMIT", f"{self.time_limit}s")
         if (
             self.memory_limit is not None
             and current_rss_bytes() >= self.memory_limit
         ):
             stats.memory_limit_hit = True
-            return self._stopped(
+            return self.stopped(
                 "MEMLIMIT", f"rss >= {self.memory_limit:g}B"
             )
         return None
 
-    def _stopped(self, kind: str, detail: str) -> str:
+    def stopped(self, kind: str, detail: str) -> str:
+        """Announce that a resource bound of this kind ended the search."""
         sink = self.sink
         if sink is not None and sink.accepts("resource"):
             sink.emit("resource", {"kind": kind, "detail": detail})

@@ -35,7 +35,9 @@ is re-bound to the live problem object.  The transposition table is
 *not* checkpointed: dropping it is sound (duplicates are re-explored,
 never mis-pruned), so a resumed run can only generate *more* vertices
 than the uninterrupted one when D includes a transposition layer, and
-exactly the same number otherwise.
+exactly the same number otherwise.  Its counters are checkpointed
+(``SearchCheckpoint.tt``), and the resumed run's fresh table adds to
+them.
 """
 
 from __future__ import annotations
@@ -125,11 +127,24 @@ class SearchCheckpoint:
     initial_upper_bound: float
     #: ``SearchStats.as_dict()`` at snapshot time.
     stats: dict
+    #: The transposition table's ``tt_*`` counters at snapshot time
+    #: (None in files written before the field existed: zeros).
+    tt: dict | None = None
     format: str = CHECKPOINT_FORMAT
     #: Monotone per-run counter, stamped by :meth:`Checkpointer.write`.
     version: int = 0
     #: Wall-clock time the snapshot was written (``time.time()``).
     created: float = 0.0
+
+    def require_match(self, fingerprint: str) -> None:
+        """Refuse to resume a search of another ⟨problem, parameters⟩."""
+        if self.fingerprint != fingerprint:
+            raise CheckpointError(
+                "checkpoint does not match this problem/parametrization "
+                f"(snapshot fingerprint {self.fingerprint[:12]}…, "
+                f"expected {fingerprint[:12]}…); only resource bounds RB "
+                "may differ between the checkpointing and resuming runs"
+            )
 
 
 def write_checkpoint(snapshot: SearchCheckpoint, path: str) -> str:

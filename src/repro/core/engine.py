@@ -17,19 +17,24 @@ optimal solution — or a guaranteed/approximate one, depending on the
 parametrization, which the returned :class:`BnBResult` spells out in its
 :class:`SolveStatus`.
 
-Observability
--------------
-The loop exposes hook points for the :mod:`repro.obs` subsystem via an
-:class:`~repro.obs.Observability` bundle: a structured event sink
-(start/explore/incumbent/goal/prune/resource/summary), a per-phase
-profiler, a metrics registry and a progress heartbeat.  Every hook is
-guarded by an ``is not None`` check on a local, so a solve with
-observability off runs the same loop it always did.  Everything
-periodic — stop token, limits, checkpoints, bound-channel polls, live
-samples, heartbeats, the search gauges — rides one
-:class:`~repro.core.boundary.Boundary`, which the native chunk driver
-calls too.  The finished solve is reported once, by :func:`publish`,
-which is also how the cluster coordinator reports a parallel solve.
+Structure
+---------
+:meth:`BranchAndBound.solve` validates its hooks and seeds the search:
+the incumbent from ``U`` (or from a snapshot or a subtree spec) and the
+active set.  :func:`choose_tier` then picks the one tier that runs it —
+native, batch, fused or reference — and names the refusal that kept a
+faster one out.  One runner executes Steps 3-10: :func:`_run_native`
+hands the loop to the compiled chunk driver, :func:`_run_loop` is the
+Python loop for the other three tiers.  Back in ``solve``, the anytime
+wrap-up (status, open lower bound, final snapshot) builds the
+:class:`BnBResult`, and :func:`publish` reports it once, as the cluster
+coordinator reports a parallel solve.
+
+Per-vertex observers (an event sink, a profiler) cost one ``is not
+None`` check on a local when absent.  Everything periodic — stop token,
+limits, checkpoints, bound-channel polls, live samples, heartbeats, the
+search gauges — rides one :class:`~repro.core.boundary.Boundary`, which
+both runners call.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from ..errors import CheckpointError, ConfigurationError
+from ..errors import ConfigurationError
 from ..model.compile import CompiledProblem, compile_problem
 from ..model.platform import Platform
 from ..model.schedule import Schedule
@@ -59,7 +64,7 @@ from . import _native
 from .arena import ArenaState
 from .boundary import Boundary
 from .elimination import NoElimination, UDBASElimination, pruning_threshold
-from .expand import BatchExpander, FusedExpander, make_batch_expander
+from .expand import FusedExpander, make_batch_expander
 from .params import BnBParameters
 from .selection import (
     _DepthLLBFrontier,
@@ -101,6 +106,9 @@ _NATIVE_FRONTIER_KINDS = {
     _LLBFrontier: 2,
     _DepthLLBFrontier: 3,
 }
+
+#: The engine tiers, fastest first; the object engine starts at fused.
+_TIERS = ("native", "batch", "fused", "reference")
 
 _CHILD_ORDER_CODES = {"generation": 0, "best-last": 1, "best-first": 2}
 
@@ -394,50 +402,758 @@ def publish(
         obs.progress.finish(f"{status}; {stats.summary()}")
 
 
-def _object_refusal(fused, hot_sink, profiler, prepared, params):
-    """Why the object engine runs the reference loop (None: it is fused)."""
-    if fused is False:
-        return "reference loop forced (fused=False)"
-    if fused is None and hot_sink is not None:
-        return "trace sink attached"
-    if fused is None and profiler is not None:
-        return "profiler attached"
-    if not prepared.fused_compatible:
-        return f"branching {params.branching.name} has no fused form"
-    return None
-
-
-def _native_refusal(
-    expander, frontier, problem, rb, *, dispatcher, hot_sink, profiled,
-    early_stop,
+def choose_tier(
+    params, fused, problem, prepared, frontier, dominance, *,
+    hot_sink, profiled, dispatcher, early_stop,
 ):
-    """Why the native driver cannot run this array-engine solve.
+    """Pick the tier that runs one solve: ``(path, expander, fallback)``.
 
-    None means it can.  Every hook the driver does not replicate per
-    vertex is named here; everything periodic rides the boundary.
+    Tiers, fastest first: ``native`` (the C chunk driver over a batch
+    expander), ``batch``, ``fused`` and ``reference`` (no expander).  The
+    array engine starts at native, the object engine at fused.  Each
+    refusal in the one list below rules out the tiers it names; the
+    fastest tier left runs.  ``fallback`` is the first refusal, in list
+    order, of the tier the engine wanted: native on the array engine
+    (batch when no expander is left), fused on the object engine.  The
+    batch factory and the kernel load run only while a tier they gate
+    is still open.
     """
-    if dispatcher is not None:
-        return "dispatcher"
-    if hot_sink is not None:
-        return "trace sink attached"
-    if profiled:
-        return "profiler attached"
-    if early_stop is not None:
-        return "early-stop target"
-    if not math.isinf(rb.max_children):
-        return "MAXSZDB cap"
-    if not math.isinf(rb.max_active):
-        return "MAXSZAS cap"
-    if problem.uniform_delay is None:
-        return "non-uniform interconnect"
-    if type(frontier) not in _NATIVE_FRONTIER_KINDS:
-        return f"{type(frontier).__name__} selection not in the kernel"
-    if type(expander) is not BatchExpander:
-        return "no batch kernel for these rules"
-    error = _native.load_error()
+    array = params.engine != "object"
+    tiers = _TIERS if array else _TIERS[2:]
+    rb = params.resources
+    observed = ("native", "fused") if fused is None else ("native",)
+    refusals = [
+        (reason, struck)
+        for applies, reason, struck in (
+            (fused is False, "reference loop forced (fused=False)",
+             ("native", "batch", "fused")),
+            (dispatcher is not None, "dispatcher", ("native",)),
+            (hot_sink is not None, "trace sink attached", observed),
+            (profiled, "profiler attached", observed),
+            (early_stop is not None, "early-stop target", ("native",)),
+            (not math.isinf(rb.max_children), "MAXSZDB cap", ("native",)),
+            (not math.isinf(rb.max_active), "MAXSZAS cap", ("native",)),
+            (problem.uniform_delay is None, "non-uniform interconnect",
+             ("native",)),
+            (type(frontier) not in _NATIVE_FRONTIER_KINDS,
+             f"{type(frontier).__name__} selection not in the kernel",
+             ("native",)),
+            (not prepared.fused_compatible,
+             f"branching {params.branching.name} has no fused form",
+             ("fused",)),
+        )
+        if applies
+    ]
+
+    def is_open(tier: str) -> bool:
+        return tier in tiers and all(tier not in s for _, s in refusals)
+
+    expander_args = (
+        problem, prepared, params.lower_bound, params.characteristic,
+        dominance, params.elimination, params.break_symmetry,
+    )
+    batch = make_batch_expander(*expander_args) if is_open("batch") else None
+    if isinstance(batch, str):
+        refusals.append((batch, ("native", "batch")))
+    error = _native.load_error() if is_open("native") else None
     if error is not None:
-        return f"native kernel unavailable: {error}"
-    return None
+        refusals.append((f"native kernel unavailable: {error}", ("native",)))
+    path = next(tier for tier in tiers if is_open(tier))
+    wanted = "batch" if array and path == "reference" else tiers[0]
+    fallback = next(
+        (reason for reason, struck in refusals if wanted in struck), None
+    )
+    if path == "fused":
+        return path, FusedExpander(*expander_args), fallback
+    return path, (None if path == "reference" else batch), fallback
+
+
+@dataclass(slots=True)
+class _Search:
+    """Where one solve's search stands, as snapshots and announcements see it.
+
+    The Python loop keeps these in locals and writes them back before a
+    boundary, an announcement and its exit.
+    """
+
+    seq: int
+    threshold: float
+    incumbent_cost: float
+    #: Cost of the schedule behind ``best_proc``/``best_start``: above
+    #: ``incumbent_cost`` only after a polled external bound.
+    found_cost: float
+    best_proc: tuple[int, ...] | None
+    best_start: tuple[float, ...] | None
+    incumbent_source: str
+
+
+def _seed_incumbent(params, problem, subtree, resume):
+    """Steps 1-2: the search record and the initial upper bound."""
+    if resume is not None:
+        # The incumbent (and everything around it) travelled with the
+        # snapshot; U already ran in the original run.
+        search = _Search(
+            resume.seq, 0.0, resume.incumbent_cost, resume.found_cost,
+            resume.best_proc, resume.best_start, resume.incumbent_source,
+        )
+        initial_upper_bound = resume.initial_upper_bound
+    else:
+        # A sub-search's incumbent travelled with its spec: the
+        # coordinator already ran the upper-bound provider.
+        initial_upper_bound, solution = (
+            (subtree.incumbent_cost, None) if subtree is not None
+            else params.upper_bound.initial(problem)
+        )
+        best = (None, None) if solution is None else (
+            solution.proc_of, solution.start
+        )
+        search = _Search(
+            1, 0.0, initial_upper_bound, initial_upper_bound, *best,
+            "initial-upper-bound",
+        )
+    search.threshold = pruning_threshold(
+        search.incumbent_cost, params.inaccuracy
+    )
+    return search, initial_upper_bound
+
+
+@dataclass(slots=True)
+class _Run:
+    """What a runner needs of one solve, and what it hands back."""
+
+    params: BnBParameters
+    stats: SearchStats
+    search: _Search
+    prepared: object
+    expander: object
+    frontier: object
+    dominance: object
+    sink: object
+    hot_sink: object
+    lap: object
+    channel: object
+    dispatcher: object
+    fingerprint: str | None
+    initial_upper_bound: float
+    max_vertices: float
+    #: The in-hand vertex at an early stop: popped, unexpanded, so still
+    #: part of the open search (snapshots and the open lower bound must
+    #: include it).
+    pending_vertex: Vertex | None = None
+    target_reached: bool = False
+
+    def snapshot(self, view, in_hand) -> SearchCheckpoint:
+        """The search as it stands, ``in_hand`` first."""
+        stats = self.stats
+        search = self.search
+        counters = stats.as_dict()
+        counters["elapsed"] = stats.time_since_start()
+        entries = view.export()
+        if in_hand is not None:
+            entries.insert(0, in_hand)
+        return SearchCheckpoint(
+            fingerprint=self.fingerprint,
+            frontier=[(v.state, v.lower_bound, v.seq) for v in entries],
+            seq=search.seq,
+            incumbent_cost=search.incumbent_cost,
+            found_cost=search.found_cost,
+            best_proc=search.best_proc,
+            best_start=search.best_start,
+            incumbent_source=search.incumbent_source,
+            initial_upper_bound=self.initial_upper_bound,
+            stats=counters,
+            tt=_tt_totals(stats, self.dominance.telemetry()),
+        )
+
+    def announce(self) -> None:
+        """Tell everyone listening about one incumbent improvement."""
+        cost = self.search.incumbent_cost
+        if self.channel is not None:
+            self.channel.publish(cost)
+        sink = self.sink
+        if sink is not None and sink.accepts("incumbent"):
+            stats = self.stats
+            sink.emit(
+                "incumbent",
+                {
+                    "generated": stats.generated,
+                    "explored": stats.explored,
+                    "cost": _json_num(cost),
+                    "elapsed": round(stats.time_since_start(), 6),
+                },
+            )
+
+
+def _tt_totals(stats: SearchStats, telemetry) -> dict[str, int]:
+    """The table's counters so far: those on ``stats`` plus the live table's.
+
+    A resumed solve's fresh table adds its events to the snapshot's;
+    ``tt_filled`` and ``tt_capacity`` describe the live table alone.
+    """
+    tel = telemetry or {}
+    totals = {key: getattr(stats, key) + tel.get(key, 0) for key in TT_COUNTERS}
+    totals["tt_filled"] = tel.get("tt_filled", 0)
+    totals["tt_capacity"] = tel.get("tt_capacity", 0)
+    return totals
+
+
+def _seed_frontier(run: _Run, problem, subtree, resume, metrics) -> None:
+    """Fill the empty active set: the snapshot's, a subtree root or the root."""
+    expander = run.expander
+    stats = run.stats
+    if resume is not None:
+        # States are re-bound to the live problem object (unpickling gave
+        # them an equal but distinct recompilation); vertices are rebuilt
+        # without the fused path's incremental vectors, which the
+        # expander recomputes identically.
+        restored = []
+        for rs, rlb, rseq in resume.frontier:
+            rs.problem = problem
+            restored.append(Vertex(rs, rlb, rseq))
+        run.frontier.restore(restored)
+        stats.peak_active = max(stats.peak_active, len(restored))
+        sink = run.sink
+        if sink is not None and sink.accepts("resume"):
+            sink.emit(
+                "resume",
+                {
+                    "version": resume.version,
+                    "frontier": len(restored),
+                    "generated": stats.generated,
+                    "explored": stats.explored,
+                    "incumbent": _json_num(run.search.incumbent_cost),
+                },
+            )
+        if metrics is not None:
+            metrics.counter(
+                "bnb_checkpoint_loaded_total", "Search snapshots resumed from"
+            ).inc()
+        return
+    if subtree is not None:
+        # The root was generated (and counted) by the coordinator, so
+        # the local generated counter starts at zero and the local
+        # MAXVERT allowance is the coordinator's remaining budget.
+        if subtree.max_generated < run.max_vertices:
+            run.max_vertices = subtree.max_generated
+        if expander is not None:
+            root = expander.root_from(subtree.state, subtree.lower_bound)
+        else:
+            root = Vertex(subtree.state, subtree.lower_bound, 0)
+        stats.generated = 0
+    else:
+        if expander is not None:
+            root = expander.root()
+        else:
+            rs = run.prepared.make_root()
+            root = Vertex(rs, run.params.lower_bound.evaluate(rs), 0)
+        stats.generated = 1
+    if not run.params.elimination.should_prune(
+        root.lower_bound, run.search.threshold
+    ):
+        run.frontier.push(root)
+        stats.peak_active = 1
+
+
+def _per_vertex_sink(obs):
+    """The user's sink, unless it rejects every sampled kind statically.
+
+    A sink whose rejection no per-event state backs (a TraceRecorder)
+    needs no per-vertex check, so the fused and native tiers stay
+    available; composites do not set the flag.
+    """
+    sink = obs.sink if obs is not None else None
+    return None if getattr(sink, "rejects_sampled_kinds", False) else sink
+
+
+def _lap_timer(profiler):
+    """``lap(phase)`` books the time since the last lap to ``phase``."""
+    if profiler is None:
+        return None
+    _pc = time.perf_counter
+    ptot = profiler.totals
+    pcnt = profiler.counts
+    mark = _pc()
+
+    def lap(phase: str, _pc=_pc) -> None:
+        # Contiguous timestamps: each span ends where the next begins,
+        # so phase totals tile the wall clock.
+        nonlocal mark
+        now = _pc()
+        ptot[phase] = ptot.get(phase, 0.0) + (now - mark)
+        pcnt[phase] = pcnt.get(phase, 0) + 1
+        mark = now
+
+    return lap
+
+
+def _drain_driver(driver, stats: SearchStats, search: _Search) -> None:
+    """Pull the driver's search state into the stats and the record."""
+    driver.sync_stats(stats)
+    search.seq = driver.seq
+    search.threshold = driver.threshold
+    search.incumbent_cost = driver.incumbent
+    if driver.best_found:
+        search.found_cost = driver.found_cost
+        search.best_proc, search.best_start = driver.best_schedule()
+        search.incumbent_source = "search"
+
+
+def _run_native(run: _Run, boundary: Boundary):
+    """The native tier: the C chunk driver runs Steps 3-10; the stop kind.
+
+    The seeded vertices move into the driver's arena and frontier, which
+    replaces the run's.  The driver returns at chunk boundaries, reported
+    improvements, growth points, the MAXVERT cap and branching errors;
+    all else is bit-identical to :func:`_run_loop`.
+    """
+    params = run.params
+    stats = run.stats
+    search = run.search
+    expander = run.expander
+    entries = []
+    for v in run.frontier.export():
+        st = v.state
+        if type(st) is not ArenaState or st.arena is not expander.arena:
+            st = expander._ensure_row(v)
+        st.disown()
+        entries.append((v.lower_bound, v.seq, st.slot, st.level))
+    driver = _native.NativeDriver(
+        expander.arena,
+        expander.ap,
+        frontier_kind=_NATIVE_FRONTIER_KINDS[type(run.frontier)],
+        bound_kind=expander.bound_kind,
+        child_order=_CHILD_ORDER_CODES[params.child_order],
+        elim_none=type(params.elimination) is NoElimination,
+        stop_on_bound=params.selection.stop_on_bound,
+        break_symmetry=params.break_symmetry,
+        fixed_order=getattr(run.prepared, "order", None),
+        entries=entries,
+        seq=search.seq,
+        threshold=search.threshold,
+        incumbent=search.incumbent_cost,
+        found_cost=search.found_cost,
+        inaccuracy=params.inaccuracy,
+        max_vertices=run.max_vertices,
+        stats=stats,
+        report_incumbent=run.channel is not None or (
+            run.sink is not None and run.sink.accepts("incumbent")
+        ),
+    )
+    frontier = run.frontier = driver.frontier
+    stop_kind = None
+    announced = stats.incumbent_updates
+    driver.retarget(
+        boundary.check_at, search.incumbent_cost, search.threshold,
+        stats.pruned_active,
+    )
+    while True:
+        code = driver.step()
+        if code == _native.ST_GROW_ARENA or code == _native.ST_GROW_FRONT:
+            driver.grow(code)
+        elif code == _native.ST_CHECK:
+            _drain_driver(driver, stats, search)
+            stop_kind = boundary.service(
+                frontier, driver.pending_vertex(),
+                search.incumbent_cost, search.threshold,
+            )
+            if stop_kind is not None:
+                run.pending_vertex = driver.take_pending()
+                break
+            driver.retarget(
+                boundary.check_at, boundary.incumbent,
+                boundary.threshold, stats.pruned_active,
+            )
+        elif code == _native.ST_INCUMBENT:
+            _drain_driver(driver, stats, search)
+            announced = stats.incumbent_updates
+            run.announce()
+        else:
+            break
+    _drain_driver(driver, stats, search)
+    if stats.incumbent_updates != announced:
+        run.announce()
+    if code == _native.ST_MAXVERT:
+        return "MAXVERT"
+    if code == _native.ST_ERR_NOT_READY:
+        # Replay the branching call on the offending vertex so the
+        # identical ConfigurationError surfaces.
+        run.prepared.branch_tasks(ArenaState(expander.arena, driver.err_slot()))
+        raise ConfigurationError(
+            "native driver flagged an unready fixed-order task"
+        )
+    # ST_DONE / ST_BOUNDSTOP: search complete.
+    return stop_kind
+
+
+def _run_loop(run: _Run, boundary: Boundary):
+    """The batch, fused and reference tiers: Steps 3-10; the stop kind.
+
+    An expander branches and bounds a vertex's children in one call; the
+    reference tier does it child by child, with a span and an event
+    each.  Both share the rest of the loop.
+    """
+    params = run.params
+    stats = run.stats
+    search = run.search
+    frontier = run.frontier
+    expander = run.expander
+    prepared = run.prepared
+    dominance = run.dominance
+    hot_sink = run.hot_sink
+    lap = run.lap
+    dispatcher = run.dispatcher
+    max_vertices = run.max_vertices
+    rb = params.resources
+    bound = params.lower_bound
+    elim = params.elimination
+    charf = params.characteristic
+    stop_on_bound = params.selection.stop_on_bound
+    child_order = params.child_order
+    break_symmetry = params.break_symmetry
+    fused_precheck = expander is not None and expander.precheck
+    # U/DBAS's test is a bare comparison; inlining it in the pop loop
+    # saves a method call per explored vertex.
+    fast_udbas = type(elim) is UDBASElimination
+    should_prune = elim.should_prune
+    max_children = rb.max_children
+    max_active = rb.max_active
+    check_at = boundary.check_at
+    seq = search.seq
+    threshold = search.threshold
+    incumbent_cost = search.incumbent_cost
+    # The checker's duplicate verdicts booked so far: its prunes count
+    # as pruned_duplicate up to its running total.
+    dup_seen = 0
+    stop_kind = None
+    while True:
+        vertex = frontier.pop()
+        if vertex is None:
+            if lap is not None:
+                lap("select")
+            break
+
+        # Step 5: stop condition for S.  Under best-first selection a
+        # popped vertex at/above the threshold ends the whole search;
+        # under LIFO/FIFO it is merely skipped (it was pushed before the
+        # incumbent improved).
+        if (
+            (vertex.lower_bound >= threshold)
+            if fast_udbas
+            else should_prune(vertex.lower_bound, threshold)
+        ):
+            if stop_on_bound:
+                if lap is not None:
+                    lap("select")
+                break
+            stats.pruned_active += 1
+            if hot_sink is not None and hot_sink.accepts("prune"):
+                hot_sink.emit(
+                    "prune",
+                    {"cause": "stale-active",
+                     "lb": vertex.lower_bound,
+                     "level": vertex.level},
+                )
+            if lap is not None:
+                lap("select")
+            continue
+
+        # Chunk boundary: the vertex is in hand but untouched, so a stop
+        # leaves it pending (snapshots and the open lower bound still
+        # count it as part of the open search).
+        if stats.explored >= check_at:
+            search.seq = seq
+            search.threshold = threshold
+            search.incumbent_cost = incumbent_cost
+            stop_kind = boundary.service(
+                frontier, vertex, incumbent_cost, threshold
+            )
+            if lap is not None:
+                lap("telemetry")
+            if stop_kind is not None:
+                run.pending_vertex = vertex
+                break
+            incumbent_cost = boundary.incumbent
+            threshold = boundary.threshold
+            check_at = boundary.check_at
+
+        if dispatcher is not None and vertex.level >= dispatcher.depth:
+            # A shard root: record it, leave it unexplored.
+            dispatcher.record(
+                vertex, incumbent_cost, max_vertices - stats.generated
+            )
+            if lap is not None:
+                lap("select")
+            continue
+
+        stats.explored += 1
+        if lap is not None:
+            lap("select")
+
+        if hot_sink is not None:
+            if hot_sink.accepts("explore"):
+                hot_sink.emit(
+                    "explore",
+                    {
+                        "step": stats.explored,
+                        "generated": stats.generated,
+                        "level": vertex.level,
+                        "lb": vertex.lower_bound,
+                        "active": len(frontier),
+                    },
+                )
+            if lap is not None:
+                lap("telemetry")
+
+        # Step 6-7: branch and bound the children.
+        precheck_pruned = 0
+        if expander is not None:
+            # Branching, state construction and bounding in one pass
+            # (see repro.core.expand).  The admission pre-check discards
+            # only children the reference loop would prune, after
+            # consuming their sequence numbers, so all counters stay
+            # identical; its discards are folded into pruned_children
+            # below.
+            (
+                seq, children, n_gen, n_goals, precheck_pruned,
+                n_infeasible, n_dominated, best_goal_cost,
+                best_goal_state,
+            ) = expander.expand(vertex, threshold, seq)
+            stats.generated += n_gen
+            stats.goals_evaluated += n_goals
+            stats.pruned_infeasible += n_infeasible
+            if n_dominated:
+                n_dup = dominance.duplicate_pruned - dup_seen
+                dup_seen += n_dup
+                n_dominated -= n_dup
+                stats.pruned_duplicate += n_dup
+                stats.pruned_dominated += n_dominated
+            else:
+                n_dup = 0
+            # Close the expand span before any event dispatch so sink
+            # time is attributed to telemetry, not expand.
+            if lap is not None:
+                lap("expand")
+            if hot_sink is not None:
+                # Event parity is coarse with an expander: per-child
+                # goal/prune events are aggregated.
+                if n_goals and hot_sink.accepts("goal"):
+                    hot_sink.emit(
+                        "goal",
+                        {"generated": stats.generated,
+                         "count": n_goals,
+                         "cost": _json_num(best_goal_cost)},
+                    )
+                if n_infeasible and hot_sink.accepts("prune"):
+                    hot_sink.emit(
+                        "prune",
+                        {"cause": "infeasible",
+                         "count": n_infeasible,
+                         "level": vertex.level + 1},
+                    )
+                if n_dominated and hot_sink.accepts("prune"):
+                    hot_sink.emit(
+                        "prune",
+                        {"cause": "dominated",
+                         "count": n_dominated,
+                         "level": vertex.level + 1},
+                    )
+                if n_dup and hot_sink.accepts("prune"):
+                    hot_sink.emit(
+                        "prune",
+                        {"cause": "duplicate",
+                         "count": n_dup,
+                         "level": vertex.level + 1},
+                    )
+                if lap is not None:
+                    lap("telemetry")
+        else:
+            placements = prepared.placements(vertex.state, break_symmetry)
+            if lap is not None:
+                lap("branch")
+            children = []
+            best_goal_cost = math.inf
+            best_goal_state = None
+            for task, proc in placements:
+                child_state = vertex.state.child(task, proc)
+                stats.generated += 1
+                if lap is not None:
+                    lap("branch")
+                child_lb = bound.evaluate(child_state)
+                # States may carry their own floor (the allocation-load
+                # bound of AO states; -inf class default everywhere else).
+                floor = child_state.lb_floor
+                if floor > child_lb:
+                    child_lb = floor
+                if lap is not None:
+                    lap("bound")
+                if child_state.is_goal:
+                    # Goal vertices never enter the active set: track
+                    # the cheapest one in DB (Figure 2, steps 1-5).
+                    stats.goals_evaluated += 1
+                    if child_lb < best_goal_cost:
+                        best_goal_cost = child_lb
+                        best_goal_state = child_state
+                    if hot_sink is not None and hot_sink.accepts("goal"):
+                        hot_sink.emit(
+                            "goal",
+                            {"generated": stats.generated,
+                             "cost": _json_num(child_lb)},
+                        )
+                    if lap is not None:
+                        lap("goal-eval")
+                    continue
+                if not charf.admits(child_state, child_lb):
+                    stats.pruned_infeasible += 1
+                    if hot_sink is not None and hot_sink.accepts("prune"):
+                        hot_sink.emit(
+                            "prune",
+                            {"cause": "infeasible",
+                             "lb": _json_num(child_lb),
+                             "level": vertex.level + 1},
+                        )
+                    if lap is not None:
+                        lap("filter")
+                    continue
+                if lap is not None:
+                    lap("filter")
+                if dominance.is_dominated(child_state):
+                    if dominance.duplicate_pruned > dup_seen:
+                        dup_seen += 1
+                        stats.pruned_duplicate += 1
+                        cause = "duplicate"
+                    else:
+                        stats.pruned_dominated += 1
+                        cause = "dominated"
+                    if hot_sink is not None and hot_sink.accepts("prune"):
+                        hot_sink.emit(
+                            "prune",
+                            {"cause": cause,
+                             "lb": _json_num(child_lb),
+                             "level": vertex.level + 1},
+                        )
+                    if lap is not None:
+                        lap("dominance")
+                    continue
+                if lap is not None:
+                    lap("dominance")
+                children.append(Vertex(child_state, child_lb, seq))
+                seq += 1
+
+        # Figure 2 steps 1-5: incumbent update from the cheapest goal.
+        threshold_tightened = False
+        if best_goal_state is not None and best_goal_cost < incumbent_cost:
+            threshold_tightened = True
+            incumbent_cost = best_goal_cost
+            search.incumbent_cost = best_goal_cost
+            search.found_cost = best_goal_cost
+            search.best_proc = best_goal_state.proc_of
+            search.best_start = best_goal_state.start
+            search.incumbent_source = "search"
+            stats.incumbent_updates += 1
+            run.announce()
+            threshold = pruning_threshold(incumbent_cost, params.inaccuracy)
+            # Figure 2 step 6, AS half: sweep the active set.
+            if elim.prunes_active_set():
+                swept = frontier.prune_above(threshold)
+                stats.pruned_active += swept
+                if (
+                    hot_sink is not None
+                    and swept
+                    and hot_sink.accepts("prune")
+                ):
+                    hot_sink.emit(
+                        "prune",
+                        {"cause": "active-sweep", "count": swept},
+                    )
+            early_stop = charf.early_stop_cost
+            if early_stop is not None and incumbent_cost <= early_stop:
+                run.target_reached = True
+                if lap is not None:
+                    lap("goal-eval")
+                break
+        if lap is not None:
+            lap("goal-eval")
+
+        # Figure 2 step 6, DB half: eliminate children.  The expander's
+        # pre-checked children are exactly the ones this stage would
+        # have pruned (their bounds met the threshold before it could
+        # only have tightened), so they count here.
+        if precheck_pruned:
+            stats.pruned_children += precheck_pruned
+            if hot_sink is not None and hot_sink.accepts("prune"):
+                hot_sink.emit(
+                    "prune",
+                    {"cause": "bound", "count": precheck_pruned,
+                     "level": vertex.level + 1},
+                )
+        if fused_precheck and not threshold_tightened:
+            # Pre-checked children are already strictly below this very
+            # threshold; re-testing each one cannot prune anything
+            # unless a goal just tightened it.
+            kept = children
+        else:
+            kept = []
+            for child in children:
+                if elim.should_prune(child.lower_bound, threshold):
+                    stats.pruned_children += 1
+                    if hot_sink is not None and hot_sink.accepts("prune"):
+                        hot_sink.emit(
+                            "prune",
+                            {"cause": "bound",
+                             "lb": _json_num(child.lower_bound),
+                             "level": vertex.level + 1},
+                        )
+                else:
+                    kept.append(child)
+
+        # RB: MAXSZDB caps the child set (keep the best bounds).
+        if len(kept) > max_children:
+            kept.sort(key=_BY_BOUND)
+            dropped_db = len(kept) - int(rb.max_children)
+            stats.dropped_resource += dropped_db
+            stats.truncated = True
+            del kept[int(rb.max_children):]
+            if run.sink is not None and run.sink.accepts("resource"):
+                run.sink.emit(
+                    "resource", {"kind": "MAXSZDB", "dropped": dropped_db}
+                )
+
+        # Step 9: move the survivors into AS.
+        if child_order == "best-last":
+            # Stable descending sort: equal bounds keep insertion order,
+            # matching the negated-key sort.
+            kept.sort(key=_BY_BOUND, reverse=True)
+        elif child_order == "best-first":
+            kept.sort(key=_BY_BOUND)
+        for child in kept:
+            frontier.push(child)
+
+        active = len(frontier)
+        if active > stats.peak_active:
+            stats.peak_active = active
+
+        # RB: MAXSZAS disposes of the worst active vertices.
+        if active > max_active:
+            dropped = frontier.drop_worst(active - int(rb.max_active))
+            stats.dropped_resource += dropped
+            stats.truncated = True
+            if run.sink is not None and run.sink.accepts("resource"):
+                run.sink.emit(
+                    "resource", {"kind": "MAXSZAS", "dropped": dropped}
+                )
+
+        # RB extension: generated-vertex cap.
+        if stats.generated >= max_vertices:
+            stop_kind = "MAXVERT"
+            if lap is not None:
+                lap("eliminate")
+            break
+        if lap is not None:
+            lap("eliminate")
+    search.seq = seq
+    search.threshold = threshold
+    search.incumbent_cost = incumbent_cost
+    return stop_kind
 
 
 class BranchAndBound:
@@ -531,768 +1247,93 @@ class BranchAndBound:
                 "decomposition hooks (subtree/dispatcher) — checkpoint "
                 "the coordinating run instead"
             )
+        fingerprint = None
+        if resume is not None or checkpoint is not None:
+            fingerprint = problem_fingerprint(problem, params)
         if resume is not None:
-            expected = problem_fingerprint(problem, params)
-            if resume.fingerprint != expected:
-                raise CheckpointError(
-                    "checkpoint does not match this problem/parametrization "
-                    f"(snapshot fingerprint {resume.fingerprint[:12]}…, "
-                    f"expected {expected[:12]}…); only resource bounds RB "
-                    "may differ between the checkpointing and resuming runs"
-                )
+            resume.require_match(fingerprint)
             if checkpoint is not None:
                 checkpoint.resume_from(resume)
-        rb = params.resources
-        bound = params.lower_bound
-        elim = params.elimination
-        charf = params.characteristic
-        stats = (
-            SearchStats.from_dict(resume.stats)
-            if resume is not None
-            else SearchStats()
+        # A snapshot keeps the table's counters apart from the rest.
+        stats = SearchStats() if resume is None else SearchStats.from_dict(
+            resume.stats | (resume.tt or {})
         )
 
-        # Observability components, hoisted to locals for the hot loop.
         obs = self.obs
-        user_sink = obs.sink if obs is not None else None
-        live = obs.live if obs is not None else None
-        # The live monitor rides the event stream for low-frequency
-        # kinds only (its sink rejects explore/prune/goal statically).
         sink = obs.event_sink() if obs is not None else None
-        # The per-vertex observer is the user's sink, unless it rejects
-        # every sampled kind *statically* (no per-event state backs the
-        # answer, as with a TraceRecorder): then no per-vertex emit check
-        # runs and the fused and native tiers stay available.
-        # Composites do not set the flag, so stateful sampling still
-        # sees every event.
-        hot_sink = (
-            None
-            if user_sink is None
-            or getattr(user_sink, "rejects_sampled_kinds", False)
-            else user_sink
-        )
+        hot_sink = _per_vertex_sink(obs)
         profiler = obs.profiler if obs is not None else None
         metrics = obs.metrics if obs is not None else None
-        progress = obs.progress if obs is not None else None
-
-        if profiler is not None:
-            _pc = time.perf_counter
-            ptot = profiler.totals
-            pcnt = profiler.counts
-            mark = _pc()
-
-            def lap(phase: str, _pc=_pc) -> None:
-                # Contiguous timestamps: each span ends where the next
-                # begins, so phase totals tile the wall clock.
-                nonlocal mark
-                now = _pc()
-                ptot[phase] = ptot.get(phase, 0.0) + (now - mark)
-                pcnt[phase] = pcnt.get(phase, 0) + 1
-                mark = now
-        else:
-            lap = None
-
-        channel = bound_channel
+        live = obs.live if obs is not None else None
+        lap = _lap_timer(profiler)
 
         stats.start_clock()
         try:
-            # Step 1-2: root vertex cost from the upper bound U; the
-            # initial solution (if U supplies one) is the incumbent to beat.
-            if resume is not None:
-                # The incumbent (and everything around it) travelled
-                # with the snapshot; U already ran in the original run.
-                incumbent_cost = resume.incumbent_cost
-                initial_solution = None
-                initial_upper_bound = resume.initial_upper_bound
-                best_proc: tuple[int, ...] | None = resume.best_proc
-                best_start: tuple[float, ...] | None = resume.best_start
-                found_cost = resume.found_cost
-                incumbent_source = resume.incumbent_source
-            else:
-                if subtree is not None:
-                    # Sub-search: the incumbent travelled with the spec;
-                    # the upper-bound provider already ran in the
-                    # coordinator.
-                    incumbent_cost = subtree.incumbent_cost
-                    initial_solution = None
-                else:
-                    incumbent_cost, initial_solution = (
-                        params.upper_bound.initial(problem)
-                    )
-                initial_upper_bound = incumbent_cost
-                if initial_solution is not None:
-                    best_proc = initial_solution.proc_of
-                    best_start = initial_solution.start
-                else:
-                    best_proc = None
-                    best_start = None
-                # ``found_cost`` is the cost of the schedule behind
-                # best_proc/best_start; it trails ``incumbent_cost`` only
-                # when an externally polled bound tightened the threshold.
-                found_cost = incumbent_cost
-                incumbent_source = "initial-upper-bound"
-            threshold = pruning_threshold(incumbent_cost, params.inaccuracy)
-            announce_start(obs, problem, params, incumbent_cost)
-
-            prepared = params.branching.prepare(problem)
-            frontier = params.selection.make_frontier()
-            dominance = params.dominance.fresh()
-            # The checker's duplicate verdicts booked so far: its prunes
-            # count as pruned_duplicate up to its running total.
-            dup_seen = 0
-            if (
-                getattr(params.branching, "duplicate_free", False)
-                and not dominance.is_noop
-            ):
-                raise ConfigurationError(
-                    f"branching rule {params.branching.name!r} generates "
-                    f"each state exactly once; a dominance/duplicate "
-                    f"layer (D={params.dominance.name!r}) is redundant "
-                    f"and its placement-keyed stores would unsoundly "
-                    f"collapse distinct allocation prefixes"
-                )
-            stop_on_bound = params.selection.stop_on_bound
-            child_order = params.child_order
-            break_symmetry = params.break_symmetry
-
-            use_fused = self.fused
-            if use_fused is None:
-                use_fused = hot_sink is None and profiler is None
-            expander = None
-            if params.engine != "object" and self.fused is not False:
-                # Array engine: arena-backed batch expansion behind the
-                # same expand() seam.  The factory returns None for
-                # configurations it cannot replicate bit-for-bit; those
-                # fall back to the scalar paths below.
-                expander = make_batch_expander(
-                    problem, prepared, bound, charf, dominance, elim,
-                    break_symmetry,
-                )
-            if expander is None and use_fused and prepared.fused_compatible:
-                expander = FusedExpander(
-                    problem, prepared, bound, charf, dominance, elim,
-                    break_symmetry,
-                )
-
-            fused_precheck = expander is not None and expander.precheck
-            # U/DBAS's test is a bare comparison; inlining it in the pop
-            # loop saves a method call per explored vertex.
-            fast_udbas = type(elim) is UDBASElimination
-            should_prune = elim.should_prune
-            max_children = rb.max_children
-            max_active = rb.max_active
-            max_vertices = rb.max_vertices
-
-            if resume is not None:
-                # Refill the active set from the snapshot.  States are
-                # re-bound to the live problem object (unpickling gave
-                # them an equal but distinct recompilation); vertices
-                # are rebuilt without the fused path's incremental
-                # vectors, which the expander recomputes identically.
-                restored = []
-                for rs, rlb, rseq in resume.frontier:
-                    rs.problem = problem
-                    restored.append(Vertex(rs, rlb, rseq))
-                frontier.restore(restored)
-                seq = resume.seq
-                if len(restored) > stats.peak_active:
-                    stats.peak_active = len(restored)
-                if sink is not None and sink.accepts("resume"):
-                    sink.emit(
-                        "resume",
-                        {
-                            "version": resume.version,
-                            "frontier": len(restored),
-                            "generated": stats.generated,
-                            "explored": stats.explored,
-                            "incumbent": _json_num(incumbent_cost),
-                        },
-                    )
-                if metrics is not None:
-                    metrics.counter(
-                        "bnb_checkpoint_loaded_total",
-                        "Search snapshots resumed from",
-                    ).inc()
-            elif subtree is not None:
-                # Resume mid-tree.  The root was generated (and counted)
-                # by the coordinator, so the local generated counter
-                # starts at zero and the local MAXVERT allowance is the
-                # coordinator's remaining budget.
-                if subtree.max_generated < max_vertices:
-                    max_vertices = subtree.max_generated
-                rs = subtree.state
-                if expander is not None:
-                    root = expander.root_from(rs, subtree.lower_bound)
-                else:
-                    root = Vertex(rs, subtree.lower_bound, 0)
-                stats.generated = 0
-                seq = 1
-                if not elim.should_prune(root.lower_bound, threshold):
-                    frontier.push(root)
-                    stats.peak_active = 1
-            else:
-                if expander is not None:
-                    root = expander.root()
-                else:
-                    rs = prepared.make_root()
-                    root = Vertex(rs, bound.evaluate(rs), 0)
-                stats.generated = 1
-                seq = 1
-                if not elim.should_prune(root.lower_bound, threshold):
-                    frontier.push(root)
-                    stats.peak_active = 1
-
-            target_reached = False
-            early_stop = charf.early_stop_cost
-            fingerprint = None
-            if checkpoint is not None:
-                fingerprint = (
-                    resume.fingerprint
-                    if resume is not None
-                    else problem_fingerprint(problem, params)
-                )
-            #: The in-hand vertex at an early stop: popped, unexpanded,
-            #: so still part of the open search (snapshots and the open
-            #: lower bound must include it).
-            pending_vertex = None
-            #: Why the loop ended early: a boundary's stop kind or MAXVERT.
-            stop_kind = None
-
-            # Array engine, native tier: hand the whole pop→expand→push
-            # loop to the compiled chunk driver unless the configuration
-            # has a per-vertex hook it cannot replicate.
-            driver = None
-            if params.engine == "object":
-                engine_fallback = _object_refusal(
-                    self.fused, hot_sink, profiler, prepared, params
-                )
-            elif expander is None:
-                engine_fallback = (
-                    "reference loop forced (fused=False)"
-                    if self.fused is False
-                    else "no batch kernel for these rules"
-                )
-            else:
-                engine_fallback = _native_refusal(
-                    expander, frontier, problem, rb,
-                    dispatcher=dispatcher, hot_sink=hot_sink,
-                    profiled=lap is not None, early_stop=early_stop,
-                )
-                if engine_fallback is None:
-                    driver = self._start_driver(
-                        expander, frontier, prepared, stats, seq=seq,
-                        threshold=threshold, incumbent=incumbent_cost,
-                        found_cost=found_cost, max_vertices=max_vertices,
-                        report_incumbent=channel is not None or (
-                            sink is not None and sink.accepts("incumbent")
-                        ),
-                    )
-                    frontier = driver.frontier
-            stats.engine_path = (
-                "native" if driver is not None
-                else "batch" if type(expander) is BatchExpander
-                else "fused" if expander is not None
-                else "reference"
+            search, initial_upper_bound = _seed_incumbent(
+                params, problem, subtree, resume
             )
-            stats.engine_fallback = engine_fallback
+            announce_start(obs, problem, params, search.incumbent_cost)
+            prepared = params.branching.prepare(problem)
+            dominance = params.dominance.fresh()
+            # Only the run holds the seeded frontier: the native runner
+            # replaces it with the driver's and so frees its vertices.
+            run = _Run(
+                params, stats, search, prepared, None,
+                params.selection.make_frontier(), dominance, sink, hot_sink,
+                lap, bound_channel, dispatcher, fingerprint,
+                initial_upper_bound, params.resources.max_vertices,
+            )
+            path, run.expander, fallback = choose_tier(
+                params, self.fused, problem, prepared, run.frontier,
+                dominance, hot_sink=hot_sink, profiled=profiler is not None,
+                dispatcher=dispatcher,
+                early_stop=params.characteristic.early_stop_cost,
+            )
+            _seed_frontier(run, problem, subtree, resume, metrics)
+            stats.engine_path = path
+            stats.engine_fallback = fallback
             if live is not None:
-                live.bus.update(
-                    engine_path=stats.engine_path,
-                    engine_fallback=engine_fallback,
-                )
-
-            def _drain() -> None:
-                # Pull the driver's search state into the engine locals.
-                nonlocal seq, threshold, incumbent_cost, found_cost
-                nonlocal best_proc, best_start, incumbent_source
-                driver.sync_stats(stats)
-                seq = driver.seq
-                threshold = driver.threshold
-                incumbent_cost = driver.incumbent
-                if driver.best_found:
-                    found_cost = driver.found_cost
-                    best_proc, best_start = driver.best_schedule()
-                    incumbent_source = "search"
-
-            def _snapshot(view, in_hand) -> SearchCheckpoint:
-                counters = stats.as_dict()
-                counters["elapsed"] = stats.time_since_start()
-                entries = view.export()
-                if in_hand is not None:
-                    entries.insert(0, in_hand)
-                return SearchCheckpoint(
-                    fingerprint=fingerprint,
-                    frontier=[(v.state, v.lower_bound, v.seq) for v in entries],
-                    seq=seq,
-                    incumbent_cost=incumbent_cost,
-                    found_cost=found_cost,
-                    best_proc=best_proc,
-                    best_start=best_start,
-                    incumbent_source=incumbent_source,
-                    initial_upper_bound=initial_upper_bound,
-                    stats=counters,
-                )
-
-            def _announce() -> None:
-                # One incumbent improvement, told to everyone listening.
-                if channel is not None:
-                    channel.publish(incumbent_cost)
-                if sink is not None and sink.accepts("incumbent"):
-                    sink.emit(
-                        "incumbent",
-                        {
-                            "generated": stats.generated,
-                            "explored": stats.explored,
-                            "cost": _json_num(incumbent_cost),
-                            "elapsed": round(stats.time_since_start(), 6),
-                        },
-                    )
-
+                live.bus.update(engine_path=path, engine_fallback=fallback)
+            # The boundary holds the run's snapshot hook, so the run must
+            # not hold the boundary: a cycle would keep the arena alive.
             boundary = Boundary(
                 stats=stats,
-                rb=rb,
-                cadence=(
-                    _DRIVER_CADENCE if driver is not None else _LOOP_CADENCE
-                ),
+                rb=params.resources,
+                cadence=_DRIVER_CADENCE if path == "native" else _LOOP_CADENCE,
                 inaccuracy=params.inaccuracy,
-                prunes_active=elim.prunes_active_set(),
+                prunes_active=params.elimination.prunes_active_set(),
                 stop=stop,
                 checkpoint=checkpoint,
-                snapshot=_snapshot,
-                channel=channel,
+                snapshot=run.snapshot,
+                channel=bound_channel,
                 live=live,
-                progress=progress,
+                progress=obs.progress if obs is not None else None,
                 metrics=metrics,
                 sink=sink,
-                stop_on_bound=stop_on_bound,
+                stop_on_bound=params.selection.stop_on_bound,
                 dominance=dominance,
             )
-            check_at = boundary.check_at
-
             if lap is not None:
                 lap("setup")
-
-            if driver is not None:
-                # The driver returns at chunk boundaries, reported
-                # improvements, growth points, the MAXVERT cap and
-                # branching errors; everything else about the search
-                # is bit-identical to the loop below.
-                announced = stats.incumbent_updates
-                driver.retarget(
-                    check_at, incumbent_cost, threshold, stats.pruned_active
-                )
-                while True:
-                    code = driver.step()
-                    if (
-                        code == _native.ST_GROW_ARENA
-                        or code == _native.ST_GROW_FRONT
-                    ):
-                        driver.grow(code)
-                    elif code == _native.ST_CHECK:
-                        _drain()
-                        stop_kind = boundary.service(
-                            frontier, driver.pending_vertex(),
-                            incumbent_cost, threshold,
-                        )
-                        if stop_kind is not None:
-                            pending_vertex = driver.take_pending()
-                            break
-                        driver.retarget(
-                            boundary.check_at, boundary.incumbent,
-                            boundary.threshold, stats.pruned_active,
-                        )
-                    elif code == _native.ST_INCUMBENT:
-                        _drain()
-                        announced = stats.incumbent_updates
-                        _announce()
-                    else:
-                        break
-                _drain()
-                if stats.incumbent_updates != announced:
-                    _announce()
-                if code == _native.ST_MAXVERT:
-                    stop_kind = "MAXVERT"
-                elif code == _native.ST_ERR_NOT_READY:
-                    # Replay the branching call on the offending vertex
-                    # so the identical ConfigurationError surfaces.
-                    prepared.branch_tasks(
-                        ArenaState(expander.arena, driver.err_slot())
-                    )
-                    raise ConfigurationError(
-                        "native driver flagged an unready fixed-order task"
-                    )
-                # ST_DONE / ST_BOUNDSTOP: search complete.
-            else:
-                # Step 3-10: the main loop.
-                while True:
-                    vertex = frontier.pop()
-                    if vertex is None:
-                        if lap is not None:
-                            lap("select")
-                        break
-
-                    # Step 5: stop condition for S.  Under best-first selection
-                    # a popped vertex at/above the threshold ends the whole
-                    # search; under LIFO/FIFO it is merely skipped (it was
-                    # pushed before the incumbent improved).
-                    if (
-                        (vertex.lower_bound >= threshold)
-                        if fast_udbas
-                        else should_prune(vertex.lower_bound, threshold)
-                    ):
-                        if stop_on_bound:
-                            if lap is not None:
-                                lap("select")
-                            break
-                        stats.pruned_active += 1
-                        if hot_sink is not None and hot_sink.accepts("prune"):
-                            hot_sink.emit(
-                                "prune",
-                                {"cause": "stale-active",
-                                 "lb": vertex.lower_bound,
-                                 "level": vertex.level},
-                            )
-                        if lap is not None:
-                            lap("select")
-                        continue
-
-                    # Chunk boundary: the vertex is in hand but untouched,
-                    # so a stop leaves it pending (snapshots and the open
-                    # lower bound still count it as part of the open search).
-                    if stats.explored >= check_at:
-                        stop_kind = boundary.service(
-                            frontier, vertex, incumbent_cost, threshold
-                        )
-                        if lap is not None:
-                            lap("telemetry")
-                        if stop_kind is not None:
-                            pending_vertex = vertex
-                            break
-                        incumbent_cost = boundary.incumbent
-                        threshold = boundary.threshold
-                        check_at = boundary.check_at
-
-                    if dispatcher is not None and vertex.level >= dispatcher.depth:
-                        # A shard root: record it, leave it unexplored.
-                        dispatcher.record(
-                            vertex, incumbent_cost, max_vertices - stats.generated
-                        )
-                        if lap is not None:
-                            lap("select")
-                        continue
-
-                    stats.explored += 1
-                    if lap is not None:
-                        lap("select")
-
-                    if hot_sink is not None:
-                        if hot_sink.accepts("explore"):
-                            hot_sink.emit(
-                                "explore",
-                                {
-                                    "step": stats.explored,
-                                    "generated": stats.generated,
-                                    "level": vertex.level,
-                                    "lb": vertex.lower_bound,
-                                    "active": len(frontier),
-                                },
-                            )
-                        if lap is not None:
-                            lap("telemetry")
-
-                    # Step 6-7: branch and bound the children.
-                    precheck_pruned = 0
-                    if expander is not None:
-                        # Fused hot path: branching, state construction and
-                        # bounding in one pass (see repro.core.expand).  The
-                        # admission pre-check discards only children the
-                        # reference loop would prune, after consuming their
-                        # sequence numbers, so all counters stay identical;
-                        # its discards are folded into pruned_children below.
-                        (
-                            seq, children, n_gen, n_goals, precheck_pruned,
-                            n_infeasible, n_dominated, best_goal_cost,
-                            best_goal_state,
-                        ) = expander.expand(vertex, threshold, seq)
-                        stats.generated += n_gen
-                        stats.goals_evaluated += n_goals
-                        stats.pruned_infeasible += n_infeasible
-                        if n_dominated:
-                            n_dup = dominance.duplicate_pruned - dup_seen
-                            dup_seen += n_dup
-                            n_dominated -= n_dup
-                            stats.pruned_duplicate += n_dup
-                            stats.pruned_dominated += n_dominated
-                        else:
-                            n_dup = 0
-                        # Close the expand span before any event dispatch so
-                        # sink time is attributed to telemetry, not expand.
-                        if lap is not None:
-                            lap("expand")
-                        if hot_sink is not None:
-                            # Event parity is coarse on the fused path:
-                            # per-child goal/prune events are aggregated.
-                            if n_goals and hot_sink.accepts("goal"):
-                                hot_sink.emit(
-                                    "goal",
-                                    {"generated": stats.generated,
-                                     "count": n_goals,
-                                     "cost": _json_num(best_goal_cost)},
-                                )
-                            if n_infeasible and hot_sink.accepts("prune"):
-                                hot_sink.emit(
-                                    "prune",
-                                    {"cause": "infeasible",
-                                     "count": n_infeasible,
-                                     "level": vertex.level + 1},
-                                )
-                            if n_dominated and hot_sink.accepts("prune"):
-                                hot_sink.emit(
-                                    "prune",
-                                    {"cause": "dominated",
-                                     "count": n_dominated,
-                                     "level": vertex.level + 1},
-                                )
-                            if n_dup and hot_sink.accepts("prune"):
-                                hot_sink.emit(
-                                    "prune",
-                                    {"cause": "duplicate",
-                                     "count": n_dup,
-                                     "level": vertex.level + 1},
-                                )
-                            if lap is not None:
-                                lap("telemetry")
-                    else:
-                        placements = prepared.placements(
-                            vertex.state, break_symmetry
-                        )
-                        if lap is not None:
-                            lap("branch")
-                        children = []
-                        best_goal_cost = math.inf
-                        best_goal_state = None
-                        for task, proc in placements:
-                            child_state = vertex.state.child(task, proc)
-                            stats.generated += 1
-                            if lap is not None:
-                                lap("branch")
-                            child_lb = bound.evaluate(child_state)
-                            # States may carry their own floor (the
-                            # allocation-load bound of AO states; -inf class
-                            # default everywhere else).
-                            floor = child_state.lb_floor
-                            if floor > child_lb:
-                                child_lb = floor
-                            if lap is not None:
-                                lap("bound")
-                            if child_state.is_goal:
-                                # Goal vertices never enter the active set:
-                                # track the cheapest one in DB (Figure 2,
-                                # steps 1-5).
-                                stats.goals_evaluated += 1
-                                if child_lb < best_goal_cost:
-                                    best_goal_cost = child_lb
-                                    best_goal_state = child_state
-                                if (
-                                    hot_sink is not None
-                                    and hot_sink.accepts("goal")
-                                ):
-                                    hot_sink.emit(
-                                        "goal",
-                                        {"generated": stats.generated,
-                                         "cost": _json_num(child_lb)},
-                                    )
-                                if lap is not None:
-                                    lap("goal-eval")
-                                continue
-                            if not charf.admits(child_state, child_lb):
-                                stats.pruned_infeasible += 1
-                                if (
-                                    hot_sink is not None
-                                    and hot_sink.accepts("prune")
-                                ):
-                                    hot_sink.emit(
-                                        "prune",
-                                        {"cause": "infeasible",
-                                         "lb": _json_num(child_lb),
-                                         "level": vertex.level + 1},
-                                    )
-                                if lap is not None:
-                                    lap("filter")
-                                continue
-                            if lap is not None:
-                                lap("filter")
-                            if dominance.is_dominated(child_state):
-                                if dominance.duplicate_pruned > dup_seen:
-                                    dup_seen += 1
-                                    stats.pruned_duplicate += 1
-                                    cause = "duplicate"
-                                else:
-                                    stats.pruned_dominated += 1
-                                    cause = "dominated"
-                                if (
-                                    hot_sink is not None
-                                    and hot_sink.accepts("prune")
-                                ):
-                                    hot_sink.emit(
-                                        "prune",
-                                        {"cause": cause,
-                                         "lb": _json_num(child_lb),
-                                         "level": vertex.level + 1},
-                                    )
-                                if lap is not None:
-                                    lap("dominance")
-                                continue
-                            if lap is not None:
-                                lap("dominance")
-                            children.append(Vertex(child_state, child_lb, seq))
-                            seq += 1
-
-                    # Figure 2 steps 1-5: incumbent update from the cheapest
-                    # goal.
-                    threshold_tightened = False
-                    if (
-                        best_goal_state is not None
-                        and best_goal_cost < incumbent_cost
-                    ):
-                        threshold_tightened = True
-                        incumbent_cost = best_goal_cost
-                        found_cost = best_goal_cost
-                        best_proc = best_goal_state.proc_of
-                        best_start = best_goal_state.start
-                        incumbent_source = "search"
-                        stats.incumbent_updates += 1
-                        _announce()
-                        threshold = pruning_threshold(
-                            incumbent_cost, params.inaccuracy
-                        )
-                        # Figure 2 step 6, AS half: sweep the active set.
-                        if elim.prunes_active_set():
-                            swept = frontier.prune_above(threshold)
-                            stats.pruned_active += swept
-                            if (
-                                hot_sink is not None
-                                and swept
-                                and hot_sink.accepts("prune")
-                            ):
-                                hot_sink.emit(
-                                    "prune",
-                                    {"cause": "active-sweep", "count": swept},
-                                )
-                        if early_stop is not None and incumbent_cost <= early_stop:
-                            target_reached = True
-                            if lap is not None:
-                                lap("goal-eval")
-                            break
-                    if lap is not None:
-                        lap("goal-eval")
-
-                    # Figure 2 step 6, DB half: eliminate children.  The
-                    # fused path's pre-checked children are exactly the ones
-                    # this stage would have pruned (their bounds met the
-                    # threshold before it could only have tightened), so
-                    # they count here.
-                    if precheck_pruned:
-                        stats.pruned_children += precheck_pruned
-                        if hot_sink is not None and hot_sink.accepts("prune"):
-                            hot_sink.emit(
-                                "prune",
-                                {"cause": "bound", "count": precheck_pruned,
-                                 "level": vertex.level + 1},
-                            )
-                    if fused_precheck and not threshold_tightened:
-                        # Pre-checked children are already strictly below
-                        # this very threshold; re-testing each one cannot
-                        # prune anything unless a goal just tightened it.
-                        kept = children
-                    else:
-                        kept = []
-                        for child in children:
-                            if elim.should_prune(child.lower_bound, threshold):
-                                stats.pruned_children += 1
-                                if (
-                                    hot_sink is not None
-                                    and hot_sink.accepts("prune")
-                                ):
-                                    hot_sink.emit(
-                                        "prune",
-                                        {"cause": "bound",
-                                         "lb": _json_num(child.lower_bound),
-                                         "level": vertex.level + 1},
-                                    )
-                            else:
-                                kept.append(child)
-
-                    # RB: MAXSZDB caps the child set (keep the best bounds).
-                    if len(kept) > max_children:
-                        kept.sort(key=_BY_BOUND)
-                        dropped_db = len(kept) - int(rb.max_children)
-                        stats.dropped_resource += dropped_db
-                        stats.truncated = True
-                        del kept[int(rb.max_children):]
-                        if sink is not None and sink.accepts("resource"):
-                            sink.emit(
-                                "resource",
-                                {"kind": "MAXSZDB", "dropped": dropped_db},
-                            )
-
-                    # Step 9: move the survivors into AS.
-                    if child_order == "best-last":
-                        # Stable descending sort: equal bounds keep
-                        # insertion order, matching the negated-key sort.
-                        kept.sort(key=_BY_BOUND, reverse=True)
-                    elif child_order == "best-first":
-                        kept.sort(key=_BY_BOUND)
-                    for child in kept:
-                        frontier.push(child)
-
-                    active = len(frontier)
-                    if active > stats.peak_active:
-                        stats.peak_active = active
-
-                    # RB: MAXSZAS disposes of the worst active vertices.
-                    if active > max_active:
-                        dropped = frontier.drop_worst(active - int(rb.max_active))
-                        stats.dropped_resource += dropped
-                        stats.truncated = True
-                        if sink is not None and sink.accepts("resource"):
-                            sink.emit(
-                                "resource",
-                                {"kind": "MAXSZAS", "dropped": dropped},
-                            )
-
-                    # RB extension: generated-vertex cap.
-                    if stats.generated >= max_vertices:
-                        stop_kind = "MAXVERT"
-                        if lap is not None:
-                            lap("eliminate")
-                        break
-                    if lap is not None:
-                        lap("eliminate")
-
+            runner = _run_native if path == "native" else _run_loop
+            stop_kind = runner(run, boundary)
             if stop_kind == "MAXVERT":
-                if sink is not None and sink.accepts("resource"):
-                    sink.emit(
-                        "resource",
-                        {"kind": "MAXVERT",
-                         "detail": f"{stats.generated} generated"},
-                    )
+                boundary.stopped("MAXVERT", f"{stats.generated} generated")
                 stats.truncated = True
         finally:
             # Always populate stats.elapsed, even when the search raises
-            # mid-solve (stop_clock is idempotent, so the normal path is
-            # unaffected).
+            # mid-solve (stop_clock is idempotent).
             stats.stop_clock()
 
-        status = self._status(
-            params, stats, target_reached, best_proc is not None
-        )
+        found = search.best_proc is not None
+        status = self._status(params, stats, run.target_reached, found)
 
         # Anytime bookkeeping for early stops: the best open lower bound
         # (frontier plus the in-hand vertex) bounds how far the incumbent
         # can sit from the optimum — but only when nothing was dropped
         # (MAXSZAS/MAXSZDB discards take their subtrees' bounds with
         # them).
+        pending = run.pending_vertex
         open_lower_bound = None
         stopped_early = (
             stats.interrupted
@@ -1301,12 +1342,12 @@ class BranchAndBound:
             or stats.truncated
         )
         if stopped_early and stats.dropped_resource == 0:
-            open_lower_bound = frontier.min_bound()
-            if pending_vertex is not None and (
+            open_lower_bound = run.frontier.min_bound()
+            if pending is not None and (
                 open_lower_bound is None
-                or pending_vertex.lower_bound < open_lower_bound
+                or pending.lower_bound < open_lower_bound
             ):
-                open_lower_bound = pending_vertex.lower_bound
+                open_lower_bound = pending.lower_bound
 
         # Final snapshot: an early-stopped run always leaves a resumable
         # file behind, whatever the periodic cadence last did.
@@ -1314,17 +1355,16 @@ class BranchAndBound:
         if checkpoint is not None:
             if stopped_early:
                 checkpoint_path = boundary.write_checkpoint(
-                    frontier, pending_vertex, final=True
+                    run.frontier, pending, final=True
                 )
             elif checkpoint.writes:
                 checkpoint_path = checkpoint.path
 
         # The transposition table's counters ride the result.
-        dom_tel = dominance.telemetry()
-        if dom_tel:
-            for key in TT_COUNTERS:
-                if key in dom_tel:
-                    setattr(stats, key, dom_tel[key])
+        telemetry = dominance.telemetry()
+        if telemetry:
+            for key, value in _tt_totals(stats, telemetry).items():
+                setattr(stats, key, value)
 
         if lap is not None:
             lap("finalize")
@@ -1332,59 +1372,18 @@ class BranchAndBound:
             problem=problem,
             params=params,
             status=status,
-            best_cost=found_cost if best_proc is not None else math.inf,
-            proc_of=best_proc,
-            start=best_start,
-            incumbent_source=incumbent_source,
+            best_cost=search.found_cost if found else math.inf,
+            proc_of=search.best_proc,
+            start=search.best_start,
+            incumbent_source=search.incumbent_source,
             initial_upper_bound=initial_upper_bound,
             stats=stats,
             profile=profiler.freeze() if profiler is not None else None,
             open_lower_bound=open_lower_bound,
             checkpoint_path=checkpoint_path,
         )
-        publish(result, obs, active=len(frontier))
+        publish(result, obs, active=len(run.frontier))
         return result
-
-    # ------------------------------------------------------------------
-
-    def _start_driver(
-        self, expander, frontier, prepared, stats, *, seq, threshold,
-        incumbent, found_cost, max_vertices, report_incumbent,
-    ):
-        """Hand the seeded frontier to a native driver.
-
-        Roots, restored snapshots and subtree roots all arrive through
-        ``frontier.export()``; foreign states are adopted into the
-        arena.  The exported vertices belong to the driver afterwards.
-        """
-        params = self.params
-        entries = []
-        for v in frontier.export():
-            st = v.state
-            if type(st) is not ArenaState or st.arena is not expander.arena:
-                st = expander._ensure_row(v)
-            st.disown()
-            entries.append((v.lower_bound, v.seq, st.slot, st.level))
-        return _native.NativeDriver(
-            expander.arena,
-            expander.ap,
-            frontier_kind=_NATIVE_FRONTIER_KINDS[type(frontier)],
-            bound_kind=expander.bound_kind,
-            child_order=_CHILD_ORDER_CODES[params.child_order],
-            elim_none=type(params.elimination) is NoElimination,
-            stop_on_bound=params.selection.stop_on_bound,
-            break_symmetry=params.break_symmetry,
-            fixed_order=getattr(prepared, "order", None),
-            entries=entries,
-            seq=seq,
-            threshold=threshold,
-            incumbent=incumbent,
-            found_cost=found_cost,
-            inaccuracy=params.inaccuracy,
-            max_vertices=max_vertices,
-            stats=stats,
-            report_incumbent=report_incumbent,
-        )
 
     @staticmethod
     def _status(

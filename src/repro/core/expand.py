@@ -1038,24 +1038,27 @@ def make_batch_expander(
     dominance: DominanceChecker,
     elim: EliminationRule,
     break_symmetry: bool,
-):
-    """Build a :class:`BatchExpander` when parity is provable, else None.
+) -> BatchExpander | str:
+    """Build a :class:`BatchExpander` when parity is provable, else say why not.
 
-    Gates: the characteristic function admits everything and dominance
-    is a no-op (nothing observes discarded children), elimination is
-    U/DBAS or none (bare threshold compare / constant False), the bound
-    has an incremental trivial/LB0/LB1 form (monotone, with the goal
-    closed form), and branching is BFn or fixed-order (readiness masks
-    fully describe the task set).
+    Gates, each refusing with its own reason: the characteristic
+    function admits everything and dominance is a no-op (nothing
+    observes discarded children), elimination is U/DBAS or none (bare
+    threshold compare / constant False), the bound has an incremental
+    trivial/LB0/LB1 form (monotone, with the goal closed form), and
+    branching is BFn or fixed-order (readiness masks fully describe the
+    task set).
     """
-    if not charf.admits_all or not dominance.is_noop:
-        return None
+    if not charf.admits_all:
+        return f"characteristic function {charf.name} filters children"
+    if not dominance.is_noop:
+        return "dominance layer attached"
     if type(elim) not in (UDBASElimination, NoElimination):
-        return None
+        return f"elimination rule {elim.name} has no batch form"
     if type(prepared) not in (_PreparedBFn, _PreparedFixedOrder):
-        return None
+        return "branching has no readiness-mask form"
     if not bound.monotone:
-        return None
+        return f"{bound.name} is not monotone"
     inc = bound.make_incremental(problem)
     if type(inc) is _IncrementalTrivial:
         kind = 0
@@ -1064,7 +1067,5 @@ def make_batch_expander(
     elif type(inc) is _IncrementalLB1:
         kind = 2
     else:
-        return None
-    if problem.n == 0:
-        return None
+        return f"{bound.name} has no incremental form"
     return BatchExpander(problem, prepared, bound, elim, break_symmetry, kind)

@@ -86,7 +86,9 @@ class SearchStats:
     engine_fallback: str | None = None
     #: Transposition-table counters (:data:`TT_COUNTERS`; all 0 without
     #: the layer).  Like the engine tier they stay out of
-    #: :meth:`as_dict`: a resumed solve starts a fresh table.
+    #: :meth:`as_dict`; a snapshot stores them apart, and a resumed
+    #: solve's fresh table adds its events to them (``tt_filled`` and
+    #: ``tt_capacity`` then describe the fresh table).
     tt_hits: int = 0
     tt_misses: int = 0
     tt_inserts: int = 0
@@ -205,10 +207,11 @@ class SearchStats:
         end — except ``truncated`` when vertices were irrecoverably
         dropped by MAXSZAS/MAXSZDB, which does taint every continuation.
         The recorded ``elapsed`` becomes the resumed clock's base so the
-        total spans both runs.
+        total spans both runs.  The ``tt_*`` counters, which a snapshot
+        stores apart, are read too when present.
         """
         stats = cls()
-        for key in (
+        for key in TT_COUNTERS + (
             "generated",
             "explored",
             "pruned_children",

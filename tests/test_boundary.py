@@ -32,24 +32,37 @@ from repro.core import (
 )
 from repro.core import _native
 from repro.core import engine as engine_mod
+from repro.core.bounds import LB1, LB2
+from repro.core.branching import AOBranching
 from repro.core.checkpoint import StopToken, problem_fingerprint
+from repro.core.dominance import StateDominance
+from repro.core.elimination import UDBASElimination
 from repro.core.engine import SubtreeSpec
-from repro.core.selection import FIFOSelection, LIFOSelection, LLBSelection
+from repro.core.feasibility import LatenessTargetFilter
+from repro.core.selection import (
+    FIFOSelection,
+    LIFOSelection,
+    LLBSelection,
+    MemoryLimitedSelection,
+)
+from repro.core.shards import FrontierCollector
 from repro.core.upper import NoUpperBound
 from repro.io import save_graph
-from repro.model import compile_problem, shared_bus_platform
+from repro.model import Platform, compile_problem, shared_bus_platform
+from repro.model.interconnect import Ring
 from repro.obs import (
     JsonlSink,
     LiveMonitor,
+    MemorySink,
     MetricsRegistry,
     Observability,
+    PhaseProfiler,
     ProgressReporter,
 )
 from repro.obs.report import load_trace, render_trace_report
 from repro.workload import WorkloadSpec, generate_task_graph
 
 from bench_cells import QUICK_CELLS
-from conftest import native_disabled
 
 pytestmark = pytest.mark.skipif(
     not _native.native_available(), reason="native kernel unavailable"
@@ -190,21 +203,122 @@ def test_incumbent_events_are_exact_on_native():
     assert len(runs[0][1]) >= 1
 
 
-def test_refusals_are_recorded():
-    params = _array(BnBParameters())
-    token = StopToken()
-    with native_disabled():
-        off = BranchAndBound(params).solve(PROBLEM, stop=token)
-    assert off.stats.engine_path == "batch"
-    assert off.stats.engine_fallback.startswith("native kernel unavailable")
-    capped = BranchAndBound(
-        params.evolve(resources=ResourceBounds(max_active=10))
-    ).solve(PROBLEM)
-    assert capped.stats.engine_path == "batch"
-    assert capped.stats.engine_fallback == "MAXSZAS cap"
-    ref = BranchAndBound(BnBParameters(), fused=False).solve(PROBLEM)
-    assert ref.stats.engine_path == "reference"
-    assert ref.stats.engine_fallback == "reference loop forced (fused=False)"
+class _CustomElimination(UDBASElimination):
+    name = "custom"
+
+
+class _NonMonotoneLB1(LB1):
+    name = "LB1-nm"
+    monotone = False
+
+
+def _no_native_env(mp):
+    mp.setenv("REPRO_NO_NATIVE", "1")
+    mp.setattr(_native, "_LIB", None)
+    mp.setattr(_native, "_LIB_TRIED", False)
+    mp.setattr(_native, "_LIB_ERROR", None)
+
+
+_OBJECT = BnBParameters()
+_ARRAY = _array(_OBJECT)
+
+#: One row per refusal: (params, BranchAndBound ``fused``, hooks) and the
+#: expected (engine_path, engine_fallback).  Hooks: ``sink``,
+#: ``profiler``, ``dispatcher``, ``ring`` (a non-uniform interconnect)
+#: and ``no-native`` (REPRO_NO_NATIVE set).
+TIER_TABLE = {
+    "object": (_OBJECT, None, (), ("fused", None)),
+    "array": (_ARRAY, None, (), ("native", None)),
+    "forced-reference": (
+        _ARRAY, False, (),
+        ("reference", "reference loop forced (fused=False)"),
+    ),
+    "object-forced-reference": (
+        _OBJECT, False, (),
+        ("reference", "reference loop forced (fused=False)"),
+    ),
+    "object-sink": (_OBJECT, None, ("sink",),
+                    ("reference", "trace sink attached")),
+    "sink": (_ARRAY, None, ("sink",), ("batch", "trace sink attached")),
+    "object-profiler": (_OBJECT, None, ("profiler",),
+                        ("reference", "profiler attached")),
+    "profiler": (_ARRAY, None, ("profiler",), ("batch", "profiler attached")),
+    "dispatcher": (_ARRAY, None, ("dispatcher",), ("batch", "dispatcher")),
+    "early-stop": (
+        _ARRAY.evolve(characteristic=LatenessTargetFilter(0.0)), None, (),
+        ("fused", "early-stop target"),
+    ),
+    "MAXSZAS": (
+        _ARRAY.evolve(resources=ResourceBounds(max_active=10)), None, (),
+        ("batch", "MAXSZAS cap"),
+    ),
+    "MAXSZDB": (
+        _ARRAY.evolve(resources=ResourceBounds(max_children=3)), None, (),
+        ("batch", "MAXSZDB cap"),
+    ),
+    "non-uniform": (_ARRAY, None, ("ring",),
+                    ("batch", "non-uniform interconnect")),
+    "ML-frontier": (
+        _ARRAY.evolve(selection=MemoryLimitedSelection(64)), None, (),
+        ("batch", "_HybridFrontier selection not in the kernel"),
+    ),
+    "object-AO": (
+        _OBJECT.evolve(branching=AOBranching()), None, (),
+        ("reference", "branching AO has no fused form"),
+    ),
+    "batch-gate-filter": (
+        _ARRAY.evolve(characteristic=LatenessTargetFilter(0.0)), None,
+        ("sink",),
+        ("reference",
+         "characteristic function lateness-target filters children"),
+    ),
+    "batch-gate-dominance": (
+        _ARRAY.evolve(dominance=StateDominance()), None, (),
+        ("fused", "dominance layer attached"),
+    ),
+    "batch-gate-elimination": (
+        _ARRAY.evolve(elimination=_CustomElimination()), None, (),
+        ("fused", "elimination rule custom has no batch form"),
+    ),
+    "batch-gate-branching": (
+        _ARRAY.evolve(branching=AOBranching()), None, (),
+        ("reference", "branching has no readiness-mask form"),
+    ),
+    "batch-gate-monotone": (
+        _ARRAY.evolve(lower_bound=_NonMonotoneLB1()), None, (),
+        ("fused", "LB1-nm is not monotone"),
+    ),
+    "batch-gate-incremental": (
+        _ARRAY.evolve(lower_bound=LB2()), None, (),
+        ("fused", "LB2 has no incremental form"),
+    ),
+    "REPRO_NO_NATIVE": (
+        _ARRAY, None, ("no-native",),
+        ("batch", "native kernel unavailable: disabled by REPRO_NO_NATIVE"),
+    ),
+}
+
+
+@pytest.mark.parametrize("row", list(TIER_TABLE))
+def test_refusals_are_recorded(row, monkeypatch):
+    params, fused, hooks, expected = TIER_TABLE[row]
+    problem = PROBLEM
+    if "ring" in hooks:
+        problem = compile_problem(hard_graph(0), Platform(4, Ring(4)))
+    if "no-native" in hooks:
+        _no_native_env(monkeypatch)
+    obs = Observability(
+        sink=MemorySink() if "sink" in hooks else None,
+        profiler=PhaseProfiler() if "profiler" in hooks else None,
+    )
+    kwargs = {}
+    if "dispatcher" in hooks:
+        kwargs["dispatcher"] = FrontierCollector(3)
+    result = BranchAndBound(params, obs=obs, fused=fused).solve(
+        problem, **kwargs
+    )
+    stats = result.stats
+    assert (stats.engine_path, stats.engine_fallback) == expected
 
 
 def test_report_names_the_tier_and_the_refusal(tmp_path):

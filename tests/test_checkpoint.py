@@ -306,8 +306,9 @@ def test_resumed_transposition_run_adds_to_the_snapshots_duplicates(
     tmp_path,
 ):
     # Duplicates are booked as they are pruned: the snapshot holds the
-    # capped run's duplicates under pruned_duplicate, and the resumed
-    # run adds its own table's hits on top of them.
+    # capped run's duplicates under pruned_duplicate and its table's
+    # counters under tt, and the resumed run adds its own table's hits
+    # on top of both.
     problem = hard_problem(seed=11, processors=4)
     params = BnBParameters(selection=LLBSelection()).with_transposition()
     path = tmp_path / "cp.pkl"
@@ -321,10 +322,38 @@ def test_resumed_transposition_run_adds_to_the_snapshots_duplicates(
 
     resumed = BranchAndBound(params).solve(problem, resume=snap)
     assert resumed.stats.pruned_dominated == 0
-    assert resumed.stats.tt_hits > 0
+    assert resumed.stats.tt_hits > snap.tt["tt_hits"] > 0
     assert resumed.stats.pruned_duplicate == (
-        snap.stats["pruned_duplicate"] + resumed.stats.tt_hits
+        snap.stats["pruned_duplicate"]
+        + resumed.stats.tt_hits - snap.tt["tt_hits"]
     )
+
+
+def test_resumed_table_counters_add_to_the_first_runs(tmp_path):
+    # Every duplicate prune is a table hit, across the kill as within a
+    # run; a snapshot written before the tt field existed (emulated by
+    # dropping it) resumes with the fresh table's counters alone.
+    problem = hard_problem(seed=11, processors=4)
+    params = BnBParameters(selection=LLBSelection()).with_transposition()
+    path = tmp_path / "cp.pkl"
+    first = BranchAndBound(
+        params.evolve(resources=ResourceBounds(max_vertices=900))
+    ).solve(problem, checkpoint=Checkpointer(str(path), seconds=0))
+    assert first.stats.pruned_duplicate == first.stats.tt_hits > 0
+
+    snap = load_checkpoint(str(path))
+    resumed = BranchAndBound(params).solve(problem, resume=snap)
+    assert resumed.stats.pruned_duplicate <= resumed.stats.tt_hits
+    assert resumed.stats.tt_hits >= first.stats.tt_hits
+    assert resumed.stats.tt_inserts >= first.stats.tt_inserts
+    assert resumed.stats.tt_capacity == first.stats.tt_capacity
+    assert resumed.stats.tt_filled <= resumed.stats.tt_capacity
+
+    del snap.tt
+    assert snap.tt is None
+    fresh = BranchAndBound(params).solve(problem, resume=snap)
+    assert fresh.stats.tt_hits == resumed.stats.tt_hits - first.stats.tt_hits
+    assert fresh.stats.tt_capacity == first.stats.tt_capacity
 
 
 @pytest.mark.parametrize("fused", [True, False], ids=["fused", "reference"])

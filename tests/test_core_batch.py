@@ -257,19 +257,23 @@ def test_factory_accepts_the_paper_configurations():
     for bound in (TrivialBound(), LB0(), LB1()):
         expander = _factory(problem, bound=bound)
         assert type(expander) is BatchExpander, bound.name
-    assert _factory(problem, elim=NoElimination()) is not None
-    assert _factory(
+    assert type(_factory(problem, elim=NoElimination())) is BatchExpander
+    assert type(_factory(
         problem, prepared=DFBranching().prepare(problem)
-    ) is not None
+    )) is BatchExpander
 
 
 def test_factory_refuses_unreplicated_configurations():
+    # A refusal is the reason the engine records as its tier fallback.
     problem = _problem(0, 2, ring=False)
-    assert _factory(problem, bound=LB2()) is None, "no incremental form"
-    assert _factory(problem, dominance=StateDominance().fresh()) is None
+    assert _factory(problem, bound=LB2()) == "LB2 has no incremental form"
     assert _factory(
-        problem, charf=LatenessTargetFilter(0.0)
-    ) is None, "admission filters run per materialized child"
+        problem, dominance=StateDominance().fresh()
+    ) == "dominance layer attached"
+    # Admission filters run per materialized child.
+    assert _factory(problem, charf=LatenessTargetFilter(0.0)) == (
+        "characteristic function lateness-target filters children"
+    )
 
 
 def test_exactness_certificate_drives_the_admission_margin():

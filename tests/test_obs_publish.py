@@ -27,6 +27,7 @@ from repro.core.parallel import ParallelBnB
 from repro.core.params import BnBParameters
 from repro.core.shards import FrontierCollector
 from repro.io.json_io import save_graph
+from repro.model import compile_problem, shared_bus_platform
 from repro.obs import (
     JsonlSink,
     LiveMonitor,
@@ -133,6 +134,40 @@ def test_parallel_trace_report_breaks_down_the_whole_solve(tmp_path):
     ]
     assert counts and sum(counts) == result.stats.pruned_total
     assert f"generated={result.stats.generated}" in text
+
+
+@pytest.mark.parametrize("driver", ["parallel", "cluster"])
+@pytest.mark.parametrize(
+    "split_depth", [2, 64], ids=["shards", "shallow-pass-closes-the-tree"]
+)
+def test_parallel_trace_profile_ends_at_the_result(
+    driver, split_depth, tmp_path
+):
+    # The Section 4.1 instance (paper profile, seed 13) on two processors:
+    # the search improves on the EDF bound, and every accepted improvement
+    # reaches the trace with the counts merged so far.
+    problem = compile_problem(
+        generate_task_graph(spec_for_profile("paper"), seed=13),
+        shared_bus_platform(2),
+    )
+    path = tmp_path / "t.jsonl"
+    obs = Observability(sink=JsonlSink(str(path)))
+    if driver == "parallel":
+        result = ParallelBnB(
+            PARAMS, workers=2, split_depth=split_depth, obs=obs
+        ).solve(problem)
+    else:
+        result = ClusterCoordinator(
+            PARAMS, local_workers=2, split_depth=split_depth, obs=obs
+        ).solve(problem)
+    obs.close()
+    assert result.incumbent_source == "search"
+    profile = load_trace(str(path)).anytime_profile()
+    assert len(profile) >= 2
+    assert profile[-1][1] == result.best_cost
+    generated = [g for g, _ in profile]
+    assert generated == sorted(generated)
+    assert generated[-1] <= result.stats.generated
 
 
 @pytest.mark.parametrize("seed", HARD_SEEDS)
