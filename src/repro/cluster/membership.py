@@ -50,10 +50,6 @@ class Member:
         now = now if now is not None else time.monotonic()
         return now - self.lease_renewed
 
-    def backlog(self) -> list:
-        """Stealable (shard, attempt) pairs: everything but the head."""
-        return list(self.assigned.values())[1:]
-
 
 class MembershipTable:
     """The coordinator's view of who is alive and what they hold."""

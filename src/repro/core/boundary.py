@@ -6,7 +6,9 @@ driver (:mod:`repro.core._native`) — call :meth:`Boundary.service` at a
 single program point: a vertex has been popped and survived the stale
 check, but is neither counted as explored nor expanded.  They call it
 whenever ``stats.explored >= boundary.check_at``, so the loop pays one
-integer compare per vertex for every hook together.
+integer compare per vertex for every hook together.  The cluster
+coordinator is the third caller: it holds no vertex (``vertex=None``)
+and services the boundary over its open shards once per loop tick.
 
 ``check_at`` starts at the run's initial explored count (the first
 popped vertex always meets a boundary, so a stop token that is already
@@ -122,8 +124,9 @@ class Boundary:
         """Run every due hook; return the stop kind, or None to go on.
 
         ``vertex`` is the popped, unexpanded vertex (the snapshot's
-        first entry).  A stop leaves it in the caller's hands as the
-        pending vertex of the open search.
+        first entry), or None for a caller with no vertex in hand.  A
+        stop leaves it in the caller's hands as the pending vertex of
+        the open search.
         """
         stats = self.stats
         self.incumbent = incumbent
@@ -133,6 +136,7 @@ class Boundary:
             return kind
         if self.checkpoint is not None and self.checkpoint.due():
             self.write_checkpoint(frontier, vertex)
+        vertex_lb = None if vertex is None else vertex.lower_bound
         if self.channel is not None:
             ext = self.channel.poll(stats.explored)
             if ext < self.incumbent:
@@ -144,13 +148,13 @@ class Boundary:
                 if self.prunes_active:
                     stats.pruned_active += frontier.prune_above(self.threshold)
         if self.live is not None or self.progress is not None:
-            self._sample(frontier, vertex.lower_bound)
+            self._sample(frontier, vertex_lb)
         if self.metrics is not None:
             size = len(frontier)
             self.m_active.set(size)
             self.h_active.observe(size)
-            if not math.isinf(self.incumbent):
-                self.h_gap.observe(self.incumbent - vertex.lower_bound)
+            if vertex_lb is not None and not math.isinf(self.incumbent):
+                self.h_gap.observe(self.incumbent - vertex_lb)
         self.check_at = (stats.explored // self.cadence + 1) * self.cadence
         return None
 
@@ -182,7 +186,7 @@ class Boundary:
             sink.emit("resource", {"kind": kind, "detail": detail})
         return kind
 
-    def _sample(self, frontier, vertex_lb: float) -> None:
+    def _sample(self, frontier, vertex_lb: float | None) -> None:
         incumbent = self.incumbent
         live = self.live
         if live is not None:
@@ -199,7 +203,11 @@ class Boundary:
             # Under best-first selection the in-hand bound is the
             # minimum open bound, so the heartbeat's gap is exact;
             # otherwise reuse the live monitor's last sampled gap.
-            if self.stop_on_bound and not math.isinf(incumbent):
+            if (
+                self.stop_on_bound
+                and vertex_lb is not None
+                and not math.isinf(incumbent)
+            ):
                 gap = max(0.0, incumbent - vertex_lb)
             elif live is not None:
                 gap = live.last_gap

@@ -25,10 +25,10 @@ active set.  :func:`choose_tier` then picks the one tier that runs it —
 native, batch, fused or reference — and names the refusal that kept a
 faster one out.  One runner executes Steps 3-10: :func:`_run_native`
 hands the loop to the compiled chunk driver, :func:`_run_loop` is the
-Python loop for the other three tiers.  Back in ``solve``, the anytime
-wrap-up (status, open lower bound, final snapshot) builds the
-:class:`BnBResult`, and :func:`publish` reports it once, as the cluster
-coordinator reports a parallel solve.
+Python loop for the other three tiers.  Back in ``solve``, the status
+and :func:`anytime_wrap_up` (open lower bound, final snapshot) build the
+:class:`BnBResult`, and :func:`publish` reports it once; the cluster
+coordinator ends a parallel solve through the same two functions.
 
 Per-vertex observers (an event sink, a profiler) cost one ``is not
 None`` check on a local when absent.  Everything periodic — stop token,
@@ -562,7 +562,7 @@ class _Run:
             incumbent_source=search.incumbent_source,
             initial_upper_bound=self.initial_upper_bound,
             stats=counters,
-            tt=_tt_totals(stats, self.dominance.telemetry()),
+            tt=tt_totals(stats, self.dominance.telemetry()),
         )
 
     def announce(self) -> None:
@@ -570,21 +570,24 @@ class _Run:
         cost = self.search.incumbent_cost
         if self.channel is not None:
             self.channel.publish(cost)
-        sink = self.sink
-        if sink is not None and sink.accepts("incumbent"):
-            stats = self.stats
-            sink.emit(
-                "incumbent",
-                {
-                    "generated": stats.generated,
-                    "explored": stats.explored,
-                    "cost": _json_num(cost),
-                    "elapsed": round(stats.time_since_start(), 6),
-                },
-            )
+        trace_incumbent(self.sink, cost, self.stats)
 
 
-def _tt_totals(stats: SearchStats, telemetry) -> dict[str, int]:
+def trace_incumbent(sink, cost: float, stats: SearchStats) -> None:
+    """Trace one accepted improvement with the solve's counts and clock so far."""
+    if sink is not None and sink.accepts("incumbent"):
+        sink.emit(
+            "incumbent",
+            {
+                "generated": stats.generated,
+                "explored": stats.explored,
+                "cost": _json_num(cost),
+                "elapsed": round(stats.time_since_start(), 6),
+            },
+        )
+
+
+def tt_totals(stats: SearchStats, telemetry) -> dict[str, int]:
     """The table's counters so far: those on ``stats`` plus the live table's.
 
     A resumed solve's fresh table adds its events to the snapshot's;
@@ -595,6 +598,28 @@ def _tt_totals(stats: SearchStats, telemetry) -> dict[str, int]:
     totals["tt_filled"] = tel.get("tt_filled", 0)
     totals["tt_capacity"] = tel.get("tt_capacity", 0)
     return totals
+
+
+def announce_resume(
+    sink, metrics, snapshot: SearchCheckpoint, stats: SearchStats,
+    open_count: int, incumbent: float,
+) -> None:
+    """Trace and count a solve resumed with ``open_count`` open entries."""
+    if sink is not None and sink.accepts("resume"):
+        sink.emit(
+            "resume",
+            {
+                "version": snapshot.version,
+                "frontier": open_count,
+                "generated": stats.generated,
+                "explored": stats.explored,
+                "incumbent": _json_num(incumbent),
+            },
+        )
+    if metrics is not None:
+        metrics.counter(
+            "bnb_checkpoint_loaded_total", "Search snapshots resumed from"
+        ).inc()
 
 
 def _seed_frontier(run: _Run, problem, subtree, resume, metrics) -> None:
@@ -612,22 +637,10 @@ def _seed_frontier(run: _Run, problem, subtree, resume, metrics) -> None:
             restored.append(Vertex(rs, rlb, rseq))
         run.frontier.restore(restored)
         stats.peak_active = max(stats.peak_active, len(restored))
-        sink = run.sink
-        if sink is not None and sink.accepts("resume"):
-            sink.emit(
-                "resume",
-                {
-                    "version": resume.version,
-                    "frontier": len(restored),
-                    "generated": stats.generated,
-                    "explored": stats.explored,
-                    "incumbent": _json_num(run.search.incumbent_cost),
-                },
-            )
-        if metrics is not None:
-            metrics.counter(
-                "bnb_checkpoint_loaded_total", "Search snapshots resumed from"
-            ).inc()
+        announce_resume(
+            run.sink, metrics, resume, stats, len(restored),
+            run.search.incumbent_cost,
+        )
         return
     if subtree is not None:
         # The root was generated (and counted) by the coordinator, so
@@ -1156,6 +1169,34 @@ def _run_loop(run: _Run, boundary: Boundary):
     return stop_kind
 
 
+def anytime_wrap_up(boundary: Boundary, frontier, in_hand=None):
+    """``(open_lower_bound, checkpoint_path)`` of a finished solve.
+
+    After an early stop the best open bound (``frontier`` plus the
+    in-hand vertex) bounds the optimum unless MAXSZAS/MAXSZDB dropped
+    vertices, and a final snapshot always leaves a resumable file.  The
+    engine and the cluster coordinator both end a solve here.
+    """
+    stats = boundary.stats
+    open_lower_bound = None
+    if stats.stopped_early and stats.dropped_resource == 0:
+        open_lower_bound = frontier.min_bound()
+        if in_hand is not None and (
+            open_lower_bound is None or in_hand.lower_bound < open_lower_bound
+        ):
+            open_lower_bound = in_hand.lower_bound
+    checkpoint = boundary.checkpoint
+    checkpoint_path = None
+    if checkpoint is not None:
+        if stats.stopped_early:
+            checkpoint_path = boundary.write_checkpoint(
+                frontier, in_hand, final=True
+            )
+        elif checkpoint.writes:
+            checkpoint_path = checkpoint.path
+    return open_lower_bound, checkpoint_path
+
+
 class BranchAndBound:
     """Reusable solver bound to one parametrization.
 
@@ -1327,43 +1368,14 @@ class BranchAndBound:
 
         found = search.best_proc is not None
         status = self._status(params, stats, run.target_reached, found)
-
-        # Anytime bookkeeping for early stops: the best open lower bound
-        # (frontier plus the in-hand vertex) bounds how far the incumbent
-        # can sit from the optimum — but only when nothing was dropped
-        # (MAXSZAS/MAXSZDB discards take their subtrees' bounds with
-        # them).
-        pending = run.pending_vertex
-        open_lower_bound = None
-        stopped_early = (
-            stats.interrupted
-            or stats.time_limit_hit
-            or stats.memory_limit_hit
-            or stats.truncated
+        open_lower_bound, checkpoint_path = anytime_wrap_up(
+            boundary, run.frontier, run.pending_vertex
         )
-        if stopped_early and stats.dropped_resource == 0:
-            open_lower_bound = run.frontier.min_bound()
-            if pending is not None and (
-                open_lower_bound is None
-                or pending.lower_bound < open_lower_bound
-            ):
-                open_lower_bound = pending.lower_bound
-
-        # Final snapshot: an early-stopped run always leaves a resumable
-        # file behind, whatever the periodic cadence last did.
-        checkpoint_path = None
-        if checkpoint is not None:
-            if stopped_early:
-                checkpoint_path = boundary.write_checkpoint(
-                    run.frontier, pending, final=True
-                )
-            elif checkpoint.writes:
-                checkpoint_path = checkpoint.path
 
         # The transposition table's counters ride the result.
         telemetry = dominance.telemetry()
         if telemetry:
-            for key, value in _tt_totals(stats, telemetry).items():
+            for key, value in tt_totals(stats, telemetry).items():
                 setattr(stats, key, value)
 
         if lap is not None:

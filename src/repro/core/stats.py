@@ -157,6 +157,16 @@ class SearchStats:
             self.engine_fallback = other.engine_fallback
 
     @property
+    def stopped_early(self) -> bool:
+        """A stop flag is up: the search left open work behind."""
+        return (
+            self.interrupted
+            or self.time_limit_hit
+            or self.memory_limit_hit
+            or self.truncated
+        )
+
+    @property
     def pruned_total(self) -> int:
         return (
             self.pruned_children

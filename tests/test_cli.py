@@ -101,6 +101,21 @@ class TestSolve:
         assert "parallel: mode=throughput" in out
         assert "\nengine: native\n" in out
 
+    def test_capped_parallel_solve_prints_its_gap(self, tmp_path, capsys):
+        # As a capped sequential solve does: the open shards bound how
+        # far the incumbent can be from the optimum.
+        path = str(tmp_path / "g.json")
+        main(["generate", "--profile", "paper", "--seed", "13", "-o", path])
+        capsys.readouterr()
+        rc = main([
+            "solve", path, "-m", "2", "--workers", "2",
+            "--max-vertices", "200",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "[TRUNCATED]" in out
+        assert "\ngap: <= " in out
+
     @pytest.mark.parametrize("seconds", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("role", [["solve"], ["cluster", "coordinator"]])
     def test_checkpoint_interval_must_be_finite_and_non_negative(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -31,12 +32,14 @@ from repro.core import (
     BranchAndBound,
     LIFOSelection,
     LLBSelection,
+    ResourceBounds,
     SolveStatus,
 )
 from repro.core import engine as engine_mod
 from repro.core.checkpoint import Checkpointer, StopToken, load_checkpoint
+from repro.core.shards import FrontierCollector
 from repro.errors import CheckpointError
-from repro.obs import LiveMonitor, Observability
+from repro.obs import LiveMonitor, MemorySink, Observability
 
 from faultlib import (
     HARD_SEEDS,
@@ -550,3 +553,136 @@ def test_resume_rejects_mismatched_problem(tmp_path):
     )
     with pytest.raises(CheckpointError, match="does not match"):
         coord.solve(PROBLEMS[HARD_SEEDS[1]])
+
+
+def test_resumed_time_limit_counts_the_snapshots_elapsed(tmp_path):
+    # One rule for a resumed TIMELIMIT on the engine and the coordinator:
+    # the time spent before the restart counts.
+    problem = PROBLEMS[HARD_SEEDS[0]]
+    path = str(tmp_path / "cluster.ckpt")
+    token = StopToken()
+    token.set("test interrupt")
+    ClusterCoordinator(
+        None,
+        bind="mem://phase1",
+        transport=MemoryTransport(),
+        checkpoint=Checkpointer(path),
+        stop=token,
+    ).solve(problem)
+    snap = load_checkpoint(path)
+    snap.stats["elapsed"] = 5.0
+    params = BnBParameters(resources=ResourceBounds(time_limit=1.0))
+    for resumed in (
+        BranchAndBound(params).solve(problem, resume=snap),
+        ClusterCoordinator(params, local_workers=2, resume=snap).solve(
+            problem
+        ),
+    ):
+        assert resumed.status is SolveStatus.TIMEOUT
+        assert resumed.stats.elapsed >= 5.0
+        assert resumed.open_lower_bound <= REFERENCE[HARD_SEEDS[0]].best_cost
+
+
+# ---------------------------------------------------------------------------
+# Anytime results: the engine's stops, open bound and final snapshot
+# ---------------------------------------------------------------------------
+
+#: Hard seed 11 on four processors under LLB: about 2 s sequentially,
+#: long enough for a 0.3 s deadline or a 900-vertex cap to cut it short.
+ANYTIME_PROBLEM = hard_problem(seed=11, processors=4)
+LLB = BnBParameters(selection=LLBSelection())
+
+
+@pytest.fixture(scope="module")
+def anytime_optimum():
+    result = BranchAndBound(LLB).solve(ANYTIME_PROBLEM)
+    assert result.status is SolveStatus.OPTIMAL
+    return result.best_cost
+
+
+@pytest.mark.parametrize(
+    "bounds, status, kind",
+    [
+        (ResourceBounds(time_limit=0.3), SolveStatus.TIMEOUT, "TIMELIMIT"),
+        (ResourceBounds(max_vertices=900), SolveStatus.TRUNCATED, "MAXVERT"),
+    ],
+    ids=["time-limit", "vertex-cap"],
+)
+def test_stopped_cluster_solve_is_an_engine_anytime_result(
+    bounds, status, kind, anytime_optimum, tmp_path
+):
+    path = str(tmp_path / "cluster.ckpt")
+    sink = MemorySink()
+    result = ClusterCoordinator(
+        replace(LLB, resources=bounds),
+        local_workers=2,
+        checkpoint=Checkpointer(path),
+        obs=Observability(sink=sink),
+    ).solve(ANYTIME_PROBLEM)
+    assert result.status is status
+    # The open shards bound the optimum from below.
+    assert result.open_lower_bound is not None
+    assert result.open_lower_bound <= anytime_optimum
+    assert result.optimality_gap is not None
+    assert [e["kind"] for e in sink.of_kind("resource")] == [kind]
+    # The final snapshot is the engine's: its event, its path, and a
+    # frontier the result's bound is read from.
+    assert result.checkpoint_path == path
+    final = sink.of_kind("checkpoint")[-1]
+    assert final["final"] and final["path"] == path
+    assert final["explored"] == result.stats.explored
+    snap = load_checkpoint(path)
+    assert snap.frontier
+    assert min(lb for _s, lb, _i in snap.frontier) == result.open_lower_bound
+
+
+def test_shallow_pass_cut_short_ends_the_solve(tmp_path):
+    # A vertex cap inside the shallow pass leaves open vertices that no
+    # shard holds: the shards alone would resume to a false OPTIMAL, so
+    # none is snapshotted, and the open bound counts them too.
+    params = replace(LLB, resources=ResourceBounds(max_vertices=44))
+    collector = FrontierCollector(3)
+    shallow = BranchAndBound(params).solve(
+        ANYTIME_PROBLEM, dispatcher=collector
+    )
+    assert shallow.status is SolveStatus.TRUNCATED and collector.shards
+    path = tmp_path / "cluster.ckpt"
+    sink = MemorySink()
+    result = ClusterCoordinator(
+        params,
+        local_workers=2,
+        split_depth=3,
+        checkpoint=Checkpointer(str(path)),
+        obs=Observability(sink=sink),
+    ).solve(ANYTIME_PROBLEM)
+    assert result.status is SolveStatus.TRUNCATED
+    assert result.open_lower_bound == min(
+        shallow.open_lower_bound, *(s.lower_bound for s in collector.shards)
+    )
+    assert result.checkpoint_path is None and not path.exists()
+    assert [e["kind"] for e in sink.of_kind("resource")] == ["MAXVERT"]
+
+
+def test_resumed_cluster_table_counters_add_to_the_snapshots(
+    anytime_optimum, tmp_path
+):
+    # A capped solve under a transposition layer, then a resume: every
+    # duplicate prune of both runs is a table hit.
+    params = LLB.with_transposition()
+    path = str(tmp_path / "cluster.ckpt")
+    capped = ClusterCoordinator(
+        replace(params, resources=ResourceBounds(max_vertices=900)),
+        local_workers=2,
+        checkpoint=Checkpointer(path, seconds=0),
+    ).solve(ANYTIME_PROBLEM)
+    assert capped.status is SolveStatus.TRUNCATED
+    assert capped.stats.pruned_duplicate <= capped.stats.tt_hits
+    snap = load_checkpoint(path)
+    assert snap.tt["tt_hits"] == capped.stats.tt_hits
+    resumed = ClusterCoordinator(params, local_workers=2, resume=snap).solve(
+        ANYTIME_PROBLEM
+    )
+    assert resumed.status is SolveStatus.OPTIMAL
+    assert resumed.best_cost == pytest.approx(anytime_optimum, abs=1e-9)
+    assert resumed.stats.tt_hits >= capped.stats.tt_hits
+    assert resumed.stats.pruned_duplicate <= resumed.stats.tt_hits
