@@ -174,10 +174,11 @@ def _search_flags() -> argparse.ArgumentParser:
         help="transposition-table memory budget in bytes (default 16 MiB)",
     )
     p.add_argument(
-        "--engine", choices=ENGINES, default="object",
-        help="search-core implementation: 'array' (struct-of-arrays "
-        "arena + compiled chunk driver where eligible) or 'object' "
-        "(default); results are identical across engines",
+        "--engine", choices=ENGINES, default="array",
+        help="search-core implementation: 'array' (default: struct-of-"
+        "arrays arena + compiled chunk driver where eligible) or 'object' "
+        "(keep the search in Python); results are identical across "
+        "engines",
     )
     p.add_argument("--br", type=float, default=0.0, help="inaccuracy limit")
     p.add_argument("--time-limit", type=float, default=None)

@@ -603,6 +603,8 @@ class _Dispatch:
             self.drop_member(member, "send failed", expired=False)
             return False
         member.assigned[shard.index] = (shard, attempt)
+        if attempt > 1:
+            member.retried += 1
         return True
 
     def dispatch(self) -> None:
@@ -635,6 +637,9 @@ class _Dispatch:
             return
         del victim.assigned[idx]
         victim.stolen_from += 1
+        # A stolen retry is the thief's now: each retry counts once.
+        if attempt > 1:
+            victim.retried -= 1
         self.steals += 1
         self.count("bnb_cluster_steal_total")
         self.emit(

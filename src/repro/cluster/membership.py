@@ -38,6 +38,8 @@ class Member:
     running: int = -1
     done: int = 0
     stale: int = 0
+    #: Shards handed to this member as a retry (attempt > 1); a stolen
+    #: retry counts for the thief, so the rows sum to the shard retries.
     retried: int = 0
     stolen_from: int = 0
     explored: int = 0

@@ -1,6 +1,6 @@
-"""Native chunked search driver for the array engine (``--engine array``).
+"""Native chunked search driver for the array engine (the default).
 
-The numpy batch expander removes per-child bound recursions, but the
+The fused expander removes per-child bound recursions, but the
 engine's Python loop still costs microseconds per explored vertex
 (frontier heap ops, Vertex objects, counter updates).  This module
 compiles — on first use, with the system C compiler, cached by source
@@ -64,7 +64,7 @@ The kernel cache is ``$REPRO_NATIVE_CACHE`` or
 ``<tmp>/repro-native-<uid>`` (created 0700).  A cache directory or
 library not owned by the effective user, or writable by group/other,
 is refused.  Set ``REPRO_NO_NATIVE=1`` to disable the kernel entirely
-(the numpy path then serves ``--engine array``).
+(the fused path then serves the array engine).
 """
 
 from __future__ import annotations

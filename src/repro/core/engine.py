@@ -22,10 +22,10 @@ Structure
 :meth:`BranchAndBound.solve` validates its hooks and seeds the search:
 the incumbent from ``U`` (or from a snapshot or a subtree spec) and the
 active set.  :func:`choose_tier` then picks the one tier that runs it —
-native, batch, fused or reference — and names the refusal that kept a
-faster one out.  One runner executes Steps 3-10: :func:`_run_native`
-hands the loop to the compiled chunk driver, :func:`_run_loop` is the
-Python loop for the other three tiers.  Back in ``solve``, the status
+native, fused or reference — and names the refusal that kept a faster
+one out.  One runner executes Steps 3-10: :func:`_run_native` hands the
+loop to the compiled chunk driver, :func:`_run_loop` is the Python loop
+for the other two tiers.  Back in ``solve``, the status
 and :func:`anytime_wrap_up` (open lower bound, final snapshot) build the
 :class:`BnBResult`, and :func:`publish` reports it once; the cluster
 coordinator ends a parallel solve through the same two functions.
@@ -108,7 +108,7 @@ _NATIVE_FRONTIER_KINDS = {
 }
 
 #: The engine tiers, fastest first; the object engine starts at fused.
-_TIERS = ("native", "batch", "fused", "reference")
+_TIERS = ("native", "fused", "reference")
 
 _CHILD_ORDER_CODES = {"generation": 0, "best-last": 1, "best-first": 2}
 
@@ -404,29 +404,29 @@ def publish(
 
 def choose_tier(
     params, fused, problem, prepared, frontier, dominance, *,
-    hot_sink, profiled, dispatcher, early_stop,
+    hot_sink, profiled, dispatcher, early_stop, root_closed,
 ):
     """Pick the tier that runs one solve: ``(path, expander, fallback)``.
 
-    Tiers, fastest first: ``native`` (the C chunk driver over a batch
-    expander), ``batch``, ``fused`` and ``reference`` (no expander).  The
-    array engine starts at native, the object engine at fused.  Each
-    refusal in the one list below rules out the tiers it names; the
-    fastest tier left runs.  ``fallback`` is the first refusal, in list
-    order, of the tier the engine wanted: native on the array engine
-    (batch when no expander is left), fused on the object engine.  The
-    batch factory and the kernel load run only while a tier they gate
-    is still open.
+    Tiers, fastest first: ``native`` (the C chunk driver, which owns the
+    arena of a :class:`~repro.core.expand.BatchExpander`), ``fused`` and
+    ``reference`` (no expander).  The array engine starts at native, the
+    object engine at fused.  Each refusal in the one list below rules
+    out the tiers it names; the fastest tier left runs.  ``fallback`` is
+    the first refusal, in list order, of the engine's first tier.  The
+    native gate (:func:`~repro.core.expand.make_batch_expander`) and the
+    kernel load run only while native is still open, so a solve that
+    cannot use the driver never builds or loads it.
     """
-    array = params.engine != "object"
-    tiers = _TIERS if array else _TIERS[2:]
+    tiers = _TIERS if params.engine != "object" else _TIERS[1:]
     rb = params.resources
     observed = ("native", "fused") if fused is None else ("native",)
     refusals = [
         (reason, struck)
         for applies, reason, struck in (
             (fused is False, "reference loop forced (fused=False)",
-             ("native", "batch", "fused")),
+             ("native", "fused")),
+            (fused is True, "fused path forced (fused=True)", ("native",)),
             (dispatcher is not None, "dispatcher", ("native",)),
             (hot_sink is not None, "trace sink attached", observed),
             (profiled, "profiler attached", observed),
@@ -441,6 +441,8 @@ def choose_tier(
             (not prepared.fused_compatible,
              f"branching {params.branching.name} has no fused form",
              ("fused",)),
+            (root_closed, "root closed by the initial upper bound",
+             ("native",)),
         )
         if applies
     ]
@@ -452,20 +454,21 @@ def choose_tier(
         problem, prepared, params.lower_bound, params.characteristic,
         dominance, params.elimination, params.break_symmetry,
     )
-    batch = make_batch_expander(*expander_args) if is_open("batch") else None
+    batch = make_batch_expander(*expander_args) if is_open("native") else None
     if isinstance(batch, str):
-        refusals.append((batch, ("native", "batch")))
+        refusals.append((batch, ("native",)))
     error = _native.load_error() if is_open("native") else None
     if error is not None:
         refusals.append((f"native kernel unavailable: {error}", ("native",)))
     path = next(tier for tier in tiers if is_open(tier))
-    wanted = "batch" if array and path == "reference" else tiers[0]
     fallback = next(
-        (reason for reason, struck in refusals if wanted in struck), None
+        (reason for reason, struck in refusals if tiers[0] in struck), None
     )
+    if path == "native":
+        return path, batch, fallback
     if path == "fused":
         return path, FusedExpander(*expander_args), fallback
-    return path, (None if path == "reference" else batch), fallback
+    return path, None, fallback
 
 
 @dataclass(slots=True)
@@ -622,8 +625,11 @@ def announce_resume(
         ).inc()
 
 
-def _seed_frontier(run: _Run, problem, subtree, resume, metrics) -> None:
-    """Fill the empty active set: the snapshot's, a subtree root or the root."""
+def _seed_frontier(run: _Run, problem, subtree, resume, metrics, root) -> None:
+    """Fill the empty active set: the snapshot's, a subtree root or the root.
+
+    ``root`` is the fresh solve's root vertex, already bounded by ``L``.
+    """
     expander = run.expander
     stats = run.stats
     if resume is not None:
@@ -656,9 +662,6 @@ def _seed_frontier(run: _Run, problem, subtree, resume, metrics) -> None:
     else:
         if expander is not None:
             root = expander.root()
-        else:
-            rs = run.prepared.make_root()
-            root = Vertex(rs, run.params.lower_bound.evaluate(rs), 0)
         stats.generated = 1
     if not run.params.elimination.should_prune(
         root.lower_bound, run.search.threshold
@@ -799,7 +802,7 @@ def _run_native(run: _Run, boundary: Boundary):
 
 
 def _run_loop(run: _Run, boundary: Boundary):
-    """The batch, fused and reference tiers: Steps 3-10; the stop kind.
+    """The fused and reference tiers: Steps 3-10; the stop kind.
 
     An expander branches and bounds a vertex's children in one call; the
     reference tier does it child by child, with a span and an event
@@ -1209,11 +1212,13 @@ class BranchAndBound:
     ``fused`` selects the expansion path: ``True`` forces the fused
     :class:`~repro.core.expand.FusedExpander` hot path (incremental
     bounds, admission pre-check, scratch buffers), ``False`` forces the
-    reference per-child loop, and ``None`` (the default) uses the fused
-    path exactly when no per-vertex sink or profiler is attached — those
-    two consumers observe per-child branch/bound granularity that the
-    fused path folds into a single ``expand`` phase.  Both paths produce
-    identical results and statistics (``tests/test_core_expand.py``).
+    reference per-child loop, and ``None`` (the default) lets
+    :func:`choose_tier` pick the fastest tier the solve allows: the
+    native driver, then the fused path, which a per-vertex sink or
+    profiler rules out — those two consumers observe per-child
+    branch/bound granularity that the fused path folds into a single
+    ``expand`` phase.  Every path produces identical results and
+    statistics (``tests/test_core_expand.py``).
     """
 
     def __init__(
@@ -1324,13 +1329,24 @@ class BranchAndBound:
                 lap, bound_channel, dispatcher, fingerprint,
                 initial_upper_bound, params.resources.max_vertices,
             )
+            # A fresh root that the initial U already prunes ends the
+            # solve at seeding: no tier needs the kernel for that.
+            root = None
+            root_closed = False
+            if resume is None and subtree is None:
+                rs = prepared.make_root()
+                root = Vertex(rs, params.lower_bound.evaluate(rs), 0)
+                root_closed = params.elimination.should_prune(
+                    root.lower_bound, search.threshold
+                )
             path, run.expander, fallback = choose_tier(
                 params, self.fused, problem, prepared, run.frontier,
                 dominance, hot_sink=hot_sink, profiled=profiler is not None,
                 dispatcher=dispatcher,
                 early_stop=params.characteristic.early_stop_cost,
+                root_closed=root_closed,
             )
-            _seed_frontier(run, problem, subtree, resume, metrics)
+            _seed_frontier(run, problem, subtree, resume, metrics, root)
             stats.engine_path = path
             stats.engine_fallback = fallback
             if live is not None:

@@ -616,6 +616,12 @@ class FusedExpander:
 # kernels are deliberately small, pure functions of the numpy problem
 # mirror so the Hypothesis suite can differential-test each one against
 # the scalar reference in isolation.
+#
+# ``BranchAndBound.solve`` no longer runs ``BatchExpander.expand``: the
+# batch tier was slower than the fused path, so a refused native solve
+# falls back to fused.  :func:`make_batch_expander` is the native
+# driver's gate and builds the arena the driver owns; ``expand`` and the
+# ``batch_*`` kernels stay while ``perf/spans.py`` still wraps them.
 
 import numpy as np
 
@@ -731,7 +737,8 @@ class BatchExpander:
 
     Only constructed by :func:`make_batch_expander` for configurations
     whose counters it provably replicates (see the factory's gates);
-    everything else keeps the fused scalar path.
+    everything else keeps the fused scalar path.  The native driver
+    searches over its arena and its root rows.
     """
 
     __slots__ = (

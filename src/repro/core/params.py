@@ -71,14 +71,15 @@ class BnBParameters:
     #: uniform interconnects only; ignored otherwise).  Default off,
     #: matching the paper.
     break_symmetry: bool = False
-    #: Search-core implementation: ``object`` (per-vertex SearchState
-    #: objects) or ``array`` (struct-of-arrays arena + native chunk
-    #: driver where eligible, numpy batch expansion otherwise).  The
-    #: array engine falls back to a slower tier for configurations it
-    #: cannot replicate bit-for-bit, so results are engine-independent
-    #: by construction; ``SearchStats.engine_path`` and
-    #: ``engine_fallback`` record which tier ran and why.
-    engine: str = "object"
+    #: Search-core implementation: ``array`` (the default) runs the
+    #: native C chunk driver over a struct-of-arrays arena where
+    #: eligible; ``object`` keeps the search in Python.  Either engine
+    #: falls back to a slower tier (fused, then reference) for
+    #: configurations the faster one cannot replicate bit-for-bit, so
+    #: results are engine-independent by construction;
+    #: ``SearchStats.engine_path`` and ``engine_fallback`` record which
+    #: tier ran and why.
+    engine: str = "array"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.inaccuracy) and self.inaccuracy >= 0):

@@ -78,7 +78,7 @@ class SearchStats:
     #: The resident-set ceiling (MEMLIMIT) tripped.
     memory_limit_hit: bool = False
     #: Engine tier that ran the search: ``native`` (the C chunk driver),
-    #: ``batch`` (numpy batch expansion), ``fused`` or ``reference``.
+    #: ``fused`` or ``reference``.
     engine_path: str = ""
     #: Why a faster tier of the requested engine was refused, e.g.
     #: ``"trace sink attached"`` or ``"native kernel unavailable: …"``

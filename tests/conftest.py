@@ -138,7 +138,7 @@ def diamond_problem(diamond, bus2):
 
 @contextlib.contextmanager
 def native_disabled():
-    """Run ``engine='array'`` on its numpy batch path, without the C driver."""
+    """Run ``engine='array'`` without the C driver: it falls back to fused."""
     from repro.core import _native
 
     with pytest.MonkeyPatch.context() as mp:

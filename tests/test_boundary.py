@@ -38,7 +38,7 @@ from repro.core.checkpoint import StopToken, problem_fingerprint
 from repro.core.dominance import StateDominance
 from repro.core.elimination import UDBASElimination
 from repro.core.engine import SubtreeSpec
-from repro.core.feasibility import LatenessTargetFilter
+from repro.core.feasibility import LatenessTargetFilter, NoFilter
 from repro.core.selection import (
     FIFOSelection,
     LIFOSelection,
@@ -60,15 +60,22 @@ from repro.obs import (
     ProgressReporter,
 )
 from repro.obs.report import load_trace, render_trace_report
-from repro.workload import WorkloadSpec, generate_task_graph
+from repro.workload import WorkloadSpec, generate_task_graph, spec_for_profile
 
-from bench_cells import QUICK_CELLS
+from bench_cells import QUICK_CELLS, load_golden
 
 pytestmark = pytest.mark.skipif(
     not _native.native_available(), reason="native kernel unavailable"
 )
 
 PROBLEM = hard_problem(seed=0)
+#: Paper profile seed 0 on two processors: EDF's schedule already meets
+#: the root's lower bound.
+ROOT_CLOSED = compile_problem(
+    generate_task_graph(spec_for_profile("paper"), seed=0),
+    shared_bus_platform(2),
+)
+
 
 class NoopChannel:
     def poll(self, explored: int) -> float:
@@ -96,6 +103,10 @@ def _array(params: BnBParameters) -> BnBParameters:
     return params.evolve(engine="array")
 
 
+def _object(params: BnBParameters) -> BnBParameters:
+    return params.evolve(engine="object")
+
+
 # ---------------------------------------------------------------------------
 # Native engages wherever the gate allows
 # ---------------------------------------------------------------------------
@@ -106,10 +117,27 @@ def test_cli_token_engages_native(tmp_path):
     save_graph(hard_graph(seed=0), graph_path)
     default = run_cli(["solve", str(graph_path), "-m", "2"])
     array = run_cli(["solve", str(graph_path), "-m", "2", "--engine", "array"])
-    assert default.returncode == 0 and array.returncode == 0, array.stderr
+    obj = run_cli(["solve", str(graph_path), "-m", "2", "--engine", "object"])
+    for run in (default, array, obj):
+        assert run.returncode == 0, run.stderr
+    assert "engine: native\n" in default.stdout
     assert "engine: native\n" in array.stdout
-    assert "engine: fused\n" in default.stdout
+    assert "engine: fused\n" in obj.stdout
     assert parse_lmax(array.stdout) == parse_lmax(default.stdout)
+    assert parse_lmax(obj.stdout) == parse_lmax(default.stdout)
+
+
+@pytest.mark.parametrize("cell", QUICK_CELLS, ids=lambda c: c.name)
+def test_default_engine_runs_native_with_the_golden_counts(cell):
+    params = cell.params()
+    assert params.engine == BnBParameters().engine == "array"
+    result = BranchAndBound(params).solve(cell.problem())
+    assert result.stats.engine_path == "native"
+    assert result.stats.engine_fallback is None
+    pinned = load_golden()[cell.name]
+    assert result.stats.generated == pinned["generated"]
+    assert result.stats.explored == pinned["explored"]
+    assert result.best_cost == pinned["best_cost"]
 
 
 def test_subtree_with_bound_channel_engages_native():
@@ -118,7 +146,7 @@ def test_subtree_with_bound_channel_engages_native():
     cost, _ = params.upper_bound.initial(problem)
     root = root_state(problem)
     spec = SubtreeSpec(root, params.lower_bound.evaluate(root), cost)
-    fused = BranchAndBound(params).solve(
+    fused = BranchAndBound(_object(params)).solve(
         problem, subtree=spec, bound_channel=NoopChannel()
     )
     native = BranchAndBound(_array(params)).solve(
@@ -144,7 +172,7 @@ def test_external_bound_prunes_like_the_python_loop():
     optimum = BranchAndBound(params).solve(problem).best_cost
     runs = [
         BranchAndBound(p).solve(problem, bound_channel=Tight(optimum))
-        for p in (params, _array(params))
+        for p in (_object(params), _array(params))
     ]
     assert runs[1].stats.engine_path == "native"
     # Both tiers poll at their first boundary, before any expansion.
@@ -187,7 +215,7 @@ def test_incumbent_events_are_exact_on_native():
     problem = hard_problem(seed=5)
     params = BnBParameters.paper_lifo()
     runs = []
-    for p in (params, _array(params)):
+    for p in (_object(params), _array(params)):
         monitor = LiveMonitor(interval=10.0)
         result = BranchAndBound(p, obs=Observability(live=monitor)).solve(
             problem
@@ -212,6 +240,13 @@ class _NonMonotoneLB1(LB1):
     monotone = False
 
 
+class _CustomFilter(NoFilter):
+    """Admits every vertex without saying so, and sets no target."""
+
+    name = "custom"
+    admits_all = False
+
+
 def _no_native_env(mp):
     mp.setenv("REPRO_NO_NATIVE", "1")
     mp.setattr(_native, "_LIB", None)
@@ -219,16 +254,31 @@ def _no_native_env(mp):
     mp.setattr(_native, "_LIB_ERROR", None)
 
 
-_OBJECT = BnBParameters()
+_OBJECT = BnBParameters(engine="object")
 _ARRAY = _array(_OBJECT)
 
 #: One row per refusal: (params, BranchAndBound ``fused``, hooks) and the
 #: expected (engine_path, engine_fallback).  Hooks: ``sink``,
-#: ``profiler``, ``dispatcher``, ``ring`` (a non-uniform interconnect)
-#: and ``no-native`` (REPRO_NO_NATIVE set).
+#: ``profiler``, ``dispatcher``, ``ring`` (a non-uniform interconnect),
+#: ``no-native`` (REPRO_NO_NATIVE set) and ``root-closed`` (an instance
+#: whose root the EDF upper bound prunes).
 TIER_TABLE = {
     "object": (_OBJECT, None, (), ("fused", None)),
     "array": (_ARRAY, None, (), ("native", None)),
+    "default": (BnBParameters(), None, (), ("native", None)),
+    "forced-fused": (
+        _ARRAY, True, (), ("fused", "fused path forced (fused=True)"),
+    ),
+    "forced-fused-sink": (
+        _ARRAY, True, ("sink",), ("fused", "fused path forced (fused=True)"),
+    ),
+    "root-closed": (
+        _ARRAY, None, ("root-closed",),
+        ("fused", "root closed by the initial upper bound"),
+    ),
+    "object-root-closed": (
+        _OBJECT, None, ("root-closed",), ("fused", None),
+    ),
     "forced-reference": (
         _ARRAY, False, (),
         ("reference", "reference loop forced (fused=False)"),
@@ -239,38 +289,37 @@ TIER_TABLE = {
     ),
     "object-sink": (_OBJECT, None, ("sink",),
                     ("reference", "trace sink attached")),
-    "sink": (_ARRAY, None, ("sink",), ("batch", "trace sink attached")),
+    "sink": (_ARRAY, None, ("sink",), ("reference", "trace sink attached")),
     "object-profiler": (_OBJECT, None, ("profiler",),
                         ("reference", "profiler attached")),
-    "profiler": (_ARRAY, None, ("profiler",), ("batch", "profiler attached")),
-    "dispatcher": (_ARRAY, None, ("dispatcher",), ("batch", "dispatcher")),
+    "profiler": (_ARRAY, None, ("profiler",),
+                 ("reference", "profiler attached")),
+    "dispatcher": (_ARRAY, None, ("dispatcher",), ("fused", "dispatcher")),
     "early-stop": (
         _ARRAY.evolve(characteristic=LatenessTargetFilter(0.0)), None, (),
         ("fused", "early-stop target"),
     ),
     "MAXSZAS": (
         _ARRAY.evolve(resources=ResourceBounds(max_active=10)), None, (),
-        ("batch", "MAXSZAS cap"),
+        ("fused", "MAXSZAS cap"),
     ),
     "MAXSZDB": (
         _ARRAY.evolve(resources=ResourceBounds(max_children=3)), None, (),
-        ("batch", "MAXSZDB cap"),
+        ("fused", "MAXSZDB cap"),
     ),
     "non-uniform": (_ARRAY, None, ("ring",),
-                    ("batch", "non-uniform interconnect")),
+                    ("fused", "non-uniform interconnect")),
     "ML-frontier": (
         _ARRAY.evolve(selection=MemoryLimitedSelection(64)), None, (),
-        ("batch", "_HybridFrontier selection not in the kernel"),
+        ("fused", "_HybridFrontier selection not in the kernel"),
     ),
     "object-AO": (
         _OBJECT.evolve(branching=AOBranching()), None, (),
         ("reference", "branching AO has no fused form"),
     ),
     "batch-gate-filter": (
-        _ARRAY.evolve(characteristic=LatenessTargetFilter(0.0)), None,
-        ("sink",),
-        ("reference",
-         "characteristic function lateness-target filters children"),
+        _ARRAY.evolve(characteristic=_CustomFilter()), None, (),
+        ("fused", "characteristic function custom filters children"),
     ),
     "batch-gate-dominance": (
         _ARRAY.evolve(dominance=StateDominance()), None, (),
@@ -294,7 +343,7 @@ TIER_TABLE = {
     ),
     "REPRO_NO_NATIVE": (
         _ARRAY, None, ("no-native",),
-        ("batch", "native kernel unavailable: disabled by REPRO_NO_NATIVE"),
+        ("fused", "native kernel unavailable: disabled by REPRO_NO_NATIVE"),
     ),
 }
 
@@ -305,6 +354,8 @@ def test_refusals_are_recorded(row, monkeypatch):
     problem = PROBLEM
     if "ring" in hooks:
         problem = compile_problem(hard_graph(0), Platform(4, Ring(4)))
+    if "root-closed" in hooks:
+        problem = ROOT_CLOSED
     if "no-native" in hooks:
         _no_native_env(monkeypatch)
     obs = Observability(
@@ -321,14 +372,20 @@ def test_refusals_are_recorded(row, monkeypatch):
     assert (stats.engine_path, stats.engine_fallback) == expected
 
 
+def test_no_refusal_lands_outside_the_three_tiers():
+    paths = {expected[0] for *_, expected in TIER_TABLE.values()}
+    assert paths == {"native", "fused", "reference"}
+    assert set(engine_mod._TIERS) == paths
+
+
 def test_report_names_the_tier_and_the_refusal(tmp_path):
     path = tmp_path / "t.jsonl"
     obs = Observability(sink=JsonlSink(str(path)))
-    result = BranchAndBound(_array(BnBParameters()), obs=obs).solve(PROBLEM)
+    result = BranchAndBound(BnBParameters(), obs=obs).solve(PROBLEM)
     obs.close()
-    assert result.stats.engine_path == "batch"
+    assert result.stats.engine_path == "reference"
     text = render_trace_report(load_trace(str(path)))
-    assert "\nengine: batch (fallback: trace sink attached)\n" in text
+    assert "\nengine: reference (fallback: trace sink attached)\n" in text
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +425,7 @@ def test_native_stop_then_object_resume_matches_fused(
         upper_bound=NoUpperBound(),
         resources=ResourceBounds(max_vertices=5_000),
     )
-    straight = BranchAndBound(params).solve(problem)
+    straight = BranchAndBound(_object(params)).solve(problem)
     token = StopToken()
     cp = MemoryCheckpointer()
     with pytest.MonkeyPatch.context() as mp:
@@ -387,7 +444,7 @@ def test_native_stop_then_object_resume_matches_fused(
         return
     snapshot = cp.snapshots[-1]
     assert snapshot.fingerprint == problem_fingerprint(problem, params)
-    resumed = BranchAndBound(params).solve(problem, resume=snapshot)
+    resumed = BranchAndBound(_object(params)).solve(problem, resume=snapshot)
     assert resumed.stats.engine_path == "fused"
     assert resumed.best_cost == straight.best_cost
     assert resumed.stats.generated == straight.stats.generated

@@ -152,7 +152,11 @@ class TestFormat:
 
     def test_versions_are_monotone(self, tmp_path):
         path = tmp_path / "cp.pkl"
-        _solve_capped_with_checkpoint(BnBParameters(), 800, path)
+        # The Python loop: the native driver's 32768-vertex boundary
+        # would never come due under this cap.
+        _solve_capped_with_checkpoint(
+            BnBParameters(engine="object"), 800, path
+        )
         snap = load_checkpoint(str(path))
         # explored ~200+ at cap 800, a snapshot at every boundary after
         # the first -> several periodic writes before the final one; the
@@ -641,9 +645,11 @@ def test_sigkill_mid_run_then_resume_matches_straight_run(tmp_path):
     assert straight.returncode == 0, straight.stderr
     want = parse_lmax(straight.stdout)
 
+    # The Python loop, slow enough for the kill to land mid-search; the
+    # resume runs on the default (native) engine.
     proc = spawn_cli(
         [
-            "solve", str(graph_path), "-m", "2",
+            "solve", str(graph_path), "-m", "2", "--engine", "object",
             "--checkpoint", str(cp), "--checkpoint-seconds", "0",
         ]
     )

@@ -283,6 +283,22 @@ def test_worker_crash_mid_shard_is_retried():
     assert coord.last_report.shard_retries >= 1
 
 
+def test_status_worker_rows_count_every_retry():
+    seed = HARD_SEEDS[0]
+    monitor = LiveMonitor(interval=0.0)
+    result, coord = run_cluster(
+        PROBLEMS[seed],
+        workers=2,
+        worker_kwargs=[{"fault_plan": crash_plan()}, {}],
+        coordinator_kwargs=dict(obs=Observability(live=monitor)),
+    )
+    assert_cluster_parity(result, REFERENCE[seed])
+    retries = coord.last_report.shard_retries
+    assert retries >= 1
+    rows = monitor.bus.snapshot()["workers"]
+    assert sum(row["retried"] for row in rows) == retries
+
+
 def test_poison_shard_quarantine_never_claims_optimal():
     """When every attempt dies, truncate honestly — never OPTIMAL."""
     seed = HARD_SEEDS[0]
@@ -587,10 +603,11 @@ def test_resumed_time_limit_counts_the_snapshots_elapsed(tmp_path):
 # Anytime results: the engine's stops, open bound and final snapshot
 # ---------------------------------------------------------------------------
 
-#: Hard seed 11 on four processors under LLB: about 2 s sequentially,
-#: long enough for a 0.3 s deadline or a 900-vertex cap to cut it short.
+#: Hard seed 11 on four processors under LLB on the Python loop: about
+#: 2 s sequentially, long enough for a 0.3 s deadline or a 900-vertex
+#: cap to cut it short (the native driver finishes it first).
 ANYTIME_PROBLEM = hard_problem(seed=11, processors=4)
-LLB = BnBParameters(selection=LLBSelection())
+LLB = BnBParameters(selection=LLBSelection(), engine="object")
 
 
 @pytest.fixture(scope="module")

@@ -150,25 +150,27 @@ def test_fused_matches_reference_scaled_llb():
 
 
 # ---------------------------------------------------------------------------
-# Array engine: the same equivalence sweep, on both of its tiers
+# Array engine: the same equivalence sweep, with and without the driver
 # ---------------------------------------------------------------------------
 #
 # The array engine (the compiled chunk driver where eligible, and its
-# numpy batch fallback with the driver disabled) carries the same
-# contract as the fused path: search-order invisible, every counter
-# identical.  Configurations the batch factory refuses (LB2, dominance,
-# filters) must degrade to the fused path silently — the engine
-# parameter is then a no-op, which these sweeps verify just as strictly.
+# fused fallback with the driver disabled) carries the same contract as
+# the object engine: search-order invisible, every counter identical.
+# Configurations the kernel gate refuses (LB2, dominance, filters) must
+# degrade to the fused path silently — the engine parameter is then a
+# no-op, which these sweeps verify just as strictly.
 
 
 def _assert_engines_equivalent(params: BnBParameters, problem, label: str):
-    want = _fingerprint(BranchAndBound(params).solve(problem))
+    want = _fingerprint(
+        BranchAndBound(params.evolve(engine="object")).solve(problem)
+    )
     array = params.evolve(engine="array")
     got = _fingerprint(BranchAndBound(array).solve(problem))
     assert got == want, f"{label} native"
     with native_disabled():
         got = _fingerprint(BranchAndBound(array).solve(problem))
-    assert got == want, f"{label} numpy batch"
+    assert got == want, f"{label} no driver"
 
 
 @pytest.mark.parametrize(
@@ -204,7 +206,7 @@ def test_array_engines_match_object_rule_variants(variant):
 
 
 def test_array_engine_survives_forced_numpy_fallback():
-    """With the native driver disabled, engine='array' runs numpy batches."""
+    """With the native driver disabled, engine='array' runs the fused path."""
     from repro.core import _native
 
     with native_disabled():

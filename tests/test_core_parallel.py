@@ -92,8 +92,8 @@ def _assert_identical(par, seq):
 
 
 def test_time_limit_is_one_deadline_for_the_whole_solve():
-    # A cell whose shards each outlast the limit: a per-shard deadline
-    # would run for about shards/workers times T.
+    # A cell whose shards each outlast the limit on the Python loop: a
+    # per-shard deadline would run for about shards/workers times T.
     graph = generate_task_graph(
         spec_for_profile("paper", laxity_ratio=1.05), seed=53
     )
@@ -102,6 +102,7 @@ def test_time_limit_is_one_deadline_for_the_whole_solve():
     params = BnBParameters(
         selection=LIFOSelection(),
         resources=ResourceBounds(time_limit=limit),
+        engine="object",
     )
     solver = ParallelBnB(params, workers=2, split_depth=2)
     t0 = time.monotonic()

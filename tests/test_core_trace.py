@@ -81,7 +81,9 @@ class TestRecorderMechanics:
         solver = BranchAndBound(BnBParameters())
         assert solver.obs is None
         res = solver.solve(hard_problem)  # runs fine without recording
-        assert res.stats.engine_path == "fused"
+        assert res.stats.engine_path == (
+            "native" if _native.native_available() else "fused"
+        )
 
 
 class TestTierParity:
@@ -90,12 +92,10 @@ class TestTierParity:
         params = BnBParameters(upper_bound=NoUpperBound())
         runs = {
             "reference": _traced(hard_problem, params, fused=False),
-            "fused": _traced(hard_problem, params),
+            "fused": _traced(hard_problem, params.evolve(engine="object")),
         }
         if _native.native_available():
-            runs["native"] = _traced(
-                hard_problem, params.evolve(engine="array")
-            )
+            runs["native"] = _traced(hard_problem, params)
         series = {}
         for path, (res, trace) in runs.items():
             assert res.stats.engine_path == path

@@ -9,9 +9,11 @@ import sys
 
 import pytest
 
-from faultlib import _cli_env, hard_problem
+from faultlib import _cli_env, hard_graph, hard_problem, parse_lmax, run_cli
 from repro.core import BnBParameters, BranchAndBound
 from repro.core import _native
+from repro.io import save_graph
+from repro.workload import generate_task_graph, spec_for_profile
 
 pytestmark = pytest.mark.skipif(
     not _native.native_available(), reason="native kernel unavailable"
@@ -40,10 +42,8 @@ def test_world_writable_cache_dir_is_refused(tmp_path, fresh_loader):
     assert _native.load_native() is None
     assert "group/other-writable" in _native.load_error()
     assert not any(planted.iterdir()), "nothing may be built or loaded there"
-    result = BranchAndBound(BnBParameters(engine="array")).solve(
-        hard_problem(seed=0)
-    )
-    assert result.stats.engine_path == "batch"
+    result = BranchAndBound(BnBParameters()).solve(hard_problem(seed=0))
+    assert result.stats.engine_path == "fused"
     assert result.stats.engine_fallback.startswith(
         "native kernel unavailable: cache directory"
     )
@@ -129,3 +129,48 @@ def test_two_processes_fill_one_empty_cache(tmp_path):
     lib = cache / _native.library_name()
     assert not stat.S_IMODE(lib.stat().st_mode) & 0o022
     assert not [p for p in cache.iterdir() if ".tmp" in p.name]
+
+
+def _solve_in(graph, cache, **env):
+    """``repro solve graph -m 2`` with ``cache`` as the kernel cache."""
+    env = {**_cli_env(), "REPRO_NATIVE_CACHE": str(cache), **env}
+    env.pop("REPRO_NO_NATIVE", None)
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "solve", str(graph), "-m", "2"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+
+
+def test_solve_without_a_compiler_runs_fused_and_says_why(tmp_path):
+    graph = tmp_path / "g.json"
+    save_graph(hard_graph(seed=0), graph)
+    empty_path = tmp_path / "bin"
+    empty_path.mkdir()
+    cache = tmp_path / "cache"
+    fallback = _solve_in(graph, cache, PATH=str(empty_path))
+    assert fallback.returncode == 0, fallback.stderr
+    assert (
+        "\nengine: fused (fallback: native kernel unavailable: "
+        "no C compiler (cc) on PATH)\n"
+    ) in fallback.stdout
+    assert not list(cache.glob("*.so"))
+    native = run_cli(["solve", str(graph), "-m", "2"])
+    assert "\nengine: native\n" in native.stdout
+    assert parse_lmax(fallback.stdout) == parse_lmax(native.stdout)
+
+
+def test_root_closed_solve_builds_and_loads_no_kernel(tmp_path):
+    # EDF's schedule on paper seed 0 meets the root's lower bound, so
+    # the solve ends at seeding.
+    graph = tmp_path / "g.json"
+    save_graph(generate_task_graph(spec_for_profile("paper"), seed=0), graph)
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    out = _solve_in(graph, cache)
+    assert out.returncode == 0, out.stderr
+    assert "generated=1 " in out.stdout
+    assert (
+        "\nengine: fused (fallback: root closed by the initial upper "
+        "bound)\n"
+    ) in out.stdout
+    assert not any(cache.iterdir())

@@ -275,14 +275,15 @@ class TestFlightRecorder:
 
 class TestFlightRecorderOnSigterm:
     def test_sigterm_dumps_flight_next_to_checkpoint(self, tmp_path):
-        # A graph large enough that the solve is still running when the
-        # signal lands; the checkpoint's appearance proves mid-run.
+        # A graph large enough that the solve on the Python loop is
+        # still running when the signal lands; the checkpoint's
+        # appearance proves mid-run.
         graph = hard_graph(seed=4)
         gpath = tmp_path / "g.json"
         save_graph(graph, gpath)
         ckpt = tmp_path / "run.ckpt"
         proc = spawn_cli([
-            "solve", str(gpath), "-m", "2",
+            "solve", str(gpath), "-m", "2", "--engine", "object",
             "--checkpoint", str(ckpt), "--checkpoint-seconds", "0",
             "--flight-recorder", "128",
         ])

@@ -96,10 +96,10 @@ class TestEngineHeartbeat:
         lines = []
         rep = ProgressReporter(interval=0.0, emit=lines.append)
         res = BranchAndBound(
-            BnBParameters(), obs=Observability(progress=rep)
+            BnBParameters(engine="object"), obs=Observability(progress=rep)
         ).solve(hard_problem)
-        # The engine checks in every 64 explored vertices plus once at
-        # the end; this search explores ~700.
+        # The Python loop checks in every 64 explored vertices plus once
+        # at the end; this search explores ~700.
         assert rep.lines_emitted >= res.stats.explored // 64
         assert lines[-1].startswith("[repro] done:")
         assert res.status.value in lines[-1]
