@@ -120,7 +120,7 @@ def batch_inputs(prob, midstate):
 
 @pytest.mark.benchmark(group="micro-batch")
 def test_batch_earliest_starts(benchmark, batch_inputs):
-    from repro.core.expand import batch_earliest_starts
+    from repro.core.batch import batch_earliest_starts
 
     ap, proc_row, finish_row, avail_row, tasks, procs = batch_inputs
     S, F = benchmark(
@@ -135,7 +135,7 @@ def test_batch_earliest_starts(benchmark, batch_inputs):
 def test_batch_admission(benchmark, batch_inputs):
     import math
 
-    from repro.core.expand import batch_admission, batch_earliest_starts
+    from repro.core.batch import batch_admission, batch_earliest_starts
 
     ap, proc_row, finish_row, avail_row, tasks, procs = batch_inputs
     S, F = batch_earliest_starts(
@@ -153,7 +153,7 @@ def test_batch_bound_repair(benchmark, batch_inputs):
     """lmin update + LB1 fast-path classification for one batch."""
     import numpy as np
 
-    from repro.core.expand import batch_lb_fast, batch_lmin
+    from repro.core.batch import batch_lb_fast, batch_lmin
 
     ap, proc_row, finish_row, avail_row, tasks, procs = batch_inputs
     est_tasks = avail_row.min() + ap.wcet[tasks] * 0.0

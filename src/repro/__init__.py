@@ -33,27 +33,28 @@ Subpackages:
 * :mod:`repro.analysis` — metrics and confidence intervals;
 * :mod:`repro.experiments` — harnesses regenerating every figure;
 * :mod:`repro.io` — JSON and DOT serialization.
+
+The names below resolve on first access (:mod:`repro._lazy`), so
+``import repro`` loads none of the subpackages until one is used.
 """
 
-from .core import (
-    BnBParameters,
-    BnBResult,
-    BranchAndBound,
-    ResourceBounds,
-    SolveStatus,
-    solve,
-)
-from .model import (
-    Channel,
-    Platform,
-    Schedule,
-    Task,
-    TaskGraph,
-    compile_problem,
-    shared_bus_platform,
-)
-from .scheduling import edf_schedule
-from .workload import WorkloadSpec, assign_deadlines, generate_task_graph
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core.engine": ("BnBResult", "BranchAndBound", "SolveStatus", "solve"),
+    ".core.params": ("BnBParameters",),
+    ".core.resources": ("ResourceBounds",),
+    ".model.channel": ("Channel",),
+    ".model.compile": ("compile_problem",),
+    ".model.platform": ("Platform", "shared_bus_platform"),
+    ".model.schedule": ("Schedule",),
+    ".model.task": ("Task",),
+    ".model.taskgraph": ("TaskGraph",),
+    ".scheduling.edf": ("edf_schedule",),
+    ".workload.deadline": ("assign_deadlines",),
+    ".workload.generator": ("generate_task_graph",),
+    ".workload.spec": ("WorkloadSpec",),
+})
 
 __version__ = "1.0.0"
 

@@ -51,30 +51,39 @@ from .core.resources import ResourceBounds
 from .core.selection import SELECTION_RULES
 from .errors import ConfigurationError, ReproError
 from .model.compile import compile_problem
-from .experiments.registry import EXPERIMENTS, run_by_name
-from .experiments.report import render
-from .experiments.runner import EDF_LABEL
-from .analysis.gantt import render_gantt
-from .obs import (
-    JsonlSink,
-    LiveMonitor,
-    MetricsRegistry,
-    MonitorServer,
-    Observability,
-    PhaseProfiler,
-    ProgressReporter,
-    load_trace,
-    render_trace_report,
-    write_flight_dump,
-)
-from .io.dot import graph_to_dot
+from .obs import Observability
+from .obs.events import JsonlSink
+from .obs.metrics import MetricsRegistry
+from .obs.profile import PhaseProfiler
+from .obs.progress import ProgressReporter
 from .io.json_io import save_experiment, save_graph, load_graph
-from .io.stg import load_stg, save_stg
-from .model.bussim import simulate_bus
-from .workload.deadline import assign_deadlines
 from .model.platform import shared_bus_platform
-from .workload.generator import generate_task_graph
-from .workload.suites import spec_for_profile
+
+# Everything else -- the experiment harness, the live monitor and its
+# HTTP server, trace reports, Gantt charts, the bus simulator, the DOT
+# and STG formats, the workload generator, the process pool and the
+# cluster -- is imported by the subcommand or flag that uses it, so a
+# plain ``repro solve`` starts without them.
+
+#: The experiment ids of :data:`repro.experiments.registry.EXPERIMENTS`,
+#: named here so that building the parser imports no experiment.
+EXPERIMENT_NAMES = (
+    "abl-child-order",
+    "abl-dominance",
+    "abl-elimination",
+    "abl-lb2",
+    "abl-selection-tiebreak",
+    "abl-symmetry",
+    "anytime",
+    "disc-ccr",
+    "disc-memory",
+    "disc-parallelism",
+    "disc-upper-bound",
+    "fig3a",
+    "fig3b",
+    "fig3c",
+    "scaling",
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -391,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     cnv.add_argument("output", help="output path (.json, .stg or .dot)")
 
     exp = sub.add_parser("experiment", help="run a registered experiment")
-    exp.add_argument("name", choices=sorted(EXPERIMENTS))
+    exp.add_argument("name", choices=EXPERIMENT_NAMES)
     exp.add_argument("--profile", default="scaled")
     exp.add_argument("--graphs", type=int, default=None, help="graphs per point")
     exp.add_argument("--seed", type=int, default=0)
@@ -416,6 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
+    from .workload.generator import generate_task_graph
+    from .workload.suites import spec_for_profile
+
     spec = spec_for_profile(args.profile)
     if args.ccr is not None:
         spec = spec.evolve(ccr=args.ccr)
@@ -429,6 +441,8 @@ def _cmd_generate(args) -> int:
         _write_graph(graph, args.output)
         print(f"wrote {args.output}")
     if args.dot:
+        from .io.dot import graph_to_dot
+
         with open(args.dot, "w") as fh:
             fh.write(graph_to_dot(graph))
         print(f"wrote {args.dot}")
@@ -438,6 +452,9 @@ def _cmd_generate(args) -> int:
 def _read_graph(path: str, laxity: float = 1.5):
     """Load a graph by extension; STG inputs get sliced deadlines."""
     if str(path).endswith(".stg"):
+        from .io.stg import load_stg
+        from .workload.deadline import assign_deadlines
+
         graph = load_stg(path)
         return assign_deadlines(graph, laxity_ratio=laxity)
     return load_graph(path)
@@ -445,8 +462,12 @@ def _read_graph(path: str, laxity: float = 1.5):
 
 def _write_graph(graph, path: str) -> None:
     if str(path).endswith(".stg"):
+        from .io.stg import save_stg
+
         save_stg(graph, path)
     elif str(path).endswith(".dot"):
+        from .io.dot import graph_to_dot
+
         with open(path, "w") as fh:
             fh.write(graph_to_dot(graph))
     else:
@@ -519,11 +540,11 @@ def _cmd_solve(args) -> int:
         **dom_kwargs,
     )
     serving = args.serve_status is not None
-    live = (
-        LiveMonitor(ring_size=args.flight_recorder or 256)
-        if serving or args.flight_recorder
-        else None
-    )
+    live = None
+    if serving or args.flight_recorder:
+        from .obs.live import LiveMonitor, write_flight_dump
+
+        live = LiveMonitor(ring_size=args.flight_recorder or 256)
     obs = Observability(
         sink=(
             JsonlSink(args.trace_jsonl, sample_every=args.trace_sample)
@@ -553,6 +574,8 @@ def _cmd_solve(args) -> int:
     )
     server = None
     if serving:
+        from .obs.serve import MonitorServer
+
         server = MonitorServer(
             live.bus, metrics=obs.metrics, port=args.serve_status
         )
@@ -688,8 +711,12 @@ def _cmd_solve(args) -> int:
     if args.gantt and schedule is not None:
         print(schedule.as_table())
     if args.chart and schedule is not None:
+        from .analysis.gantt import render_gantt
+
         print(render_gantt(schedule))
     if args.bus and schedule is not None:
+        from .model.bussim import simulate_bus
+
         print(simulate_bus(schedule).summary())
     if args.trace_jsonl:
         print(f"wrote {args.trace_jsonl}")
@@ -735,12 +762,18 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .obs.report import load_trace, render_trace_report
+
     report = load_trace(args.trace)
     print(render_trace_report(report))
     return 0
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments.registry import run_by_name
+    from .experiments.report import render
+    from .experiments.runner import EDF_LABEL
+
     kwargs = {"profile": args.profile, "base_seed": args.seed}
     if args.graphs is not None:
         kwargs["num_graphs"] = args.graphs
@@ -760,6 +793,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_list() -> int:
+    from .experiments.registry import EXPERIMENTS
+
     for name in sorted(EXPERIMENTS):
         doc = (EXPERIMENTS[name].__doc__ or "").strip().splitlines()
         print(f"{name:18s} {doc[0] if doc else ''}")

@@ -364,7 +364,15 @@ class _Dispatch:
     # -- workers ------------------------------------------------------
 
     def top_up(self) -> None:
-        """Keep one local worker process per slot, respawning dropped ones."""
+        """Keep one local worker process per slot, respawning dropped ones.
+
+        The coordinator loads the kernel (and numpy) before it forks, so
+        forked workers inherit it instead of each loading it again.
+        """
+        if len(self.local) < self.slots and self.coord.params.engine != "object":
+            from ..core import _native
+
+            _native.load_error()
         while len(self.local) < self.slots:
             if self.spawned >= self.slots:
                 self.worker_restarts += 1

@@ -60,11 +60,9 @@ from .checkpoint import (
     StopToken,
     problem_fingerprint,
 )
-from . import _native
-from .arena import ArenaState
 from .boundary import Boundary
 from .elimination import NoElimination, UDBASElimination, pruning_threshold
-from .expand import FusedExpander, make_batch_expander
+from .expand import FusedExpander
 from .params import BnBParameters
 from .selection import (
     _DepthLLBFrontier,
@@ -409,14 +407,14 @@ def choose_tier(
     """Pick the tier that runs one solve: ``(path, expander, fallback)``.
 
     Tiers, fastest first: ``native`` (the C chunk driver, which owns the
-    arena of a :class:`~repro.core.expand.BatchExpander`), ``fused`` and
+    arena of a :class:`~repro.core.batch.BatchExpander`), ``fused`` and
     ``reference`` (no expander).  The array engine starts at native, the
     object engine at fused.  Each refusal in the one list below rules
     out the tiers it names; the fastest tier left runs.  ``fallback`` is
     the first refusal, in list order, of the engine's first tier.  The
-    native gate (:func:`~repro.core.expand.make_batch_expander`) and the
+    native gate (:func:`~repro.core.batch.make_batch_expander`) and the
     kernel load run only while native is still open, so a solve that
-    cannot use the driver never builds or loads it.
+    cannot use the driver never builds or loads it, nor imports numpy.
     """
     tiers = _TIERS if params.engine != "object" else _TIERS[1:]
     rb = params.resources
@@ -454,12 +452,20 @@ def choose_tier(
         problem, prepared, params.lower_bound, params.characteristic,
         dominance, params.elimination, params.break_symmetry,
     )
-    batch = make_batch_expander(*expander_args) if is_open("native") else None
-    if isinstance(batch, str):
-        refusals.append((batch, ("native",)))
-    error = _native.load_error() if is_open("native") else None
-    if error is not None:
-        refusals.append((f"native kernel unavailable: {error}", ("native",)))
+    batch = None
+    if is_open("native"):
+        # numpy, the arena and the kernel load here, once a solve may
+        # still use the driver, and never for one that cannot.
+        from . import _native
+        from .batch import make_batch_expander
+
+        batch = make_batch_expander(*expander_args)
+        if isinstance(batch, str):
+            refusals.append((batch, ("native",)))
+        elif (error := _native.load_error()) is not None:
+            refusals.append(
+                (f"native kernel unavailable: {error}", ("native",))
+            )
     path = next(tier for tier in tiers if is_open(tier))
     fallback = next(
         (reason for reason, struck in refusals if tiers[0] in struck), None
@@ -722,6 +728,9 @@ def _run_native(run: _Run, boundary: Boundary):
     improvements, growth points, the MAXVERT cap and branching errors;
     all else is bit-identical to :func:`_run_loop`.
     """
+    from . import _native
+    from .arena import ArenaState
+
     params = run.params
     stats = run.stats
     search = run.search

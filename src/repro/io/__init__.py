@@ -1,19 +1,16 @@
 """Serialization: JSON workload/schedule/experiment formats, DOT export."""
 
-from .dot import graph_to_dot, schedule_to_dot
-from .stg import format_stg, load_stg, parse_stg, save_stg
-from .json_io import (
-    experiment_from_dict,
-    experiment_to_dict,
-    graph_from_dict,
-    graph_to_dict,
-    load_experiment,
-    load_graph,
-    save_experiment,
-    save_graph,
-    schedule_from_dict,
-    schedule_to_dict,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".dot": ("graph_to_dot", "schedule_to_dot"),
+    ".stg": ("format_stg", "load_stg", "parse_stg", "save_stg"),
+    ".json_io": (
+        "experiment_from_dict", "experiment_to_dict", "graph_from_dict",
+        "graph_to_dict", "load_experiment", "load_graph", "save_experiment",
+        "save_graph", "schedule_from_dict", "schedule_to_dict",
+    ),
+})
 
 __all__ = [
     "experiment_from_dict",

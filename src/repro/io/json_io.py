@@ -10,16 +10,19 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from ..analysis.aggregate import Series, SeriesPoint
 from ..errors import ProblemFormatError, SerializationError
-from ..experiments.runner import ExperimentOutput
 from ..model.channel import Channel
 from ..model.platform import Platform
 from ..model.schedule import Schedule
 from ..model.task import Task
 from ..model.taskgraph import TaskGraph
+
+if TYPE_CHECKING:
+    # The experiment harness is imported only by the experiment
+    # (de)serializers, so loading a graph never pulls it in.
+    from ..experiments.runner import ExperimentOutput
 
 __all__ = [
     "graph_to_dict",
@@ -238,6 +241,9 @@ def experiment_to_dict(output: ExperimentOutput) -> dict[str, Any]:
 
 
 def experiment_from_dict(data: dict[str, Any]) -> ExperimentOutput:
+    from ..analysis.aggregate import Series, SeriesPoint
+    from ..experiments.runner import ExperimentOutput
+
     if data.get("format") != _EXPERIMENT_FORMAT:
         raise SerializationError(
             f"expected format {_EXPERIMENT_FORMAT!r}, got {data.get('format')!r}"

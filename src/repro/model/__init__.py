@@ -7,22 +7,26 @@ non-preemptive schedules — plus the problem compiler feeding the search
 engine.
 """
 
-from .bussim import BusSimulation, BusTransfer, simulate_bus
-from .channel import Channel
-from .compile import CompiledProblem, compile_problem
-from .interconnect import (
-    FullyConnected,
-    Interconnect,
-    Mesh2D,
-    Ring,
-    SharedBus,
-    ZeroCost,
-)
-from .platform import Platform, shared_bus_platform
-from .schedule import EPSILON, MessageRecord, Schedule, ScheduleEntry
-from .task import APERIODIC, Job, Task
-from .taskgraph import TaskGraph
+from .._lazy import lazy_exports
+
+# ``unroll`` names both a submodule and the function it defines, and
+# importing a submodule rebinds the package attribute to the module:
+# bound eagerly, the function wins as it always did.
 from .unroll import hyperperiod, unroll
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".bussim": ("BusSimulation", "BusTransfer", "simulate_bus"),
+    ".channel": ("Channel",),
+    ".compile": ("CompiledProblem", "compile_problem"),
+    ".interconnect": (
+        "FullyConnected", "Interconnect", "Mesh2D", "Ring", "SharedBus",
+        "ZeroCost",
+    ),
+    ".platform": ("Platform", "shared_bus_platform"),
+    ".schedule": ("EPSILON", "MessageRecord", "Schedule", "ScheduleEntry"),
+    ".task": ("APERIODIC", "Job", "Task"),
+    ".taskgraph": ("TaskGraph",),
+})
 
 __all__ = [
     "APERIODIC",

@@ -26,34 +26,33 @@ Use::
                         profiler=PhaseProfiler())
     result = BranchAndBound(params, obs=obs).solve(problem)
     obs.close()
+
+Every name but :class:`Observability` resolves on first access, so a
+solve that serves no monitor never imports the HTTP stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .events import (
-    SAMPLED_KINDS,
-    BaseSink,
-    CallbackSink,
-    EventSink,
-    JsonlSink,
-    MemorySink,
-    MultiSink,
-)
-from .live import LiveMonitor, TelemetryBus, WorkerStats, write_flight_dump
-from .metrics import (
-    DEFAULT_GAP_BUCKETS,
-    DEFAULT_SIZE_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .profile import PHASES, PhaseBreakdown, PhaseProfiler
-from .progress import ProgressReporter, format_progress_line
-from .report import TraceReport, load_trace, render_trace_report
-from .serve import MonitorServer
+from .._lazy import lazy_exports
+from .events import MultiSink
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": (
+        "SAMPLED_KINDS", "BaseSink", "CallbackSink", "EventSink",
+        "JsonlSink", "MemorySink", "MultiSink",
+    ),
+    ".live": ("LiveMonitor", "TelemetryBus", "WorkerStats", "write_flight_dump"),
+    ".metrics": (
+        "DEFAULT_GAP_BUCKETS", "DEFAULT_SIZE_BUCKETS", "Counter", "Gauge",
+        "Histogram", "MetricsRegistry",
+    ),
+    ".profile": ("PHASES", "PhaseBreakdown", "PhaseProfiler"),
+    ".progress": ("ProgressReporter", "format_progress_line"),
+    ".report": ("TraceReport", "load_trace", "render_trace_report"),
+    ".serve": ("MonitorServer",),
+})
 
 __all__ = [
     "Observability",

@@ -220,6 +220,11 @@ class TelemetryBus:
                 self._cond.wait(timeout)
             return [dict(e) for e in self._events if e["seq"] > seq]
 
+    def wake(self) -> None:
+        """Release every :meth:`events_since` caller blocked waiting."""
+        with self._cond:
+            self._cond.notify_all()
+
     def flight_events(self) -> list[dict[str, Any]]:
         """The full ring, oldest first — the flight-recorder content."""
         with self._lock:

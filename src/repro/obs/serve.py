@@ -41,6 +41,11 @@ __all__ = ["MonitorServer", "DASHBOARD_HTML"]
 #: solve's exit by about that much.
 _POLL_INTERVAL = 0.05
 
+#: Seconds ``stop`` waits, in all, for request handlers still answering.
+#: A reply in flight is finished rather than cut off at process exit; a
+#: client that stalls its own read cannot hold the solve's exit longer.
+_HANDLER_WAIT = 2.0
+
 
 class _MonitorHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
@@ -49,6 +54,24 @@ class _MonitorHTTPServer(ThreadingHTTPServer):
     bus: TelemetryBus
     metrics: MetricsRegistry | None
     stopping: threading.Event
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: Handler threads that may still be answering.  Daemon threads
+        #: are not joined by ``server_close``, so ``stop`` joins these.
+        self.handlers: list[threading.Thread] = []
+
+    def process_request(self, request, client_address) -> None:
+        # Recorded before it starts, so a request accepted before
+        # ``shutdown`` returns is always one ``stop`` waits for.
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        self.handlers = [t for t in self.handlers if t.is_alive()]
+        self.handlers.append(thread)
+        thread.start()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -129,8 +152,8 @@ class MonitorServer:
     """Owns the HTTP thread serving one bus (and optional registry).
 
     ``port=0`` binds an ephemeral port; read :attr:`port` (or
-    :attr:`url`) after :meth:`start`.  ``stop`` is idempotent and
-    unblocks open SSE streams within their keepalive interval.
+    :attr:`url`) after :meth:`start`.  ``stop`` is idempotent, ends
+    open SSE streams and lets replies in flight finish.
     """
 
     def __init__(
@@ -177,11 +200,21 @@ class MonitorServer:
         return self.port
 
     def stop(self) -> None:
+        """Stop serving; replies in flight finish first (bounded wait).
+
+        Open ``/events`` streams are woken and end at once; a ``/status``
+        or ``/metrics`` reply being written completes, so a poller never
+        reads a response cut off after its headers.
+        """
         server = self._server
         if server is None:
             return
         server.stopping.set()
+        self.bus.wake()
         server.shutdown()
+        due = time.monotonic() + _HANDLER_WAIT
+        for thread in server.handlers:
+            thread.join(max(0.0, due - time.monotonic()))
         server.server_close()
         self._server = None
 

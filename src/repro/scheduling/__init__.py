@@ -5,23 +5,21 @@ operation, the Section 4.4 greedy EDF baseline/upper-bound generator, and
 additional list-scheduling heuristics used by the ablation benchmarks.
 """
 
-from .edf import edf_schedule
-from .heuristics import (
-    HEURISTICS,
-    best_heuristic_schedule,
-    depth_first_schedule,
-    hlfet_schedule,
-    least_laxity_schedule,
-    level_order_schedule,
-    random_order_schedule,
-)
-from .preemptive import PreemptiveResult, Slice, preemptive_edf
-from .listsched import (
-    HeuristicResult,
-    SchedulingState,
-    best_processor,
-    schedule_in_order,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".edf": ("edf_schedule",),
+    ".heuristics": (
+        "HEURISTICS", "best_heuristic_schedule", "depth_first_schedule",
+        "hlfet_schedule", "least_laxity_schedule", "level_order_schedule",
+        "random_order_schedule",
+    ),
+    ".preemptive": ("PreemptiveResult", "Slice", "preemptive_edf"),
+    ".listsched": (
+        "HeuristicResult", "SchedulingState", "best_processor",
+        "schedule_in_order",
+    ),
+})
 
 __all__ = [
     "HEURISTICS",

@@ -186,6 +186,13 @@ class TestExperimentAndList:
         with pytest.raises(SystemExit):
             main(["experiment", "fig9z"])
 
+    def test_parser_names_every_registered_experiment(self):
+        # The parser lists the ids without importing the registry.
+        from repro.cli import EXPERIMENT_NAMES
+        from repro.experiments.registry import EXPERIMENTS
+
+        assert EXPERIMENT_NAMES == tuple(sorted(EXPERIMENTS))
+
 
 class TestNewFeatures:
     def test_generate_stg_output(self, tmp_path, capsys):

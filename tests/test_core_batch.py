@@ -4,14 +4,14 @@ Every vectorized kernel behind the array engine is a small pure
 function; each one is tested here against the scalar reference it
 claims to replicate, with Hypothesis driving the inputs:
 
-* :func:`~repro.core.expand.batch_earliest_starts` against
+* :func:`~repro.core.batch.batch_earliest_starts` against
   ``CompiledProblem.earliest_start`` on random DAG instances (uniform
   *and* heterogeneous interconnects), at arbitrary reachable states —
   equality is exact (``==``), not approximate, because bit-for-bit
   counter parity is the array engine's contract;
-* :func:`~repro.core.expand.batch_admission`,
-  :func:`~repro.core.expand.batch_lmin` and
-  :func:`~repro.core.expand.batch_lb_fast` against scalar
+* :func:`~repro.core.batch.batch_admission`,
+  :func:`~repro.core.batch.batch_lmin` and
+  :func:`~repro.core.batch.batch_lb_fast` against scalar
   transcriptions of the fused expander's per-placement expressions, on
   adversarial float inputs (infinities, signed zeros, denormal-scale
   magnitudes);
@@ -35,7 +35,7 @@ from repro.core.bounds import LB0, LB1, LB2, TrivialBound
 from repro.core.branching import BFnBranching, DFBranching
 from repro.core.dominance import NoDominance, StateDominance
 from repro.core.elimination import NoElimination, UDBASElimination
-from repro.core.expand import (
+from repro.core.batch import (
     BatchExpander,
     batch_admission,
     batch_earliest_starts,

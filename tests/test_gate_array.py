@@ -2,8 +2,8 @@
 
 The unfused reference loop, the fused object engine, the array engine
 on the compiled chunk driver and the array engine with the driver
-disabled (its numpy batch fallback) must report identical counters,
-cost and schedule on every quick cell.
+disabled (its fused fallback) must report identical counters, cost and
+schedule on every quick cell, and each line must run the tier it names.
 """
 
 from __future__ import annotations
@@ -30,9 +30,16 @@ def test_all_engine_tiers_equal_reference(cell):
     problem = cell.problem()
     params = cell.params()
     array = params.evolve(engine="array")
-    want = _fingerprint(BranchAndBound(params, fused=False).solve(problem))
-    assert _fingerprint(BranchAndBound(params).solve(problem)) == want
-    assert _fingerprint(BranchAndBound(array).solve(problem)) == want
+
+    def solve(p, tier, **kwargs):
+        result = BranchAndBound(p, **kwargs).solve(problem)
+        assert result.stats.engine_path == tier
+        return _fingerprint(result)
+
+    want = solve(params, "reference", fused=False)
+    assert solve(params.evolve(engine="object"), "fused") == want
+    native = "native" if _native.native_available() else "fused"
+    assert solve(array, native) == want
     with native_disabled():
         assert not _native.native_available()
-        assert _fingerprint(BranchAndBound(array).solve(problem)) == want
+        assert solve(array, "fused") == want

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import http.client
 import json
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import urllib.request
 
 import pytest
 
-from faultlib import hard_problem
+from faultlib import _cli_env, hard_problem
 from repro.core import BnBParameters, BranchAndBound
 from repro.obs import (
     LiveMonitor,
@@ -137,6 +140,64 @@ class TestEndpoints:
         server.start()
         server.stop()
         assert time.perf_counter() - t0 < 0.2
+
+
+    def test_stop_ends_open_event_streams_at_once(self, served_bus):
+        _, server = served_bus
+        conn = http.client.HTTPConnection(
+            server.host, server.port, timeout=10.0
+        )
+        try:
+            conn.request("GET", "/events")
+            assert conn.getresponse().status == 200
+            time.sleep(0.1)  # the stream is now blocked on the bus
+            t0 = time.perf_counter()
+            server.stop()
+            assert time.perf_counter() - t0 < 0.5
+        finally:
+            conn.close()
+
+    def test_status_reply_in_flight_at_stop_arrives_whole(self):
+        # ``repro solve --serve-status`` exits right after stop(): a
+        # /status reply still being built then must reach the poller
+        # whole, not cut off after its headers by the process exit.
+        script = textwrap.dedent("""
+            import threading, time
+            from repro.obs import MonitorServer, TelemetryBus
+
+            bus = TelemetryBus()
+            entered = threading.Event()
+            snapshot = bus.snapshot
+
+            def slow_snapshot():
+                entered.set()
+                time.sleep(0.3)
+                return snapshot()
+
+            bus.snapshot = slow_snapshot
+            server = MonitorServer(bus)
+            server.start()
+            print(server.port, flush=True)
+            entered.wait(30)
+            server.stop()
+        """)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE, text=True, env=_cli_env(),
+        )
+        try:
+            port = int(proc.stdout.readline())
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
+            conn.request("GET", "/status")
+            resp = conn.getresponse()
+            body = resp.read()
+            conn.close()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            proc.kill()
+            proc.stdout.close()
+        assert len(body) == int(resp.headers["Content-Length"])
+        assert "server_time" in json.loads(body)
 
 
 class TestServingARunningSolve:
