@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__
@@ -95,10 +96,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _workers_arg(text: str) -> int | str:
-    """Worker count for process pools: an integer or ``auto`` (= CPUs)."""
+def _workers_arg(text: str) -> int:
+    """Worker count: an integer, or ``auto`` for one per usable CPU."""
     if text.strip().lower() == "auto":
-        return "auto"
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # pragma: no cover - non-Linux
+            return os.cpu_count() or 1
     try:
         value = int(text)
     except ValueError:
@@ -273,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     slv.add_argument(
         "--workers", type=_workers_arg, default=0,
-        help="solve in parallel across this many worker processes "
-        "(an integer, or 'auto' for one per CPU; default 0 = in-process)",
+        help="solve on the cluster coordinator with this many local "
+        "worker processes (an integer, or 'auto' for one per usable CPU; "
+        "default 0 = in-process)",
     )
     slv.add_argument(
         "--parallel-mode", choices=("throughput",), default="throughput",
@@ -286,6 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--split-depth", type=_positive_int, default=2, metavar="D",
         help="tree level at which subtrees are sharded to workers "
         "(default 2)",
+    )
+    # --workers runs the cluster coordinator with local workers: one
+    # shard per worker at a time, and a lease long enough for any shard
+    # (the process is killed and respawned when it runs out).
+    slv.set_defaults(
+        bind="127.0.0.1:0", cluster_lease=30.0, cluster_min_workers=1,
+        cluster_wait=60.0, cluster_prefetch=1, cluster_attempts=3,
+        cluster_backoff=0.05, cluster_steal=True,
     )
     clu = sub.add_parser(
         "cluster", help="distributed coordinator/worker cluster mode"
@@ -407,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument(
         "--workers", type=_workers_arg, default=0,
         help="process-pool size for replications (an integer, or 'auto' "
-        "for one worker per CPU)",
+        "for one worker per usable CPU)",
     )
     exp.add_argument("--output", "-o", default=None, help="save JSON results")
     exp.add_argument(
@@ -484,14 +497,13 @@ def _cmd_convert(args) -> int:
 def _build_dominance(args) -> DominanceRule | None:
     """Compose ``--dominance`` / ``--transposition`` into one rule D."""
     name = args.dominance
-    use_tt = args.transposition or name == TranspositionDominance.name
     base: DominanceRule | None = None
-    if name != "none" and name != TranspositionDominance.name:
+    if name != "none":
         cls = DOMINANCE_RULES[name]
         base = (
             cls(max_front=args.max_front) if cls is StateDominance else cls()
         )
-    if not use_tt:
+    if not args.transposition:
         return base
     tt = TranspositionDominance(table_bytes=args.tt_bytes)
     return tt if base is None else ChainedDominance(tt, base)
@@ -511,6 +523,7 @@ def _tt_summary(stats: SearchStats) -> str:
 
 def _cmd_solve(args) -> int:
     graph = _read_graph(args.graph, laxity=args.laxity)
+    platform = shared_bus_platform(args.processors)
     rb_kwargs = {}
     if args.time_limit is not None:
         rb_kwargs["time_limit"] = args.time_limit
@@ -558,13 +571,6 @@ def _cmd_solve(args) -> int:
         progress=ProgressReporter() if args.progress else None,
         live=live,
     )
-    if args.workers and (args.checkpoint or args.resume):
-        raise ConfigurationError(
-            "--checkpoint/--resume apply to the in-process engine only; "
-            "drop --workers (parallel workers recover via the "
-            "supervision layer instead)"
-        )
-    parallel = None
     coordinator = None
     snapshot = load_checkpoint(args.resume) if args.resume else None
     checkpointer = (
@@ -584,15 +590,13 @@ def _cmd_solve(args) -> int:
               file=sys.stderr)
     token = StopToken()
     try:
-        if args.command == "cluster":
+        if args.command == "cluster" or args.workers:
             from .cluster import ClusterCoordinator
 
-            problem = compile_problem(
-                graph, shared_bus_platform(args.processors)
-            )
             coordinator = ClusterCoordinator(
                 params,
                 bind=args.bind,
+                local_workers=args.workers,
                 split_depth=args.split_depth,
                 lease=args.cluster_lease,
                 min_workers=args.cluster_min_workers,
@@ -606,32 +610,17 @@ def _cmd_solve(args) -> int:
                 obs=obs if obs.enabled else None,
                 stop=token,
             )
-            print(
-                f"cluster: coordinating on {coordinator.bind_now()} "
-                f"(lease {args.cluster_lease:g}s); workers join with "
-                f"'repro cluster worker {coordinator.bound_address}'",
-                file=sys.stderr,
-            )
-            with graceful_interrupts(token):
-                result = coordinator.solve(problem)
-        elif args.workers:
-            from .core.parallel import ParallelBnB
-
-            workers = None if args.workers == "auto" else args.workers
-            parallel = ParallelBnB(
-                params,
-                workers=workers,
-                split_depth=args.split_depth,
-                obs=obs if obs.enabled else None,
-            )
-            with graceful_interrupts(token):
-                result = parallel.solve_graph(
-                    graph, shared_bus_platform(args.processors), stop=token
+            if not args.workers:
+                print(
+                    f"cluster: coordinating on {coordinator.bind_now()} "
+                    f"(lease {args.cluster_lease:g}s); workers join with "
+                    f"'repro cluster worker {coordinator.bound_address}'",
+                    file=sys.stderr,
                 )
+            with graceful_interrupts(token):
+                result = coordinator.solve_graph(graph, platform)
         else:
-            problem = compile_problem(
-                graph, shared_bus_platform(args.processors)
-            )
+            problem = compile_problem(graph, platform)
             with graceful_interrupts(token):
                 result = BranchAndBound(params, obs=obs).solve(
                     problem,
@@ -671,23 +660,6 @@ def _cmd_solve(args) -> int:
             f"{stats0.get('explored', 0)} explored / "
             f"{stats0.get('generated', 0)} generated before the restart)"
         )
-    if parallel is not None and parallel.last_report is not None:
-        rep = parallel.last_report
-        print(
-            f"parallel: mode=throughput workers={parallel.workers} "
-            f"split-depth={parallel.split_depth} shards={rep.shards} "
-            f"stale={rep.shards_stale}"
-        )
-        if rep.worker_restarts or rep.shard_retries or rep.quarantined:
-            quarantined = (
-                ",".join(str(i) for i in rep.quarantined)
-                if rep.quarantined
-                else "none"
-            )
-            print(
-                f"supervision: restarts={rep.worker_restarts} "
-                f"retries={rep.shard_retries} quarantined={quarantined}"
-            )
     if coordinator is not None and coordinator.last_report is not None:
         rep = coordinator.last_report
         print(rep.summary())

@@ -6,10 +6,9 @@ the tree, a :class:`~repro.core.shards.RetryQueue` re-queues shards
 whose worker died (capped exponential backoff with decorrelated jitter)
 and quarantines poison shards so the run ends TRUNCATED instead of
 falsely OPTIMAL.  Workers are remote ``repro cluster worker`` processes
-dialling a TCP address, or, with ``local_workers=N``
-(:class:`~repro.core.parallel.ParallelBnB`), N processes the coordinator
-spawns itself over socketpairs, respawning any that die.  On top of
-that:
+dialling a TCP address, or, with ``local_workers=N`` (``repro solve
+--workers N``), N processes the coordinator spawns itself over
+socketpairs, respawning any that die.  On top of that:
 
 * **Leases, not pipes.**  Workers prove liveness by sending frames;
   a silent worker's lease expires and its shards go back to the queue
@@ -77,6 +76,7 @@ from ..core.transposition import (
     find_transposition,
 )
 from ..errors import ClusterError, ConfigurationError, TransportClosed
+from ..model.compile import compile_problem
 from ..obs import Observability
 from . import protocol
 from .membership import Member, MembershipTable
@@ -130,8 +130,8 @@ class ClusterReport:
             f"cluster: workers={self.workers} joins={self.joins} "
             f"leaves={self.leaves} lease_expiries={self.lease_expiries} "
             f"steals={self.steals} shards={self.shards} "
-            f"stale={self.shards_stale} retries={self.shard_retries}"
-            f"{extra}"
+            f"stale={self.shards_stale} retries={self.shard_retries} "
+            f"restarts={self.worker_restarts}{extra}"
         )
 
 
@@ -729,6 +729,13 @@ class ClusterCoordinator:
     ``local_workers=0`` serves remote workers joining at ``bind``;
     ``local_workers=N`` spawns N worker processes over socketpairs once
     the shallow pass leaves live shards, and binds no address.
+
+    Only the optimal *cost* is guaranteed: which equal-cost schedule
+    wins, and the counters, depend on cross-process timing.  TIMELIMIT
+    is one deadline for the whole solve; MAXVERT is checked as shard
+    results arrive, and every shard sent carries the whole remaining
+    budget, so a capped solve may generate more than the cap.  ``stop``,
+    once set, ends the solve ``INTERRUPTED``.
     """
 
     def __init__(
@@ -762,6 +769,10 @@ class ClusterCoordinator:
         if max_shard_attempts < 1:
             raise ConfigurationError(
                 f"max_shard_attempts must be >= 1, got {max_shard_attempts}"
+            )
+        if retry_backoff < 0:
+            raise ConfigurationError(
+                f"retry_backoff must be >= 0, got {retry_backoff}"
             )
         if local_workers < 0:
             raise ConfigurationError(
@@ -806,6 +817,10 @@ class ClusterCoordinator:
         return self.bound_address
 
     # ------------------------------------------------------------------
+
+    def solve_graph(self, graph, platform) -> BnBResult:
+        """Compile ``graph`` for ``platform`` and :meth:`solve` it."""
+        return self.solve(compile_problem(graph, platform))
 
     def solve(self, problem) -> BnBResult:
         tt_rule = find_transposition(self.params.dominance)

@@ -9,7 +9,7 @@ notice, and the coordinator's lease/retry machinery absorbs both.
 The same worker serves both deployments: a remote process that dials
 the coordinator over TCP (``repro cluster worker``), and a local
 process the coordinator spawns itself over a socketpair
-(:func:`run_local_worker`, ``ParallelBnB``).  A local
+(:func:`run_local_worker`, ``repro solve --workers N``).  A local
 worker also binds the coordinator's shared transposition table.
 
 Liveness is woven into the search itself: the engine polls its bound

@@ -277,10 +277,9 @@ class ChainedDominance(DominanceRule):
 
 
 #: Registry used by the CLI and parameter presets.  Values are rule
-#: *classes*; constructor keywords (``StateDominance(max_front=...)``,
-#: ``TranspositionDominance(table_bytes=...)``) are wired
-#: through by the CLI.  ``repro.core.transposition`` registers its rule
-#: here on import.
+#: *classes*; ``StateDominance(max_front=...)`` is wired through by the
+#: CLI.  The transposition rule is not a choice here: ``--transposition``
+#: chains it with whichever rule is chosen.
 DOMINANCE_RULES: dict[str, type[DominanceRule]] = {
     NoDominance.name: NoDominance,
     StateDominance.name: StateDominance,

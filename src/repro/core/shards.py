@@ -1,8 +1,7 @@
 """Shard bookkeeping for the shard supervisor.
 
-The coordinator in :mod:`repro.cluster` (which also runs
-:mod:`repro.core.parallel` solves) decomposes a solve
-this way: a shallow sequential pass collects the depth-d frontier as
+The coordinator in :mod:`repro.cluster` (which also runs ``repro
+solve --workers`` solves) decomposes a solve this way: a shallow sequential pass collects the depth-d frontier as
 :class:`Shard` roots, and a dispatch loop hands shards to workers,
 re-queues the ones whose worker died, and quarantines shards that keep
 killing workers.  This module holds that machinery:

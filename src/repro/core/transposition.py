@@ -63,7 +63,7 @@ import struct
 from array import array
 
 from ..errors import ConfigurationError
-from .dominance import DOMINANCE_RULES, DominanceChecker, DominanceRule
+from .dominance import DominanceChecker, DominanceRule
 from .state import (
     UNIFORM_SALT,
     SearchState,
@@ -654,9 +654,6 @@ class TranspositionDominance(DominanceRule):
 
     def __repr__(self) -> str:
         return f"TranspositionDominance(table_bytes={self.table_bytes})"
-
-
-DOMINANCE_RULES[TranspositionDominance.name] = TranspositionDominance
 
 
 def find_transposition(rule: DominanceRule) -> TranspositionDominance | None:

@@ -36,7 +36,6 @@ Two replication modes:
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -57,25 +56,9 @@ __all__ = [
     "ExperimentOutput",
     "EDF_LABEL",
     "default_resources",
-    "resolve_workers",
     "run_experiment",
 ]
 
-
-def resolve_workers(workers: int | str) -> int:
-    """Normalize a worker-count setting to an integer.
-
-    ``"auto"`` (case-insensitive) means one worker per available CPU;
-    integers (or numeric strings) pass through.  ``0``/``1`` select the
-    sequential path.
-    """
-    if isinstance(workers, str):
-        if workers.strip().lower() == "auto":
-            return os.cpu_count() or 1
-        workers = int(workers)
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0 or 'auto', got {workers}")
-    return workers
 
 #: Label of the greedy reference series.
 EDF_LABEL = "EDF"
@@ -175,20 +158,19 @@ def run_experiment(
     num_graphs: int = 20,
     base_seed: int = 0,
     include_edf: bool = True,
-    workers: int | str = 0,
+    workers: int = 0,
     confidence: ConfidenceTarget | None = None,
     collect_metrics: bool = False,
 ) -> ExperimentOutput:
     """Run the full grid and aggregate into series.
 
-    ``workers`` may be an integer or ``"auto"`` (one process per CPU);
-    values above 1 fan the (cell, seed) jobs out over a process pool.
+    ``workers`` above 1 fans the (cell, seed) jobs out over a process
+    pool of that size.
 
     With ``collect_metrics`` each solve carries a fresh
     :class:`~repro.obs.MetricsRegistry`; the per-run counter snapshots
     are summed per strategy into ``metadata["metrics"]`` of the output.
     """
-    workers = resolve_workers(workers)
     labels = ([EDF_LABEL] if include_edf else []) + list(strategies)
     acc: dict[tuple[str, float], PointAccumulator] = {}
     truncated_runs = 0

@@ -50,7 +50,7 @@ class WorkerStats:
     """Per-worker gauges aggregated by the cluster coordinator.
 
     Built from the heartbeat frames every cluster worker sends (remote,
-    or local under ``ParallelBnB``; see :mod:`repro.cluster.worker`):
+    or local under ``repro solve --workers``; see :mod:`repro.cluster.worker`):
     approximate counts derived from bound-channel polls, the
     vertices/second rate over the window since the previous heartbeat,
     plus coordinator-side facts (lease age, shard accounting, liveness).

@@ -669,14 +669,42 @@ def test_sigkill_mid_run_then_resume_matches_straight_run(tmp_path):
     assert parse_lmax(resumed.stdout) == want
 
 
-def test_cli_rejects_checkpoint_with_workers(tmp_path):
-    graph_path = tmp_path / "g.json"
-    save_graph(hard_graph(seed=0), graph_path)
-    out = run_cli(
-        [
-            "solve", str(graph_path), "-m", "2",
-            "--workers", "2", "--checkpoint", str(tmp_path / "cp.pkl"),
-        ]
-    )
-    assert out.returncode == 2
-    assert "in-process engine" in out.stderr
+#: Paper seed 13 at m=2 under LLB: a 300-vertex cap truncates the
+#: search well before the optimum, on one process or on two workers.
+_LLB = ["-m", "2", "--selection", "LLB"]
+
+
+@pytest.fixture(scope="module")
+def paper13(tmp_path_factory):
+    """The graph's path and its sequential L_max."""
+    path = str(tmp_path_factory.mktemp("paper13") / "g.json")
+    made = run_cli(["generate", "--profile", "paper", "--seed", "13",
+                    "-o", path])
+    assert made.returncode == 0, made.stderr
+    straight = run_cli(["solve", path, *_LLB])
+    assert straight.returncode == 0, straight.stderr
+    return path, parse_lmax(straight.stdout)
+
+
+@pytest.mark.parametrize(
+    "first,then",
+    [
+        (["--workers", "2"], ["--workers", "2"]),
+        (["--workers", "2"], []),
+        ([], ["--workers", "2"]),
+    ],
+    ids=["workers-to-workers", "workers-to-sequential",
+         "sequential-to-workers"],
+)
+def test_cli_snapshot_resumes_across_workers(paper13, tmp_path, first, then):
+    path, want = paper13
+    cp = str(tmp_path / "cp.pkl")
+    capped = run_cli(["solve", path, *_LLB, *first,
+                      "--max-vertices", "300", "--checkpoint", cp])
+    assert capped.returncode == 0, capped.stderr
+    assert "[TRUNCATED]" in capped.stdout
+    resumed = run_cli(["solve", path, *_LLB, *then, "--resume", cp])
+    assert resumed.returncode == 0, resumed.stderr
+    assert "resumed:" in resumed.stdout
+    assert "\noptimal: " in resumed.stdout
+    assert parse_lmax(resumed.stdout) == want

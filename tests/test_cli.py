@@ -98,7 +98,7 @@ class TestSolve:
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "parallel: mode=throughput" in out
+        assert "\ncluster: workers=2 " in out
         assert "\nengine: native\n" in out
 
     def test_capped_parallel_solve_prints_its_gap(self, tmp_path, capsys):

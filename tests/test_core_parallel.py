@@ -1,6 +1,6 @@
-"""Unit tests for the multiprocessing parallel driver.
+"""Unit tests for parallel solves on local worker processes.
 
-``ParallelBnB`` is held to its contract (optimal cost, valid schedule,
+``ClusterCoordinator(local_workers=N)`` is held to its contract (optimal cost, valid schedule,
 one global TIMELIMIT) and to its worker lifecycle (no process when the
 shallow pass closes the search, no listening socket, no leftover
 child).  The supporting machinery — frontier export order, sub-search
@@ -17,11 +17,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import _workers_arg
+from repro.cluster import ClusterCoordinator
 from repro.core import (
     BnBParameters,
     BranchAndBound,
     LIFOSelection,
-    ParallelBnB,
     ResourceBounds,
     SolveStatus,
     Vertex,
@@ -29,7 +30,6 @@ from repro.core import (
 )
 from repro.core.engine import SubtreeSpec
 from repro.core.expand import FusedExpander
-from repro.core.parallel import default_worker_count
 from repro.core.selection import SELECTION_RULES
 from repro.errors import ConfigurationError
 from repro.model import compile_problem, shared_bus_platform
@@ -104,7 +104,7 @@ def test_time_limit_is_one_deadline_for_the_whole_solve():
         resources=ResourceBounds(time_limit=limit),
         engine="object",
     )
-    solver = ParallelBnB(params, workers=2, split_depth=2)
+    solver = ClusterCoordinator(params, local_workers=2, split_depth=2)
     t0 = time.monotonic()
     result = solver.solve(problem)
     wall = time.monotonic() - t0
@@ -118,16 +118,16 @@ def test_time_limit_is_one_deadline_for_the_whole_solve():
 
 def test_constructor_validation():
     with pytest.raises(ConfigurationError):
-        ParallelBnB(workers=0)
+        ClusterCoordinator(local_workers=-1)
     with pytest.raises(ConfigurationError):
-        ParallelBnB(split_depth=0)
-    assert default_worker_count() >= 1
+        ClusterCoordinator(local_workers=2, split_depth=0)
+    assert _workers_arg("auto") >= 1
 
 
 @pytest.mark.parametrize("problem", PROBLEMS, ids=_IDS)
 def test_throughput_mode_is_cost_optimal(problem):
     seq = BranchAndBound(LIFO).solve(problem)
-    solver = ParallelBnB(LIFO, workers=2, split_depth=2)
+    solver = ClusterCoordinator(LIFO, local_workers=2, split_depth=2)
     thr = solver.solve(problem)
     assert thr.best_cost == seq.best_cost
     assert thr.status is SolveStatus.OPTIMAL
@@ -137,7 +137,9 @@ def test_throughput_mode_is_cost_optimal(problem):
 
 def test_throughput_with_no_shards_returns_the_shallow_result():
     problem = PROBLEMS[0]  # chain: split deeper than the tree
-    solver = ParallelBnB(LIFO, workers=2, split_depth=problem.n + 1)
+    solver = ClusterCoordinator(
+        LIFO, local_workers=2, split_depth=problem.n + 1
+    )
     thr = solver.solve(problem)
     seq = BranchAndBound(LIFO).solve(problem)
     _assert_identical(thr, seq)
@@ -150,8 +152,8 @@ def test_throughput_closed_by_the_shallow_pass_starts_no_worker(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     problem = PROBLEMS[-1]
-    solver = ParallelBnB(
-        LIFO, workers=2, split_depth=problem.n + 1
+    solver = ClusterCoordinator(
+        LIFO, local_workers=2, split_depth=problem.n + 1
     )
     thr = solver.solve(problem)
     assert thr.best_cost == BranchAndBound(LIFO).solve(problem).best_cost
@@ -165,7 +167,7 @@ def test_throughput_opens_no_listening_socket(monkeypatch):
 
     monkeypatch.setattr(socket.socket, "listen", refuse)
     problem = PROBLEMS[-1]
-    solver = ParallelBnB(LIFO, workers=2, split_depth=2)
+    solver = ClusterCoordinator(LIFO, local_workers=2, split_depth=2)
     thr = solver.solve(problem)
     assert thr.best_cost == BranchAndBound(LIFO).solve(problem).best_cost
     assert solver.last_report.shards > 0
@@ -176,7 +178,9 @@ def test_throughput_more_workers_than_cores_keeps_the_optimum():
     # incumbent; a lost or misordered bound update would show as a
     # wrong cost or a shard never accounted for.
     problem = PROBLEMS[-1]
-    solver = ParallelBnB(LIFO, workers=4, split_depth=3)
+    solver = ClusterCoordinator(
+        LIFO, local_workers=4, split_depth=3, prefetch=1
+    )
     thr = solver.solve(problem)
     assert thr.best_cost == BranchAndBound(LIFO).solve(problem).best_cost
     assert thr.status is SolveStatus.OPTIMAL
@@ -188,14 +192,15 @@ def test_throughput_more_workers_than_cores_keeps_the_optimum():
 def test_throughput_hang_leaves_no_live_child():
     before = set(multiprocessing.active_children())
     problem = PROBLEMS[-1]
-    solver = ParallelBnB(
+    solver = ClusterCoordinator(
         LIFO,
-        workers=2,
+        local_workers=2,
         split_depth=2,
-        heartbeat_timeout=0.3,
+        lease=0.3,
+        prefetch=1,
         retry_backoff=0.001,
-        fault_plan=FaultPlan((ShardFault("hang", shard=0, attempt=1),)),
     )
+    solver.fault_plan = FaultPlan((ShardFault("hang", shard=0, attempt=1),))
     thr = solver.solve(problem)
     assert thr.best_cost == BranchAndBound(LIFO).solve(problem).best_cost
     assert solver.last_report.worker_restarts >= 1

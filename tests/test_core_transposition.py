@@ -286,10 +286,15 @@ def test_rule_pickles_without_runtime_handles():
     assert repr(clone) == "TranspositionDominance(table_bytes=1048576)"
 
 
-def test_rule_registered():
+def test_rule_is_the_transposition_switch_only():
+    from repro.cli import build_parser
     from repro.core.dominance import DOMINANCE_RULES
 
-    assert DOMINANCE_RULES["transposition"] is TranspositionDominance
+    assert TranspositionDominance.name not in DOMINANCE_RULES
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["solve", "g.json", "--dominance", "transposition"]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +428,16 @@ def test_each_solve_frees_its_table():
 
 
 def test_parallel_throughput_shares_the_table():
-    from repro.core.parallel import ParallelBnB
+    from repro.cluster import ClusterCoordinator
 
     problem = _search_problem("scaled", 0, 2)
     params = BnBParameters.paper_default(
         dominance=TranspositionDominance()
     )
     seq = BranchAndBound(BnBParameters.paper_default()).solve(problem)
-    solver = ParallelBnB(params, workers=2, split_depth=2)
+    solver = ClusterCoordinator(
+        params, local_workers=2, split_depth=2, prefetch=1
+    )
     par = solver.solve(problem)
     assert par.best_cost == pytest.approx(seq.best_cost, abs=1e-9)
     assert par.stats.tt_inserts > 0

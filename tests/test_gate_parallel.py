@@ -1,18 +1,18 @@
 """Parallel gate: the multiprocessing driver finds the sequential cost.
 
-``ParallelBnB`` on 2 workers must find the sequential cost on every
+``ClusterCoordinator`` on 2 local workers must find the sequential cost on every
 quick cell, with the workers on the object engine and on the native
 driver (``engine="array"``).  Only the cost is a theorem: which
 equal-cost schedule wins, and the shard-summed counters, depend on
-cross-process timing (docs/PARALLEL.md).
+cross-process timing (docs/CLUSTER.md).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cluster import ClusterCoordinator
 from repro.core.engine import BranchAndBound
-from repro.core.parallel import ParallelBnB
 
 from bench_cells import QUICK_CELLS
 
@@ -27,8 +27,8 @@ def test_throughput_mode_finds_sequential_cost(cell, engine):
     problem = cell.problem()
     params = cell.params()
     seq = BranchAndBound(params).solve(problem)
-    thr = ParallelBnB(
-        params.evolve(engine=engine), workers=2, split_depth=2
+    thr = ClusterCoordinator(
+        params.evolve(engine=engine), local_workers=2, split_depth=2
     ).solve(problem)
     assert thr.best_cost == seq.best_cost
     if engine == "array":

@@ -17,10 +17,10 @@ import time
 import pytest
 
 from faultlib import FaultPlan, ShardFault, hard_graph, hard_problem, spawn_cli
+from repro.cluster import ClusterCoordinator
 from repro.core import (
     BnBParameters,
     BranchAndBound,
-    ParallelBnB,
     ResourceBounds,
 )
 from repro.io import save_graph
@@ -319,14 +319,15 @@ class TestFlightRecorderOnSigterm:
 class TestParallelWorkerStats:
     def _solve(self, fault_plan=None, **kwargs):
         monitor = LiveMonitor(interval=0.0)
-        solver = ParallelBnB(
+        solver = ClusterCoordinator(
             PARAMS,
-            workers=2,
+            local_workers=2,
             split_depth=2,
+            prefetch=1,
             obs=Observability(live=monitor),
-            fault_plan=fault_plan,
             **kwargs,
         )
+        solver.fault_plan = fault_plan
         result = solver.solve(PROBLEM)
         return monitor, result
 

@@ -23,7 +23,6 @@ from repro.cluster import ClusterCoordinator
 from repro.core.checkpoint import StopToken
 from repro.core.dominance import StateDominance
 from repro.core.engine import BranchAndBound, SolveStatus
-from repro.core.parallel import ParallelBnB
 from repro.core.params import BnBParameters
 from repro.core.shards import FrontierCollector
 from repro.io.json_io import save_graph
@@ -69,8 +68,9 @@ def _observed():
 
 def _solve(driver: str, obs, split_depth: int):
     if driver == "parallel":
-        return ParallelBnB(
-            PARAMS, workers=2, split_depth=split_depth, obs=obs
+        return ClusterCoordinator(
+            PARAMS, local_workers=2, split_depth=split_depth, prefetch=1,
+            obs=obs,
         ).solve(PROBLEM)
     return ClusterCoordinator(
         PARAMS, local_workers=2, split_depth=split_depth, obs=obs
@@ -124,7 +124,9 @@ def test_one_report_describes_the_returned_result(driver, split_depth):
 def test_parallel_trace_report_breaks_down_the_whole_solve(tmp_path):
     path = tmp_path / "t.jsonl"
     obs = Observability(sink=JsonlSink(str(path)))
-    result = ParallelBnB(PARAMS, workers=2, obs=obs).solve(PROBLEM)
+    result = ClusterCoordinator(
+        PARAMS, local_workers=2, prefetch=1, obs=obs
+    ).solve(PROBLEM)
     obs.close()
     text = render_trace_report(load_trace(str(path)))
     section = text.split("pruning breakdown by rule:")[1].split("\n\n")[0]
@@ -153,8 +155,9 @@ def test_parallel_trace_profile_ends_at_the_result(
     path = tmp_path / "t.jsonl"
     obs = Observability(sink=JsonlSink(str(path)))
     if driver == "parallel":
-        result = ParallelBnB(
-            PARAMS, workers=2, split_depth=split_depth, obs=obs
+        result = ClusterCoordinator(
+            PARAMS, local_workers=2, split_depth=split_depth, prefetch=1,
+            obs=obs,
         ).solve(problem)
     else:
         result = ClusterCoordinator(
@@ -192,8 +195,10 @@ def test_parallel_stop_before_dispatch_keeps_the_shallow_incumbent():
     token = StopToken()
     token.set("test")
     obs, lines, _states = _observed()
-    solver = ParallelBnB(PARAMS, workers=2, obs=obs)
-    result = solver.solve(PROBLEM, stop=token)
+    solver = ClusterCoordinator(
+        PARAMS, local_workers=2, prefetch=1, obs=obs, stop=token
+    )
+    result = solver.solve(PROBLEM)
     shallow = BranchAndBound(PARAMS).solve(
         PROBLEM, dispatcher=FrontierCollector(2)
     )

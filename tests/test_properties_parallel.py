@@ -1,6 +1,6 @@
 """Property-based tests for the parallel branch-and-bound driver.
 
-``ParallelBnB`` promises the optimal cost and a valid schedule that
+``ClusterCoordinator(local_workers=N)`` promises the optimal cost and a valid schedule that
 achieves it, for any worker count.  Worker counts are {1, 2, 4};
 example counts are modest because every example forks worker processes.
 """
@@ -14,9 +14,9 @@ from repro.core import (
     BnBParameters,
     BranchAndBound,
     LIFOSelection,
-    ParallelBnB,
 )
 
+from repro.cluster import ClusterCoordinator
 from test_properties import compiled_problems
 
 SETTINGS = settings(
@@ -33,7 +33,9 @@ WORKERS = st.sampled_from([1, 2, 4])
 def test_throughput_mode_finds_the_optimum(prob, workers):
     params = BnBParameters(selection=LIFOSelection())
     seq = BranchAndBound(params).solve(prob)
-    thr = ParallelBnB(params, workers=workers, split_depth=2).solve(prob)
+    thr = ClusterCoordinator(
+        params, local_workers=workers, split_depth=2
+    ).solve(prob)
     assert thr.best_cost == seq.best_cost
     if thr.proc_of is not None:
         sched = thr.schedule()

@@ -12,10 +12,10 @@ from __future__ import annotations
 import pytest
 
 from faultlib import FaultPlan, ShardFault, hard_problem
+from repro.cluster import ClusterCoordinator
 from repro.core import (
     BnBParameters,
     BranchAndBound,
-    ParallelBnB,
     SolveStatus,
 )
 from repro.errors import ConfigurationError
@@ -53,11 +53,11 @@ class TestFaultPlan:
 
     def test_constructor_validation(self):
         with pytest.raises(ConfigurationError):
-            ParallelBnB(PARAMS, workers=2, max_shard_attempts=0)
+            ClusterCoordinator(PARAMS, local_workers=2, max_shard_attempts=0)
         with pytest.raises(ConfigurationError):
-            ParallelBnB(PARAMS, workers=2, retry_backoff=-0.1)
+            ClusterCoordinator(PARAMS, local_workers=2, retry_backoff=-0.1)
         with pytest.raises(ConfigurationError):
-            ParallelBnB(PARAMS, workers=2, heartbeat_timeout=0.0)
+            ClusterCoordinator(PARAMS, local_workers=2, lease=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +66,13 @@ class TestFaultPlan:
 
 
 def _throughput(fault_plan, params=PARAMS, **kwargs):
-    defaults = dict(workers=2, split_depth=2, fault_plan=fault_plan)
+    # One shard per worker at a time, as ``repro solve --workers`` runs.
+    defaults = dict(local_workers=2, split_depth=2, prefetch=1)
     defaults.update(FAST)
     defaults.update(kwargs)
-    return ParallelBnB(params, **defaults)
+    solver = ClusterCoordinator(params, **defaults)
+    solver.fault_plan = fault_plan
+    return solver
 
 
 class TestThroughputSupervision:
@@ -107,7 +110,7 @@ class TestThroughputSupervision:
     def test_hung_worker_is_detected_and_replaced(self):
         solver = _throughput(
             FaultPlan((ShardFault("hang", shard=0, attempt=1),)),
-            heartbeat_timeout=0.3,
+            lease=0.3,
         )
         result = solver.solve(PROBLEM)
         report = solver.last_report
