@@ -188,10 +188,10 @@ def _search_flags() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine", choices=ENGINES, default="array",
-        help="search-core implementation: 'array' (default: struct-of-"
-        "arrays arena + compiled chunk driver where eligible) or 'object' "
-        "(keep the search in Python); results are identical across "
-        "engines",
+        help="tier the search starts at: 'array' (default: the compiled "
+        "chunk driver where eligible), 'object' (the fused Python "
+        "expander) or 'reference' (the per-child Python loop); results "
+        "and traces are identical across engines",
     )
     p.add_argument("--br", type=float, default=0.0, help="inaccuracy limit")
     p.add_argument("--time-limit", type=float, default=None)

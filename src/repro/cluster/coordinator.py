@@ -108,7 +108,6 @@ def _send_quietly(conn, frame: dict) -> None:
 class ClusterReport:
     """How a cluster solve went (``ClusterCoordinator.last_report``)."""
 
-    workers: int
     joins: int
     leaves: int
     lease_expiries: int
@@ -127,7 +126,7 @@ class ClusterReport:
         if self.quarantined:
             extra = f" quarantined={len(self.quarantined)}"
         return (
-            f"cluster: workers={self.workers} joins={self.joins} "
+            f"cluster: joins={self.joins} "
             f"leaves={self.leaves} lease_expiries={self.lease_expiries} "
             f"steals={self.steals} shards={self.shards} "
             f"stale={self.shards_stale} retries={self.shard_retries} "
@@ -366,10 +365,11 @@ class _Dispatch:
     def top_up(self) -> None:
         """Keep one local worker process per slot, respawning dropped ones.
 
-        The coordinator loads the kernel (and numpy) before it forks, so
-        forked workers inherit it instead of each loading it again.
+        On the array engine the coordinator loads the kernel (and numpy)
+        before it forks, so forked workers inherit it instead of each
+        loading it again; the Python engines load neither.
         """
-        if len(self.local) < self.slots and self.coord.params.engine != "object":
+        if len(self.local) < self.slots and self.coord.params.engine == "array":
             from ..core import _native
 
             _native.load_error()
@@ -877,7 +877,7 @@ class ClusterCoordinator:
             origin = (snap.initial_upper_bound, snap.incumbent_source)
             incumbent0 = snap.incumbent_cost
             shards = [
-                Shard(int(seq), state, lb, incumbent0, _INF)
+                Shard(int(seq), state, lb)
                 for state, lb, seq in snap.frontier
             ]
             if self.checkpoint is not None:
@@ -921,7 +921,7 @@ class ClusterCoordinator:
                         + [s.lower_bound for s in shards]
                     ))
                 self.last_report = ClusterReport(
-                    0, 0, 0, 0, 0, len(shards), 0, 0, (), False, 0
+                    0, 0, 0, 0, len(shards), 0, 0, (), False, 0
                 )
                 publish(shallow, obs, active=len(shards))
                 return shallow
@@ -978,7 +978,6 @@ class ClusterCoordinator:
         )
         members = dispatch.members
         self.last_report = ClusterReport(
-            workers=members.joins,
             joins=members.joins,
             leaves=members.leaves,
             lease_expiries=members.lease_expiries,

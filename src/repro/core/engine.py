@@ -63,7 +63,7 @@ from .checkpoint import (
 from .boundary import Boundary
 from .elimination import NoElimination, UDBASElimination, pruning_threshold
 from .expand import FusedExpander
-from .params import BnBParameters
+from .params import ENGINES, BnBParameters
 from .selection import (
     _DepthLLBFrontier,
     _FIFOFrontier,
@@ -105,7 +105,7 @@ _NATIVE_FRONTIER_KINDS = {
     _DepthLLBFrontier: 3,
 }
 
-#: The engine tiers, fastest first; the object engine starts at fused.
+#: The engine tiers, fastest first; ``ENGINES[i]`` starts at ``_TIERS[i]``.
 _TIERS = ("native", "fused", "reference")
 
 _CHILD_ORDER_CODES = {"generation": 0, "best-last": 1, "best-first": 2}
@@ -401,33 +401,30 @@ def publish(
 
 
 def choose_tier(
-    params, fused, problem, prepared, frontier, dominance, *,
+    params, problem, prepared, frontier, dominance, *,
     hot_sink, profiled, dispatcher, early_stop, root_closed,
 ):
     """Pick the tier that runs one solve: ``(path, expander, fallback)``.
 
     Tiers, fastest first: ``native`` (the C chunk driver, which owns the
     arena of a :class:`~repro.core.batch.BatchExpander`), ``fused`` and
-    ``reference`` (no expander).  The array engine starts at native, the
-    object engine at fused.  Each refusal in the one list below rules
-    out the tiers it names; the fastest tier left runs.  ``fallback`` is
-    the first refusal, in list order, of the engine's first tier.  The
-    native gate (:func:`~repro.core.batch.make_batch_expander`) and the
-    kernel load run only while native is still open, so a solve that
-    cannot use the driver never builds or loads it, nor imports numpy.
+    ``reference`` (no expander).  ``params.engine`` names the tier a
+    solve starts at (array: native, object: fused, reference:
+    reference).  Each refusal in the one list below rules out the tiers
+    it names; the fastest tier left runs.  ``fallback`` is the first
+    refusal, in list order, of the engine's first tier.  The native gate
+    (:func:`~repro.core.batch.make_batch_expander`) and the kernel load
+    run only while native is still open, so a solve that cannot use the
+    driver never builds or loads it, nor imports numpy.
     """
-    tiers = _TIERS if params.engine != "object" else _TIERS[1:]
+    tiers = _TIERS[ENGINES.index(params.engine):]
     rb = params.resources
-    observed = ("native", "fused") if fused is None else ("native",)
     refusals = [
         (reason, struck)
         for applies, reason, struck in (
-            (fused is False, "reference loop forced (fused=False)",
-             ("native", "fused")),
-            (fused is True, "fused path forced (fused=True)", ("native",)),
             (dispatcher is not None, "dispatcher", ("native",)),
-            (hot_sink is not None, "trace sink attached", observed),
-            (profiled, "profiler attached", observed),
+            (hot_sink is not None, "trace sink attached", ("native",)),
+            (profiled, "profiler attached", ("native",)),
             (early_stop is not None, "early-stop target", ("native",)),
             (not math.isinf(rb.max_children), "MAXSZDB cap", ("native",)),
             (not math.isinf(rb.max_active), "MAXSZAS cap", ("native",)),
@@ -810,12 +807,73 @@ def _run_native(run: _Run, boundary: Boundary):
     return stop_kind
 
 
+def _expand_reference(
+    vertex, seq, prepared, bound, charf, dominance, break_symmetry, lap
+):
+    """The reference tier's Steps 6-7: one child at a time.
+
+    Returns :meth:`~repro.core.expand.FusedExpander.expand`'s tally
+    tuple (nothing is pre-checked, so its ``skipped`` is 0); the loop
+    books and traces both tiers' tallies in one place.  A profiler sees
+    each child's branch, bound, filter and dominance spans.
+    """
+    children = []
+    n_gen = n_goals = n_infeasible = n_dominated = 0
+    best_goal_cost = math.inf
+    best_goal_state = None
+    placements = prepared.placements(vertex.state, break_symmetry)
+    if lap is not None:
+        lap("branch")
+    for task, proc in placements:
+        child_state = vertex.state.child(task, proc)
+        n_gen += 1
+        if lap is not None:
+            lap("branch")
+        child_lb = bound.evaluate(child_state)
+        # States may carry their own floor (the allocation-load bound of
+        # AO states; -inf class default everywhere else).
+        floor = child_state.lb_floor
+        if floor > child_lb:
+            child_lb = floor
+        if lap is not None:
+            lap("bound")
+        if child_state.is_goal:
+            # Goal vertices never enter the active set: track the
+            # cheapest one in DB (Figure 2, steps 1-5).
+            n_goals += 1
+            if child_lb < best_goal_cost:
+                best_goal_cost = child_lb
+                best_goal_state = child_state
+            if lap is not None:
+                lap("goal-eval")
+            continue
+        admitted = charf.admits(child_state, child_lb)
+        if lap is not None:
+            lap("filter")
+        if not admitted:
+            n_infeasible += 1
+            continue
+        dominated = dominance.is_dominated(child_state)
+        if lap is not None:
+            lap("dominance")
+        if dominated:
+            n_dominated += 1
+            continue
+        children.append(Vertex(child_state, child_lb, seq))
+        seq += 1
+    return (
+        seq, children, n_gen, n_goals, 0, n_infeasible, n_dominated,
+        best_goal_cost, best_goal_state,
+    )
+
+
 def _run_loop(run: _Run, boundary: Boundary):
     """The fused and reference tiers: Steps 3-10; the stop kind.
 
     An expander branches and bounds a vertex's children in one call; the
-    reference tier does it child by child, with a span and an event
-    each.  Both share the rest of the loop.
+    reference tier does it child by child (:func:`_expand_reference`).
+    Both return per-vertex tallies, so the counters and the trace are
+    booked once, in one schema, and the rest of the loop is shared.
     """
     params = run.params
     stats = run.stats
@@ -903,9 +961,7 @@ def _run_loop(run: _Run, boundary: Boundary):
 
         if dispatcher is not None and vertex.level >= dispatcher.depth:
             # A shard root: record it, leave it unexplored.
-            dispatcher.record(
-                vertex, incumbent_cost, max_vertices - stats.generated
-            )
+            dispatcher.record(vertex)
             if lap is not None:
                 lap("select")
             continue
@@ -929,140 +985,57 @@ def _run_loop(run: _Run, boundary: Boundary):
             if lap is not None:
                 lap("telemetry")
 
-        # Step 6-7: branch and bound the children.
-        precheck_pruned = 0
+        # Step 6-7: branch and bound the children, tallied per vertex.
+        # An expander does it in one pass (see repro.core.expand), whose
+        # admission pre-check discards only children the elimination
+        # below would prune, after consuming their sequence numbers, so
+        # every counter stays identical to the reference loop's.
         if expander is not None:
-            # Branching, state construction and bounding in one pass
-            # (see repro.core.expand).  The admission pre-check discards
-            # only children the reference loop would prune, after
-            # consuming their sequence numbers, so all counters stay
-            # identical; its discards are folded into pruned_children
-            # below.
-            (
-                seq, children, n_gen, n_goals, precheck_pruned,
-                n_infeasible, n_dominated, best_goal_cost,
-                best_goal_state,
-            ) = expander.expand(vertex, threshold, seq)
-            stats.generated += n_gen
-            stats.goals_evaluated += n_goals
-            stats.pruned_infeasible += n_infeasible
-            if n_dominated:
-                n_dup = dominance.duplicate_pruned - dup_seen
-                dup_seen += n_dup
-                n_dominated -= n_dup
-                stats.pruned_duplicate += n_dup
-                stats.pruned_dominated += n_dominated
-            else:
-                n_dup = 0
-            # Close the expand span before any event dispatch so sink
-            # time is attributed to telemetry, not expand.
+            tallies = expander.expand(vertex, threshold, seq)
             if lap is not None:
                 lap("expand")
-            if hot_sink is not None:
-                # Event parity is coarse with an expander: per-child
-                # goal/prune events are aggregated.
-                if n_goals and hot_sink.accepts("goal"):
-                    hot_sink.emit(
-                        "goal",
-                        {"generated": stats.generated,
-                         "count": n_goals,
-                         "cost": _json_num(best_goal_cost)},
-                    )
-                if n_infeasible and hot_sink.accepts("prune"):
-                    hot_sink.emit(
-                        "prune",
-                        {"cause": "infeasible",
-                         "count": n_infeasible,
-                         "level": vertex.level + 1},
-                    )
-                if n_dominated and hot_sink.accepts("prune"):
-                    hot_sink.emit(
-                        "prune",
-                        {"cause": "dominated",
-                         "count": n_dominated,
-                         "level": vertex.level + 1},
-                    )
-                if n_dup and hot_sink.accepts("prune"):
-                    hot_sink.emit(
-                        "prune",
-                        {"cause": "duplicate",
-                         "count": n_dup,
-                         "level": vertex.level + 1},
-                    )
-                if lap is not None:
-                    lap("telemetry")
         else:
-            placements = prepared.placements(vertex.state, break_symmetry)
+            tallies = _expand_reference(
+                vertex, seq, prepared, bound, charf, dominance,
+                break_symmetry, lap,
+            )
+        (
+            seq, children, n_gen, n_goals, n_bound, n_infeasible,
+            n_dominated, best_goal_cost, best_goal_state,
+        ) = tallies
+        stats.generated += n_gen
+        stats.goals_evaluated += n_goals
+        stats.pruned_infeasible += n_infeasible
+        if n_dominated:
+            # The checker's running duplicate total splits its verdicts.
+            n_dup = dominance.duplicate_pruned - dup_seen
+            dup_seen += n_dup
+            n_dominated -= n_dup
+            stats.pruned_duplicate += n_dup
+            stats.pruned_dominated += n_dominated
+        else:
+            n_dup = 0
+        if hot_sink is not None:
+            if n_goals and hot_sink.accepts("goal"):
+                hot_sink.emit(
+                    "goal",
+                    {"generated": stats.generated,
+                     "count": n_goals,
+                     "cost": _json_num(best_goal_cost)},
+                )
+            for cause, count in (
+                ("infeasible", n_infeasible),
+                ("dominated", n_dominated),
+                ("duplicate", n_dup),
+            ):
+                if count and hot_sink.accepts("prune"):
+                    hot_sink.emit(
+                        "prune",
+                        {"cause": cause, "count": count,
+                         "level": vertex.level + 1},
+                    )
             if lap is not None:
-                lap("branch")
-            children = []
-            best_goal_cost = math.inf
-            best_goal_state = None
-            for task, proc in placements:
-                child_state = vertex.state.child(task, proc)
-                stats.generated += 1
-                if lap is not None:
-                    lap("branch")
-                child_lb = bound.evaluate(child_state)
-                # States may carry their own floor (the allocation-load
-                # bound of AO states; -inf class default everywhere else).
-                floor = child_state.lb_floor
-                if floor > child_lb:
-                    child_lb = floor
-                if lap is not None:
-                    lap("bound")
-                if child_state.is_goal:
-                    # Goal vertices never enter the active set: track
-                    # the cheapest one in DB (Figure 2, steps 1-5).
-                    stats.goals_evaluated += 1
-                    if child_lb < best_goal_cost:
-                        best_goal_cost = child_lb
-                        best_goal_state = child_state
-                    if hot_sink is not None and hot_sink.accepts("goal"):
-                        hot_sink.emit(
-                            "goal",
-                            {"generated": stats.generated,
-                             "cost": _json_num(child_lb)},
-                        )
-                    if lap is not None:
-                        lap("goal-eval")
-                    continue
-                if not charf.admits(child_state, child_lb):
-                    stats.pruned_infeasible += 1
-                    if hot_sink is not None and hot_sink.accepts("prune"):
-                        hot_sink.emit(
-                            "prune",
-                            {"cause": "infeasible",
-                             "lb": _json_num(child_lb),
-                             "level": vertex.level + 1},
-                        )
-                    if lap is not None:
-                        lap("filter")
-                    continue
-                if lap is not None:
-                    lap("filter")
-                if dominance.is_dominated(child_state):
-                    if dominance.duplicate_pruned > dup_seen:
-                        dup_seen += 1
-                        stats.pruned_duplicate += 1
-                        cause = "duplicate"
-                    else:
-                        stats.pruned_dominated += 1
-                        cause = "dominated"
-                    if hot_sink is not None and hot_sink.accepts("prune"):
-                        hot_sink.emit(
-                            "prune",
-                            {"cause": cause,
-                             "lb": _json_num(child_lb),
-                             "level": vertex.level + 1},
-                        )
-                    if lap is not None:
-                        lap("dominance")
-                    continue
-                if lap is not None:
-                    lap("dominance")
-                children.append(Vertex(child_state, child_lb, seq))
-                seq += 1
+                lap("telemetry")
 
         # Figure 2 steps 1-5: incumbent update from the cheapest goal.
         threshold_tightened = False
@@ -1100,36 +1073,28 @@ def _run_loop(run: _Run, boundary: Boundary):
             lap("goal-eval")
 
         # Figure 2 step 6, DB half: eliminate children.  The expander's
-        # pre-checked children are exactly the ones this stage would
-        # have pruned (their bounds met the threshold before it could
-        # only have tightened), so they count here.
-        if precheck_pruned:
-            stats.pruned_children += precheck_pruned
-            if hot_sink is not None and hot_sink.accepts("prune"):
-                hot_sink.emit(
-                    "prune",
-                    {"cause": "bound", "count": precheck_pruned,
-                     "level": vertex.level + 1},
-                )
+        # pre-checked children (``n_bound``) are exactly the ones this
+        # stage would have pruned (their bounds met the threshold before
+        # it could only have tightened), so they count here.
         if fused_precheck and not threshold_tightened:
             # Pre-checked children are already strictly below this very
             # threshold; re-testing each one cannot prune anything
             # unless a goal just tightened it.
             kept = children
         else:
-            kept = []
-            for child in children:
-                if elim.should_prune(child.lower_bound, threshold):
-                    stats.pruned_children += 1
-                    if hot_sink is not None and hot_sink.accepts("prune"):
-                        hot_sink.emit(
-                            "prune",
-                            {"cause": "bound",
-                             "lb": _json_num(child.lower_bound),
-                             "level": vertex.level + 1},
-                        )
-                else:
-                    kept.append(child)
+            kept = [
+                child for child in children
+                if not should_prune(child.lower_bound, threshold)
+            ]
+            n_bound += len(children) - len(kept)
+        if n_bound:
+            stats.pruned_children += n_bound
+            if hot_sink is not None and hot_sink.accepts("prune"):
+                hot_sink.emit(
+                    "prune",
+                    {"cause": "bound", "count": n_bound,
+                     "level": vertex.level + 1},
+                )
 
         # RB: MAXSZDB caps the child set (keep the best bounds).
         if len(kept) > max_children:
@@ -1218,27 +1183,20 @@ class BranchAndBound:
     phase profiling, metrics and progress heartbeats; it is off by
     default and costs nothing when off.
 
-    ``fused`` selects the expansion path: ``True`` forces the fused
-    :class:`~repro.core.expand.FusedExpander` hot path (incremental
-    bounds, admission pre-check, scratch buffers), ``False`` forces the
-    reference per-child loop, and ``None`` (the default) lets
-    :func:`choose_tier` pick the fastest tier the solve allows: the
-    native driver, then the fused path, which a per-vertex sink or
-    profiler rules out — those two consumers observe per-child
-    branch/bound granularity that the fused path folds into a single
-    ``expand`` phase.  Every path produces identical results and
-    statistics (``tests/test_core_expand.py``).
+    ``params.engine`` names the tier a solve starts at, and
+    :func:`choose_tier` runs the fastest tier from there that the solve
+    allows; a per-vertex sink or a profiler rules out only the native
+    driver.  Every tier produces identical results, statistics and
+    traces (``tests/test_core_expand.py``, ``tests/test_core_trace.py``).
     """
 
     def __init__(
         self,
         params: BnBParameters | None = None,
         obs: Observability | None = None,
-        fused: bool | None = None,
     ) -> None:
         self.params = params or BnBParameters()
         self.obs = obs
-        self.fused = fused
 
     # ------------------------------------------------------------------
 
@@ -1349,7 +1307,7 @@ class BranchAndBound:
                     root.lower_bound, search.threshold
                 )
             path, run.expander, fallback = choose_tier(
-                params, self.fused, problem, prepared, run.frontier,
+                params, problem, prepared, run.frontier,
                 dominance, hot_sink=hot_sink, profiled=profiler is not None,
                 dispatcher=dispatcher,
                 early_stop=params.characteristic.early_stop_cost,

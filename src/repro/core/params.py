@@ -44,11 +44,13 @@ __all__ = ["BnBParameters", "CHILD_ORDERS", "ENGINES"]
 #: * ``best-first`` — lowest bound pushed first.
 CHILD_ORDERS = ("generation", "best-last", "best-first")
 
-#: Valid search-core implementations (``engine`` field).  The engine is
-#: an implementation detail: it never changes results or counters, so it
-#: is deliberately excluded from ``describe()`` and the checkpoint
-#: problem fingerprint.
-ENGINES = ("object", "array")
+#: Valid search-core implementations (``engine`` field), each naming the
+#: tier a solve starts at: ``array`` the native C chunk driver, ``object``
+#: the fused Python expander, ``reference`` the per-child Python loop.
+#: The engine is an implementation detail: it never changes results,
+#: counters or traces, so it is deliberately excluded from ``describe()``
+#: and the checkpoint problem fingerprint.
+ENGINES = ("array", "object", "reference")
 
 
 @dataclass(frozen=True)
@@ -71,14 +73,14 @@ class BnBParameters:
     #: uniform interconnects only; ignored otherwise).  Default off,
     #: matching the paper.
     break_symmetry: bool = False
-    #: Search-core implementation: ``array`` (the default) runs the
-    #: native C chunk driver over a struct-of-arrays arena where
-    #: eligible; ``object`` keeps the search in Python.  Either engine
-    #: falls back to a slower tier (fused, then reference) for
-    #: configurations the faster one cannot replicate bit-for-bit, so
-    #: results are engine-independent by construction;
-    #: ``SearchStats.engine_path`` and ``engine_fallback`` record which
-    #: tier ran and why.
+    #: Search-core implementation, the tier a solve starts at (see
+    #: :data:`ENGINES`): ``array`` (the default) the native C chunk
+    #: driver over a struct-of-arrays arena, ``object`` the fused Python
+    #: expander, ``reference`` the per-child Python loop.  A solve falls
+    #: back to a slower tier (fused, then reference) for configurations
+    #: the faster one cannot replicate bit-for-bit, so results are
+    #: engine-independent by construction; ``SearchStats.engine_path``
+    #: and ``engine_fallback`` record which tier ran and why.
     engine: str = "array"
 
     def __post_init__(self) -> None:

@@ -6,8 +6,7 @@ solve --workers`` solves) decomposes a solve this way: a shallow sequential pass
 re-queues the ones whose worker died, and quarantines shards that keep
 killing workers.  This module holds that machinery:
 
-* :class:`Shard` — one frontier root, frozen with the incumbent and
-  budget it entered with.
+* :class:`Shard` — one frontier root, frozen with its lower bound.
 * :class:`FrontierCollector` — the engine hook that records the
   depth-d frontier instead of searching it.
 * :class:`BackoffPolicy` — capped exponential retry backoff with
@@ -55,10 +54,6 @@ class Shard:
     index: int
     state: object  # SearchState; untyped to avoid a hot-path import
     lower_bound: float
-    #: Incumbent at collect time (dispatchers may substitute a fresher one).
-    incumbent_cost: float
-    #: Remaining generated-vertex budget at collect time.
-    budget: float
 
 
 class FrontierCollector:
@@ -68,23 +63,17 @@ class FrontierCollector:
     the loop a pure shallow expansion: every popped vertex at ``depth``
     or deeper is handed to :meth:`record` and left unexplored, so the
     loop terminates once all vertices above ``depth`` are expanded,
-    leaving the would-be shard roots here in exact pop order with their
-    entering incumbents and budgets.
+    leaving the would-be shard roots here in exact pop order.  Dispatch
+    ships each with the live incumbent and the remaining budget.
     """
 
     def __init__(self, depth: int) -> None:
         self.depth = depth
         self.shards: list[Shard] = []
 
-    def record(self, vertex, incumbent_cost: float, budget: float) -> None:
+    def record(self, vertex) -> None:
         self.shards.append(
-            Shard(
-                len(self.shards),
-                shard_state(vertex),
-                vertex.lower_bound,
-                incumbent_cost,
-                budget,
-            )
+            Shard(len(self.shards), shard_state(vertex), vertex.lower_bound)
         )
 
 

@@ -25,8 +25,8 @@ pieces:
 
 The monitor is wired through :class:`repro.obs.Observability` like
 every other facility: absent by default, one ``is not None`` check when
-off.  Crucially, attaching a monitor does *not* disable the engine's
-fused hot path — the engine decides fusion from the user's sink alone.
+off.  Crucially, attaching a monitor does *not* refuse the engine's
+native driver — the engine decides its tier from the user's sink alone.
 """
 
 from __future__ import annotations

@@ -81,8 +81,8 @@ def test_quick_cells_cover_every_preset():
 def test_fused_matches_reference_and_golden(cell, golden):
     problem = cell.problem()
     params = cell.params()
-    ref = BranchAndBound(params, fused=False).solve(problem)
-    fused = BranchAndBound(params, fused=True).solve(problem)
+    ref = BranchAndBound(params.evolve(engine="reference")).solve(problem)
+    fused = BranchAndBound(params.evolve(engine="object")).solve(problem)
     assert not ref.stats.truncated
     assert schedule_fingerprint(fused) == schedule_fingerprint(ref)
     _assert_matches_golden(fused, golden[cell.name])

@@ -255,94 +255,79 @@ def _no_native_env(mp):
 
 
 _OBJECT = BnBParameters(engine="object")
+_REFERENCE = BnBParameters(engine="reference")
 _ARRAY = _array(_OBJECT)
 
-#: One row per refusal: (params, BranchAndBound ``fused``, hooks) and the
-#: expected (engine_path, engine_fallback).  Hooks: ``sink``,
+#: One row per refusal: (params, hooks) and the expected
+#: (engine_path, engine_fallback).  Hooks: ``sink``,
 #: ``profiler``, ``dispatcher``, ``ring`` (a non-uniform interconnect),
 #: ``no-native`` (REPRO_NO_NATIVE set) and ``root-closed`` (an instance
 #: whose root the EDF upper bound prunes).
 TIER_TABLE = {
-    "object": (_OBJECT, None, (), ("fused", None)),
-    "array": (_ARRAY, None, (), ("native", None)),
-    "default": (BnBParameters(), None, (), ("native", None)),
-    "forced-fused": (
-        _ARRAY, True, (), ("fused", "fused path forced (fused=True)"),
-    ),
-    "forced-fused-sink": (
-        _ARRAY, True, ("sink",), ("fused", "fused path forced (fused=True)"),
-    ),
+    "object": (_OBJECT, (), ("fused", None)),
+    "array": (_ARRAY, (), ("native", None)),
+    "default": (BnBParameters(), (), ("native", None)),
     "root-closed": (
-        _ARRAY, None, ("root-closed",),
+        _ARRAY, ("root-closed",),
         ("fused", "root closed by the initial upper bound"),
     ),
-    "object-root-closed": (
-        _OBJECT, None, ("root-closed",), ("fused", None),
+    "object-root-closed": (_OBJECT, ("root-closed",), ("fused", None)),
+    "forced-reference": (_REFERENCE, (), ("reference", None)),
+    "reference-observed": (
+        _REFERENCE, ("sink", "profiler"), ("reference", None),
     ),
-    "forced-reference": (
-        _ARRAY, False, (),
-        ("reference", "reference loop forced (fused=False)"),
-    ),
-    "object-forced-reference": (
-        _OBJECT, False, (),
-        ("reference", "reference loop forced (fused=False)"),
-    ),
-    "object-sink": (_OBJECT, None, ("sink",),
-                    ("reference", "trace sink attached")),
-    "sink": (_ARRAY, None, ("sink",), ("reference", "trace sink attached")),
-    "object-profiler": (_OBJECT, None, ("profiler",),
-                        ("reference", "profiler attached")),
-    "profiler": (_ARRAY, None, ("profiler",),
-                 ("reference", "profiler attached")),
-    "dispatcher": (_ARRAY, None, ("dispatcher",), ("fused", "dispatcher")),
+    "object-sink": (_OBJECT, ("sink",), ("fused", None)),
+    "sink": (_ARRAY, ("sink",), ("fused", "trace sink attached")),
+    "object-profiler": (_OBJECT, ("profiler",), ("fused", None)),
+    "profiler": (_ARRAY, ("profiler",), ("fused", "profiler attached")),
+    "dispatcher": (_ARRAY, ("dispatcher",), ("fused", "dispatcher")),
     "early-stop": (
-        _ARRAY.evolve(characteristic=LatenessTargetFilter(0.0)), None, (),
+        _ARRAY.evolve(characteristic=LatenessTargetFilter(0.0)), (),
         ("fused", "early-stop target"),
     ),
     "MAXSZAS": (
-        _ARRAY.evolve(resources=ResourceBounds(max_active=10)), None, (),
+        _ARRAY.evolve(resources=ResourceBounds(max_active=10)), (),
         ("fused", "MAXSZAS cap"),
     ),
     "MAXSZDB": (
-        _ARRAY.evolve(resources=ResourceBounds(max_children=3)), None, (),
+        _ARRAY.evolve(resources=ResourceBounds(max_children=3)), (),
         ("fused", "MAXSZDB cap"),
     ),
-    "non-uniform": (_ARRAY, None, ("ring",),
-                    ("fused", "non-uniform interconnect")),
+    "non-uniform": (_ARRAY, ("ring",), ("fused", "non-uniform interconnect")),
     "ML-frontier": (
-        _ARRAY.evolve(selection=MemoryLimitedSelection(64)), None, (),
+        _ARRAY.evolve(selection=MemoryLimitedSelection(64)), (),
         ("fused", "_HybridFrontier selection not in the kernel"),
     ),
     "object-AO": (
-        _OBJECT.evolve(branching=AOBranching()), None, (),
+        _OBJECT.evolve(branching=AOBranching()), (),
         ("reference", "branching AO has no fused form"),
     ),
     "batch-gate-filter": (
-        _ARRAY.evolve(characteristic=_CustomFilter()), None, (),
+        _ARRAY.evolve(characteristic=_CustomFilter()), (),
         ("fused", "characteristic function custom filters children"),
     ),
     "batch-gate-dominance": (
-        _ARRAY.evolve(dominance=StateDominance()), None, (),
+        _ARRAY.evolve(dominance=StateDominance()), (),
         ("fused", "dominance layer attached"),
     ),
     "batch-gate-elimination": (
-        _ARRAY.evolve(elimination=_CustomElimination()), None, (),
+        _ARRAY.evolve(elimination=_CustomElimination()), (),
         ("fused", "elimination rule custom has no batch form"),
     ),
     "batch-gate-branching": (
-        _ARRAY.evolve(branching=AOBranching()), None, (),
+        _ARRAY.evolve(branching=AOBranching()), (),
         ("reference", "branching has no readiness-mask form"),
     ),
     "batch-gate-monotone": (
-        _ARRAY.evolve(lower_bound=_NonMonotoneLB1()), None, (),
+        _ARRAY.evolve(lower_bound=_NonMonotoneLB1()), (),
         ("fused", "LB1-nm is not monotone"),
     ),
     "batch-gate-incremental": (
-        _ARRAY.evolve(lower_bound=LB2()), None, (),
+        _ARRAY.evolve(lower_bound=LB2()), (),
         ("fused", "LB2 has no incremental form"),
     ),
     "REPRO_NO_NATIVE": (
-        _ARRAY, None, ("no-native",),
+        _ARRAY, ("no-native",),
         ("fused", "native kernel unavailable: disabled by REPRO_NO_NATIVE"),
     ),
 }
@@ -350,7 +335,7 @@ TIER_TABLE = {
 
 @pytest.mark.parametrize("row", list(TIER_TABLE))
 def test_refusals_are_recorded(row, monkeypatch):
-    params, fused, hooks, expected = TIER_TABLE[row]
+    params, hooks, expected = TIER_TABLE[row]
     problem = PROBLEM
     if "ring" in hooks:
         problem = compile_problem(hard_graph(0), Platform(4, Ring(4)))
@@ -365,7 +350,7 @@ def test_refusals_are_recorded(row, monkeypatch):
     kwargs = {}
     if "dispatcher" in hooks:
         kwargs["dispatcher"] = FrontierCollector(3)
-    result = BranchAndBound(params, obs=obs, fused=fused).solve(
+    result = BranchAndBound(params, obs=obs).solve(
         problem, **kwargs
     )
     stats = result.stats
@@ -383,9 +368,9 @@ def test_report_names_the_tier_and_the_refusal(tmp_path):
     obs = Observability(sink=JsonlSink(str(path)))
     result = BranchAndBound(BnBParameters(), obs=obs).solve(PROBLEM)
     obs.close()
-    assert result.stats.engine_path == "reference"
+    assert result.stats.engine_path == "fused"
     text = render_trace_report(load_trace(str(path)))
-    assert "\nengine: reference (fallback: trace sink attached)\n" in text
+    assert "\nengine: fused (fallback: trace sink attached)\n" in text
 
 
 # ---------------------------------------------------------------------------

@@ -360,8 +360,10 @@ def test_resumed_table_counters_add_to_the_first_runs(tmp_path):
     assert fresh.stats.tt_capacity == first.stats.tt_capacity
 
 
-@pytest.mark.parametrize("fused", [True, False], ids=["fused", "reference"])
-def test_live_samples_report_duplicates_mid_solve(fused):
+@pytest.mark.parametrize(
+    "engine", ["object", "reference"], ids=["fused", "reference"]
+)
+def test_live_samples_report_duplicates_mid_solve(engine):
     class Recorder(LiveMonitor):
         def __init__(self):
             super().__init__(interval=0.0)
@@ -374,9 +376,11 @@ def test_live_samples_report_duplicates_mid_solve(fused):
             return taken
 
     monitor = Recorder()
-    params = BnBParameters(selection=LLBSelection()).with_transposition()
+    params = BnBParameters(
+        selection=LLBSelection(), engine=engine
+    ).with_transposition()
     result = BranchAndBound(
-        params, obs=Observability(live=monitor), fused=fused
+        params, obs=Observability(live=monitor)
     ).solve(hard_problem(seed=11, processors=4))
     assert result.stats.pruned_duplicate > 0
     assert monitor.prunes

@@ -54,8 +54,8 @@ def _problem(seed: int, m: int = 2, profile: str = "tiny"):
 
 
 def _solve_both(params: BnBParameters, problem):
-    ref = BranchAndBound(params, fused=False).solve(problem)
-    opt = BranchAndBound(params, fused=True).solve(problem)
+    ref = BranchAndBound(params.evolve(engine="reference")).solve(problem)
+    opt = BranchAndBound(params.evolve(engine="object")).solve(problem)
     return ref, opt
 
 

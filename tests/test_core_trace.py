@@ -5,18 +5,21 @@ import math
 import pytest
 
 from repro.core import (
+    SELECTION_RULES,
     BnBParameters,
     BranchAndBound,
     LLBSelection,
     NoUpperBound,
+    StateDominance,
     TraceRecorder,
     _native,
 )
 from repro.model import compile_problem, shared_bus_platform
-from repro.obs import MemorySink, MultiSink, Observability
+from repro.obs import MemorySink, MultiSink, Observability, PhaseProfiler
 from repro.workload import generate_task_graph, scaled_spec
 
 from conftest import make_diamond
+from faultlib import hard_problem as faultlib_hard_problem
 
 
 @pytest.fixture
@@ -27,15 +30,30 @@ def hard_problem():
     )
 
 
-def _traced(problem, params=None, *, sink=None, fused=None):
+def _traced(problem, params=None, *, sink=None):
     """Solve with a TraceRecorder (plus ``sink``, if given) attached."""
     trace = TraceRecorder()
     attached = trace if sink is None else MultiSink(sink, trace)
     res = BranchAndBound(
-        params or BnBParameters(), obs=Observability(sink=attached),
-        fused=fused,
+        params or BnBParameters(), obs=Observability(sink=attached)
     ).solve(problem)
     return res, trace
+
+
+def _untimed(events):
+    """A trace as tiers must agree on it: no clock readings (``t``,
+    ``elapsed``) and no tier fields (``engine_path``,
+    ``engine_fallback``)."""
+    drop = ("t", "elapsed", "engine_path", "engine_fallback")
+    out = []
+    for kind, payload in events:
+        payload = {k: v for k, v in payload.items() if k not in drop}
+        if "stats" in payload:
+            payload["stats"] = {
+                k: v for k, v in payload["stats"].items() if k not in drop
+            }
+        out.append((kind, payload))
+    return out
 
 
 class TestRecorderMechanics:
@@ -91,7 +109,9 @@ class TestTierParity:
         # An incumbent-only recorder keeps the fused and native tiers.
         params = BnBParameters(upper_bound=NoUpperBound())
         runs = {
-            "reference": _traced(hard_problem, params, fused=False),
+            "reference": _traced(
+                hard_problem, params.evolve(engine="reference")
+            ),
             "fused": _traced(hard_problem, params.evolve(engine="object")),
         }
         if _native.native_available():
@@ -104,6 +124,42 @@ class TestTierParity:
             series[path] = [(e.generated, e.cost) for e in trace.incumbents]
         for path in runs:
             assert series[path] == series["reference"]
+
+    @pytest.mark.parametrize("sample_every", [1, 7])
+    @pytest.mark.parametrize("layer", ["no-D", "state+tt"])
+    @pytest.mark.parametrize("selection", ["LIFO", "LLB", "FIFO"])
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4, 5, 7])
+    def test_reference_trace_equals_fused_trace(
+        self, seed, selection, layer, sample_every
+    ):
+        """One trace schema on every Python tier: the reference loop and
+        the fused expander emit the same events, tallied per vertex.
+        Seeds 0-7 of the tight-deadline spec, less the two (2 and 6)
+        whose root the initial bound closes."""
+        params = BnBParameters(selection=SELECTION_RULES[selection]())
+        if layer == "state+tt":
+            params = params.evolve(dominance=StateDominance())
+            params = params.with_transposition()
+        problem = faultlib_hard_problem(seed)
+        traces = {}
+        for engine, path in (("reference", "reference"), ("object", "fused")):
+            sink = MemorySink(sample_every=sample_every)
+            res = BranchAndBound(
+                params.evolve(engine=engine), obs=Observability(sink=sink)
+            ).solve(problem)
+            assert res.stats.engine_path == path
+            traces[path] = _untimed(sink.events)
+        assert sum(k == "prune" for k, _ in traces["fused"]) > 0
+        assert traces["reference"] == traces["fused"]
+
+    def test_profiled_default_solve_stays_fused(self, hard_problem):
+        profiler = PhaseProfiler()
+        res = BranchAndBound(
+            BnBParameters(), obs=Observability(profiler=profiler)
+        ).solve(hard_problem)
+        assert res.stats.engine_path == "fused"
+        assert res.stats.engine_fallback == "profiler attached"
+        assert res.profile.seconds("expand") > 0.0
 
 
 class TestAnytimeProfile:

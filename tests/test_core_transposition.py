@@ -351,8 +351,8 @@ def test_fused_matches_reference_with_table_on():
     """Probe contract: both engine paths drive the table identically."""
     problem = _search_problem("paper", 9, 3)
     params = BnBParameters.paper_llb(dominance=TranspositionDominance())
-    ref = BranchAndBound(params, fused=False).solve(problem)
-    opt = BranchAndBound(params, fused=True).solve(problem)
+    ref = BranchAndBound(params.evolve(engine="reference")).solve(problem)
+    opt = BranchAndBound(params.evolve(engine="object")).solve(problem)
     assert ref.best_cost == opt.best_cost
     assert ref.proc_of == opt.proc_of and ref.start == opt.start
     ref_stats, opt_stats = ref.stats.as_dict(), opt.stats.as_dict()

@@ -31,12 +31,12 @@ def test_all_engine_tiers_equal_reference(cell):
     params = cell.params()
     array = params.evolve(engine="array")
 
-    def solve(p, tier, **kwargs):
-        result = BranchAndBound(p, **kwargs).solve(problem)
+    def solve(p, tier):
+        result = BranchAndBound(p).solve(problem)
         assert result.stats.engine_path == tier
         return _fingerprint(result)
 
-    want = solve(params, "reference", fused=False)
+    want = solve(params.evolve(engine="reference"), "reference")
     assert solve(params.evolve(engine="object"), "fused") == want
     native = "native" if _native.native_available() else "fused"
     assert solve(array, native) == want

@@ -21,8 +21,8 @@ def test_table_keeps_fused_equal_reference_and_cost(cell):
     params = cell.params()
     tt_params = params.with_transposition(table_bytes=64 << 20)
     base = BranchAndBound(params).solve(problem)
-    ref = BranchAndBound(tt_params, fused=False).solve(problem)
-    tt = BranchAndBound(tt_params, fused=True).solve(problem)
+    ref = BranchAndBound(tt_params.evolve(engine="reference")).solve(problem)
+    tt = BranchAndBound(tt_params.evolve(engine="object")).solve(problem)
     assert schedule_fingerprint(tt) == schedule_fingerprint(ref)
     assert tt.stats.pruned_duplicate == ref.stats.pruned_duplicate
     assert not base.stats.truncated

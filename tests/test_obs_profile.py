@@ -17,6 +17,11 @@ def hard_problem():
     )
 
 
+#: The reference tier times each child's branch and bound spans; the
+#: fused expander books a vertex's children to one ``expand`` span.
+_REFERENCE = BnBParameters(engine="reference")
+
+
 def profiled_solve(problem, params=None):
     prof = PhaseProfiler()
     res = BranchAndBound(
@@ -70,19 +75,19 @@ class TestEngineProfiling:
     def test_hot_phases_dominate(self, hard_problem):
         """Branching and bounding are the B&B's real work; together they
         must dwarf the bookkeeping phases on a genuine search."""
-        res, _ = profiled_solve(hard_problem)
+        res, _ = profiled_solve(hard_problem, _REFERENCE)
         d = res.profile.to_dict()
         work = d["branch"] + d["bound"]
         assert work > d["select"]
         assert work > d["goal-eval"]
 
     def test_summary_includes_breakdown(self, hard_problem):
-        res, _ = profiled_solve(hard_problem)
+        res, _ = profiled_solve(hard_problem, _REFERENCE)
         assert "profile:" in res.summary()
         assert "bound=" in res.summary()
 
     def test_counts_track_loop_iterations(self, hard_problem):
-        res, prof = profiled_solve(hard_problem)
+        res, prof = profiled_solve(hard_problem, _REFERENCE)
         # One select lap per pop (explored + pruned-stale + final None).
         assert prof.counts["select"] >= res.stats.explored
         # One bound lap per generated child (root excluded).

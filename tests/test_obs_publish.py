@@ -174,14 +174,20 @@ def test_parallel_trace_profile_ends_at_the_result(
 
 
 @pytest.mark.parametrize("seed", HARD_SEEDS)
-@pytest.mark.parametrize("fused", [True, False], ids=["fused", "reference"])
-def test_trace_files_duplicates_apart_from_dominance(seed, fused):
-    params = BnBParameters(dominance=StateDominance()).with_transposition()
+@pytest.mark.parametrize(
+    "engine", ["object", "reference"], ids=["fused", "reference"]
+)
+def test_trace_files_duplicates_apart_from_dominance(seed, engine):
+    params = BnBParameters(
+        dominance=StateDominance(), engine=engine
+    ).with_transposition()
     sink = MemorySink()
     result = BranchAndBound(
-        params, obs=Observability(sink=sink), fused=fused
+        params, obs=Observability(sink=sink)
     ).solve(hard_problem(seed))
-    assert result.stats.engine_path == ("fused" if fused else "reference")
+    assert result.stats.engine_path == (
+        "fused" if engine == "object" else "reference"
+    )
     traced: dict[str, int] = {}
     for event in sink.of_kind("prune"):
         cause = event["cause"]
@@ -206,7 +212,7 @@ def test_parallel_stop_before_dispatch_keeps_the_shallow_incumbent():
     assert result.found_solution
     assert result.best_cost == shallow.best_cost
     assert result.stats.generated == shallow.stats.generated
-    assert solver.last_report.workers == 0
+    assert solver.last_report.joins == 0
     (summary,) = obs.sink.of_kind("summary")
     assert summary["status"] == "interrupted"
     assert lines[-1].startswith("[repro] done: interrupted;")

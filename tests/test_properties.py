@@ -211,7 +211,7 @@ def test_bound_hierarchy_at_every_searched_vertex(prob):
     search-visited set, not just randomly sampled reachable states."""
     spy = _HierarchySpy()
     res = BranchAndBound(
-        BnBParameters(lower_bound=spy), fused=False
+        BnBParameters(lower_bound=spy, engine="reference")
     ).solve(prob)
     # The reference path bounds every generated vertex.
     assert spy.checked >= res.stats.generated - 1

@@ -16,7 +16,7 @@ from repro.errors import ConfigurationError
 
 
 def _shard(index: int, lb: float = 1.0) -> Shard:
-    return Shard(index, ("state", index), lb, 10.0, 1000.0)
+    return Shard(index, ("state", index), lb)
 
 
 # ---------------------------------------------------------------------------
