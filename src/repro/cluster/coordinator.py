@@ -70,11 +70,6 @@ from ..core.engine import (
 from ..core.params import BnBParameters
 from ..core.shards import BackoffPolicy, FrontierCollector, RetryQueue, Shard
 from ..core.stats import SearchStats
-from ..core.transposition import (
-    PayloadCodec,
-    SharedTranspositionTable,
-    find_transposition,
-)
 from ..errors import ClusterError, ConfigurationError, TransportClosed
 from ..model.compile import compile_problem
 from ..obs import Observability
@@ -166,7 +161,7 @@ class _Dispatch:
     def __init__(
         self, coordinator: "ClusterCoordinator", problem, fingerprint: str,
         merged: SearchStats, live: list[Shard], budget: float,
-        incumbent0: float, best: tuple, origin: tuple, shared_tt,
+        incumbent0: float, best: tuple, origin: tuple,
     ) -> None:
         self.coord = coordinator
         self.problem = problem
@@ -203,7 +198,6 @@ class _Dispatch:
         self.local: dict = {}
         self.spawned = 0
         self.slots = min(coordinator.local_workers, len(live))
-        self.tt_handle = shared_tt.handle() if shared_tt is not None else None
         self.listener = None
         self.memberless_since = time.monotonic()
         self.next_sample = 0.0
@@ -381,7 +375,7 @@ class _Dispatch:
             child = self.listener.pair()
             proc = multiprocessing.Process(
                 target=run_local_worker,
-                args=(child, worker_id, self.coord.fault_plan, self.tt_handle),
+                args=(child, worker_id, self.coord.fault_plan),
                 name=worker_id,
                 daemon=True,
             )
@@ -823,187 +817,179 @@ class ClusterCoordinator:
         return self.solve(compile_problem(graph, platform))
 
     def solve(self, problem) -> BnBResult:
-        tt_rule = find_transposition(self.params.dominance)
-        shared_tt = None
-        if tt_rule is not None and self.local_workers:
-            # One lock-striped shared table for the whole solve: the
-            # shallow pass seeds it, local workers prune against (and
-            # feed) it.  The coordinator owns its lifetime.
-            shared_tt = SharedTranspositionTable.create(
-                tt_rule.table_bytes,
-                PayloadCodec.for_problem(problem),
-            )
-            tt_rule.bind_shared(shared_tt)
         try:
-            return self._solve(problem, shared_tt)
+            params = self.params
+            obs = self.obs
+            fingerprint = problem_fingerprint(problem, params)
+            snap = self.resume
+            if snap is not None:
+                snap.require_match(fingerprint)
+            # As in the engine: a snapshot keeps the table's counters apart,
+            # and its elapsed is the base of the solve's clock, so a resumed
+            # TIMELIMIT counts the time spent before the restart.
+            merged = SearchStats() if snap is None else SearchStats.from_dict(
+                snap.stats | (snap.tt or {})
+            )
+            merged.start_clock()
+            boundary = Boundary(
+                stats=merged,
+                rb=params.resources,
+                cadence=1,  # serviced once per loop tick
+                inaccuracy=params.inaccuracy,
+                prunes_active=False,
+                stop=self.stop,
+                checkpoint=self.checkpoint,
+                metrics=obs.metrics if obs is not None else None,
+                sink=obs.event_sink() if obs is not None else None,
+            )
+            shallow_engine = ("", None)
+            if snap is not None:
+                best = (snap.found_cost, snap.best_proc, snap.best_start)
+                origin = (snap.initial_upper_bound, snap.incumbent_source)
+                incumbent0 = snap.incumbent_cost
+                shards = [
+                    Shard(int(seq), state, lb)
+                    for state, lb, seq in snap.frontier
+                ]
+                if self.checkpoint is not None:
+                    self.checkpoint.resume_from(snap)
+                announce_start(obs, problem, params, incumbent0)
+            else:
+                # The shallow pass is part of this solve, not a solve of its
+                # own: it reports nothing, and the coordinator publishes the
+                # whole solve once, at the end.
+                collector = FrontierCollector(self.split_depth)
+                shallow = BranchAndBound(params).solve(
+                    problem, dispatcher=collector
+                )
+                shards = collector.shards
+                announce_start(
+                    obs, problem, params, shallow.initial_upper_bound
+                )
+                merged.absorb(shallow.stats)
+                if shallow.incumbent_source == "search":
+                    trace_incumbent(
+                        obs.sink if obs is not None else None,
+                        shallow.best_cost, merged,
+                    )
+                # A pass cut short leaves open vertices that no shard holds:
+                # its own result stands, with the shards' bounds in its open
+                # bound, and no shard is dispatched or snapshotted.
+                cut_short = shallow.open_lower_bound is not None
+                if (
+                    not shards
+                    or shallow.status is SolveStatus.TARGET_REACHED
+                    or cut_short
+                ):
+                    if cut_short:
+                        stats = shallow.stats
+                        boundary.stopped(
+                            "TIMELIMIT" if stats.time_limit_hit
+                            else "MEMLIMIT" if stats.memory_limit_hit
+                            else "MAXVERT",
+                            f"{stats.generated} generated in the shallow pass",
+                        )
+                        shallow = replace(shallow, open_lower_bound=min(
+                            [shallow.open_lower_bound]
+                            + [s.lower_bound for s in shards]
+                        ))
+                    self.last_report = ClusterReport(
+                        0, 0, 0, 0, len(shards), 0, 0, (), False, 0
+                    )
+                    publish(shallow, obs, active=len(shards))
+                    return shallow
+                best = (shallow.best_cost, shallow.proc_of, shallow.start)
+                origin = (
+                    shallow.initial_upper_bound, shallow.incumbent_source
+                )
+                incumbent0 = min(
+                    shallow.best_cost, shallow.initial_upper_bound
+                )
+                # The tier line reports what the workers ran; the shallow
+                # pass's own tier stands only if no shard result arrives.
+                shallow_engine = (merged.engine_path, merged.engine_fallback)
+                merged.engine_path, merged.engine_fallback = "", None
+
+            threshold0 = pruning_threshold(incumbent0, params.inaccuracy)
+            live = [
+                s for s in shards
+                if not params.elimination.should_prune(
+                    s.lower_bound, threshold0
+                )
+            ]
+            merged.pruned_active += len(shards) - len(live)
+            budget = params.resources.max_vertices - merged.generated
+            dispatch = _Dispatch(
+                self, problem, fingerprint, merged, live, budget, incumbent0,
+                best, origin,
+            )
+            # Built at solve entry, the boundary only now has a search to save.
+            boundary.snapshot = dispatch.snapshot
+            if snap is not None:
+                announce_resume(
+                    dispatch.sink, dispatch.metrics, snap, merged, len(live),
+                    incumbent0,
+                )
+            stop_kind = None
+            if budget <= 0:
+                stop_kind = "MAXVERT"
+            elif live:
+                stop_kind = dispatch.run(boundary)
+            if stop_kind == "MAXVERT":
+                boundary.stopped("MAXVERT", f"{merged.generated} generated")
+                merged.truncated = True
+            pending = dispatch.pending
+            if pending.quarantined or (pending and not dispatch.target):
+                merged.truncated = True
+            # Worker stats say "interrupted" for shards the stop below cut
+            # short; only the coordinator knows whether the solve was.
+            merged.interrupted = stop_kind == "INTERRUPTED"
+            if not merged.engine_path:
+                merged.engine_path, merged.engine_fallback = shallow_engine
+            merged.stop_clock()
+
+            cost, proc, start = dispatch.best
+            status = BranchAndBound._status(
+                params, merged, dispatch.target, proc is not None
+            )
+            open_lower_bound, checkpoint_path = anytime_wrap_up(
+                boundary, dispatch.open
+            )
+            members = dispatch.members
+            self.last_report = ClusterReport(
+                joins=members.joins,
+                leaves=members.leaves,
+                lease_expiries=members.lease_expiries,
+                steals=dispatch.steals,
+                shards=len(shards),
+                shards_stale=(len(shards) - len(live)) + dispatch.stale,
+                shard_retries=pending.retries,
+                quarantined=tuple(pending.quarantined),
+                resumed=snap is not None,
+                checkpoint_writes=(
+                    self.checkpoint.writes
+                    if self.checkpoint is not None else 0
+                ),
+                worker_restarts=dispatch.worker_restarts,
+            )
+            result = BnBResult(
+                problem=problem,
+                params=params,
+                status=status,
+                best_cost=dispatch.found_cost,
+                proc_of=proc,
+                start=start,
+                incumbent_source=dispatch.incumbent_source,
+                initial_upper_bound=origin[0],
+                stats=merged,
+                open_lower_bound=open_lower_bound,
+                checkpoint_path=checkpoint_path,
+            )
+            publish(result, obs, active=len(dispatch.open))
+            return result
         finally:
             # Also closes a listener bind_now() opened for a solve the
             # shallow pass finished: a waiting worker sees EOF at once.
             if self._listener is not None:
                 self._listener.close()
                 self._listener = None
-            if shared_tt is not None:
-                tt_rule.bind_shared(None)
-                shared_tt.close()
-
-    def _solve(self, problem, shared_tt) -> BnBResult:
-        params = self.params
-        obs = self.obs
-        fingerprint = problem_fingerprint(problem, params)
-        snap = self.resume
-        if snap is not None:
-            snap.require_match(fingerprint)
-        # As in the engine: a snapshot keeps the table's counters apart,
-        # and its elapsed is the base of the solve's clock, so a resumed
-        # TIMELIMIT counts the time spent before the restart.
-        merged = SearchStats() if snap is None else SearchStats.from_dict(
-            snap.stats | (snap.tt or {})
-        )
-        merged.start_clock()
-        boundary = Boundary(
-            stats=merged,
-            rb=params.resources,
-            cadence=1,  # serviced once per loop tick
-            inaccuracy=params.inaccuracy,
-            prunes_active=False,
-            stop=self.stop,
-            checkpoint=self.checkpoint,
-            metrics=obs.metrics if obs is not None else None,
-            sink=obs.event_sink() if obs is not None else None,
-        )
-        shallow_engine = ("", None)
-        if snap is not None:
-            best = (snap.found_cost, snap.best_proc, snap.best_start)
-            origin = (snap.initial_upper_bound, snap.incumbent_source)
-            incumbent0 = snap.incumbent_cost
-            shards = [
-                Shard(int(seq), state, lb)
-                for state, lb, seq in snap.frontier
-            ]
-            if self.checkpoint is not None:
-                self.checkpoint.resume_from(snap)
-            announce_start(obs, problem, params, incumbent0)
-        else:
-            # The shallow pass is part of this solve, not a solve of its
-            # own: it reports nothing, and the coordinator publishes the
-            # whole solve once, at the end.
-            collector = FrontierCollector(self.split_depth)
-            shallow = BranchAndBound(params).solve(
-                problem, dispatcher=collector
-            )
-            shards = collector.shards
-            announce_start(obs, problem, params, shallow.initial_upper_bound)
-            merged.absorb(shallow.stats)
-            if shallow.incumbent_source == "search":
-                trace_incumbent(
-                    obs.sink if obs is not None else None,
-                    shallow.best_cost, merged,
-                )
-            # A pass cut short leaves open vertices that no shard holds:
-            # its own result stands, with the shards' bounds in its open
-            # bound, and no shard is dispatched or snapshotted.
-            cut_short = shallow.open_lower_bound is not None
-            if (
-                not shards
-                or shallow.status is SolveStatus.TARGET_REACHED
-                or cut_short
-            ):
-                if cut_short:
-                    stats = shallow.stats
-                    boundary.stopped(
-                        "TIMELIMIT" if stats.time_limit_hit
-                        else "MEMLIMIT" if stats.memory_limit_hit
-                        else "MAXVERT",
-                        f"{stats.generated} generated in the shallow pass",
-                    )
-                    shallow = replace(shallow, open_lower_bound=min(
-                        [shallow.open_lower_bound]
-                        + [s.lower_bound for s in shards]
-                    ))
-                self.last_report = ClusterReport(
-                    0, 0, 0, 0, len(shards), 0, 0, (), False, 0
-                )
-                publish(shallow, obs, active=len(shards))
-                return shallow
-            best = (shallow.best_cost, shallow.proc_of, shallow.start)
-            origin = (shallow.initial_upper_bound, shallow.incumbent_source)
-            incumbent0 = min(shallow.best_cost, shallow.initial_upper_bound)
-            # The tier line reports what the workers ran; the shallow
-            # pass's own tier stands only if no shard result arrives.
-            shallow_engine = (merged.engine_path, merged.engine_fallback)
-            merged.engine_path, merged.engine_fallback = "", None
-
-        threshold0 = pruning_threshold(incumbent0, params.inaccuracy)
-        live = [
-            s for s in shards
-            if not params.elimination.should_prune(s.lower_bound, threshold0)
-        ]
-        merged.pruned_active += len(shards) - len(live)
-        budget = params.resources.max_vertices - merged.generated
-        dispatch = _Dispatch(
-            self, problem, fingerprint, merged, live, budget, incumbent0,
-            best, origin, shared_tt,
-        )
-        # Built at solve entry, the boundary only now has a search to save.
-        boundary.snapshot = dispatch.snapshot
-        if snap is not None:
-            announce_resume(
-                dispatch.sink, dispatch.metrics, snap, merged, len(live),
-                incumbent0,
-            )
-        stop_kind = None
-        if budget <= 0:
-            stop_kind = "MAXVERT"
-        elif live:
-            stop_kind = dispatch.run(boundary)
-        if stop_kind == "MAXVERT":
-            boundary.stopped("MAXVERT", f"{merged.generated} generated")
-            merged.truncated = True
-        pending = dispatch.pending
-        if pending.quarantined or (pending and not dispatch.target):
-            merged.truncated = True
-        # Worker stats say "interrupted" for shards the stop below cut
-        # short; only the coordinator knows whether the solve was.
-        merged.interrupted = stop_kind == "INTERRUPTED"
-        if not merged.engine_path:
-            merged.engine_path, merged.engine_fallback = shallow_engine
-        merged.stop_clock()
-
-        cost, proc, start = dispatch.best
-        status = BranchAndBound._status(
-            params, merged, dispatch.target, proc is not None
-        )
-        open_lower_bound, checkpoint_path = anytime_wrap_up(
-            boundary, dispatch.open
-        )
-        members = dispatch.members
-        self.last_report = ClusterReport(
-            joins=members.joins,
-            leaves=members.leaves,
-            lease_expiries=members.lease_expiries,
-            steals=dispatch.steals,
-            shards=len(shards),
-            shards_stale=(len(shards) - len(live)) + dispatch.stale,
-            shard_retries=pending.retries,
-            quarantined=tuple(pending.quarantined),
-            resumed=snap is not None,
-            checkpoint_writes=(
-                self.checkpoint.writes if self.checkpoint is not None else 0
-            ),
-            worker_restarts=dispatch.worker_restarts,
-        )
-        result = BnBResult(
-            problem=problem,
-            params=params,
-            status=status,
-            best_cost=dispatch.found_cost,
-            proc_of=proc,
-            start=start,
-            incumbent_source=dispatch.incumbent_source,
-            initial_upper_bound=origin[0],
-            stats=merged,
-            open_lower_bound=open_lower_bound,
-            checkpoint_path=checkpoint_path,
-        )
-        publish(result, obs, active=len(dispatch.open))
-        return result

@@ -9,8 +9,9 @@ notice, and the coordinator's lease/retry machinery absorbs both.
 The same worker serves both deployments: a remote process that dials
 the coordinator over TCP (``repro cluster worker``), and a local
 process the coordinator spawns itself over a socketpair
-(:func:`run_local_worker`, ``repro solve --workers N``).  A local
-worker also binds the coordinator's shared transposition table.
+(:func:`run_local_worker`, ``repro solve --workers N``).  Either
+searches each shard as one solve, on a transposition table of its own
+when the parameters ask for one.
 
 Liveness is woven into the search itself: the engine polls its bound
 channel at every chunk boundary, and the cluster channel uses that
@@ -42,7 +43,6 @@ import time
 from ..core.checkpoint import StopToken, problem_fingerprint
 from ..core.elimination import pruning_threshold
 from ..core.engine import BranchAndBound, SolveStatus, SubtreeSpec
-from ..core.transposition import SharedTranspositionTable, find_transposition
 from ..errors import ClusterError, TransportClosed
 from . import protocol
 from .transport import (
@@ -273,22 +273,11 @@ class ClusterWorker:
 
     # -- the shard loop -----------------------------------------------------
 
-    def run(self, shared_tt: tuple | None = None) -> int:
-        """Serve shards until stop/EOF; returns shards completed.
-
-        ``shared_tt`` is the :meth:`SharedTranspositionTable.handle` of
-        the coordinator's table, which a local worker binds after the
-        handshake; without it a transposition rule uses a table local
-        to this process.
-        """
+    def run(self) -> int:
+        """Serve shards until stop/EOF; returns shards completed."""
         self._conn = self._connect()
         try:
             problem, params, fingerprint = self._handshake()
-            tt_rule = find_transposition(params.dominance)
-            if tt_rule is not None and shared_tt is not None:
-                tt_rule.bind_shared(
-                    SharedTranspositionTable.from_handle(shared_tt)
-                )
             self._serve(problem, params, fingerprint)
         except (_WorkerDied, TransportClosed):
             pass  # injected death or coordinator gone: just exit
@@ -393,7 +382,7 @@ class ClusterWorker:
             self._engine_stop = None
 
 
-def run_local_worker(sock, worker_id: str, fault_plan, shared_tt) -> None:
+def run_local_worker(sock, worker_id: str, fault_plan) -> None:
     """Process entry of a worker the coordinator spawned itself.
 
     ``sock`` is the child end of a
@@ -407,4 +396,4 @@ def run_local_worker(sock, worker_id: str, fault_plan, shared_tt) -> None:
         transport=SocketPairTransport(sock),
         worker_id=worker_id,
         fault_plan=fault_plan,
-    ).run(shared_tt)
+    ).run()

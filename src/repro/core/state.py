@@ -461,10 +461,6 @@ class AOState(SearchState):
     # Queries
     # ------------------------------------------------------------------
 
-    @property
-    def allocation_complete(self) -> bool:
-        return self.alloc_count == self.problem.n
-
     def used_processors(self) -> int:
         """Processors holding at least one allocated task."""
         return sum(1 for msk in self.aproc_mask if msk)

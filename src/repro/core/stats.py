@@ -124,9 +124,10 @@ class SearchStats:
         """Fold a sub-search's counters into this run's totals.
 
         Used by the shard coordinator when merging the shallow pass and
-        per-worker results.  ``peak_active`` and ``tt_capacity`` keep
-        the largest single value; the other ``tt_*`` counters sum (on a
-        shared table each event happens in exactly one process).
+        per-worker results.  ``peak_active``, ``tt_filled`` and
+        ``tt_capacity`` keep the largest single value (each sub-search
+        fills a table of its own, so the fill stays within capacity);
+        the other ``tt_*`` counters sum.
         ``elapsed`` is deliberately not merged — the caller's wall clock
         already spans the sub-searches (across processes, the sums
         would exceed the wall clock).
@@ -144,9 +145,11 @@ class SearchStats:
         if other.peak_active > self.peak_active:
             self.peak_active = other.peak_active
         for key in TT_COUNTERS:
-            if key != "tt_capacity":
-                setattr(self, key, getattr(self, key) + getattr(other, key))
-        self.tt_capacity = max(self.tt_capacity, other.tt_capacity)
+            mine, theirs = getattr(self, key), getattr(other, key)
+            if key in ("tt_filled", "tt_capacity"):
+                setattr(self, key, max(mine, theirs))
+            else:
+                setattr(self, key, mine + theirs)
         self.time_limit_hit = self.time_limit_hit or other.time_limit_hit
         self.truncated = self.truncated or other.truncated
         self.interrupted = self.interrupted or other.interrupted

@@ -43,18 +43,12 @@ Table engineering
     entry for a newcomer no deeper than it and rejecting a newcomer
     deeper than everything resident.
 
-Sharing across processes
-    :class:`SharedTranspositionTable` keeps the same geometry in a
-    ``multiprocessing.shared_memory`` segment so the shards of a
-    parallel solve stop re-exploring each other's states.  Writers serialize on
-    a striped lock (one per bucket); readers are lock-free under a
-    per-record seqlock.  **Racy-read / safe-prune contract**: a prune is
-    issued only from a payload read whose seqlock version was even and
-    unchanged across the read (a consistent snapshot) and whose bytes
-    equal the probe's exact payload; any torn or ambiguous read falls
-    back to the striped lock, where a consistent re-scan decides.  A
-    racing insert can thus at worst be *missed* (the state is explored
-    twice — wasteful, never wrong).
+One table per search
+    Every solve builds its own table and frees it with the solve; a
+    cluster worker searches each shard that way too.  No entry outlives
+    the search that inserted it, so a shard retried after its worker
+    died starts from an empty table and cannot prune its own subtree
+    as "seen before".
 """
 
 from __future__ import annotations
@@ -75,7 +69,6 @@ from .state import (
 __all__ = [
     "PayloadCodec",
     "TranspositionTable",
-    "SharedTranspositionTable",
     "TranspositionDominance",
     "child_signature",
     "find_transposition",
@@ -139,13 +132,6 @@ class PayloadCodec:
     def for_problem(cls, problem) -> "PayloadCodec":
         return cls(problem.n, problem.m, problem.uniform_delay is not None)
 
-    def matches_problem(self, problem) -> bool:
-        return (
-            self.n == problem.n
-            and self.m == problem.m
-            and self.uniform == (problem.uniform_delay is not None)
-        )
-
     def pack(
         self,
         scheduled_mask: int,
@@ -201,34 +187,8 @@ def _geometry(table_bytes: int, entry_cost: int) -> int:
     return nbuckets
 
 
-class _CountersMixin:
-    """Process-local probe counters shared by both table variants."""
-
-    def _init_counters(self) -> None:
-        # ``filled`` counts this process's fills of empty slots, so on a
-        # shared table the processes' counts sum to the table's fill.
-        self.hits = 0
-        self.misses = 0
-        self.inserts = 0
-        self.evictions = 0
-        self.rejects = 0
-        self.collisions = 0
-        self.filled = 0
-
-    def counters_dict(self) -> dict[str, int]:
-        return {
-            "tt_hits": self.hits,
-            "tt_misses": self.misses,
-            "tt_inserts": self.inserts,
-            "tt_evictions": self.evictions,
-            "tt_rejects": self.rejects,
-            "tt_collisions": self.collisions,
-            "tt_filled": self.filled,
-        }
-
-
-class TranspositionTable(_CountersMixin):
-    """In-process memory-bounded duplicate store (8-way set-associative).
+class TranspositionTable:
+    """Memory-bounded duplicate store (8-way set-associative).
 
     ``probe(h, depth, payload)`` answers "was an exactly-equal state
     seen before?" and records the state when not.  ``payload`` is a
@@ -251,7 +211,13 @@ class TranspositionTable(_CountersMixin):
         self._hash = array("Q", bytes(8 * self.slots))
         self._depth = bytearray(self.slots)
         self._payload: list[bytes | None] = [None] * self.slots
-        self._init_counters()
+        self.hits = 0
+        self.misses = 0
+        self.inserts = 0
+        self.evictions = 0
+        self.rejects = 0
+        self.collisions = 0
+        self.filled = 0
 
     @property
     def bytes_estimate(self) -> int:
@@ -312,232 +278,16 @@ class TranspositionTable(_CountersMixin):
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory variant
-# ---------------------------------------------------------------------------
-
-#: Segment header: magic, n, m, uniform flag, bucket count, payload length.
-_HEADER = struct.Struct("<8sIIIQI")
-_MAGIC = b"RPTTBL01"
-
-
-class SharedTranspositionTable(_CountersMixin):
-    """The set-associative store in a ``multiprocessing.shared_memory``
-    segment, shared by every shard of a parallel solve.
-
-    Record layout per slot: ``hash`` (8 bytes, 0 = empty), ``version``
-    (4-byte seqlock word: odd while a writer is mid-update), ``depth``
-    (1), 3 padding bytes, then the fixed-size payload.  All writes
-    happen under the bucket's stripe lock and bump the version to odd
-    first and back to even last; the lock-free read path re-checks the
-    version around its hash + payload read and accepts only an even,
-    unchanged version.  See the module docstring
-    for the racy-read/safe-prune contract.
-
-    Probe counters are process-local (each worker reports its own view);
-    only the slot contents are shared.
-    """
-
-    _META = 16  # hash + version + depth + padding
-
-    def __init__(self, shm, locks, codec: PayloadCodec) -> None:
-        self.shm = shm
-        self.locks = locks
-        self.codec = codec
-        self.record = self._META + codec.payload_len
-        buf = shm.buf
-        magic, n, m, uniform, nbuckets, plen = _HEADER.unpack_from(buf, 0)
-        if magic != _MAGIC:
-            raise ConfigurationError(
-                "shared transposition segment has an unrecognized header"
-            )
-        if (n, m, bool(uniform), plen) != (
-            codec.n,
-            codec.m,
-            codec.uniform,
-            codec.payload_len,
-        ):
-            raise ConfigurationError(
-                "shared transposition segment geometry does not match the "
-                "problem being solved"
-            )
-        self.nbuckets = nbuckets
-        self.slots = nbuckets * WAYS
-        self._buf = buf
-        self._init_counters()
-
-    # -- lifecycle ------------------------------------------------------
-
-    @classmethod
-    def create(
-        cls,
-        table_bytes: int,
-        codec: PayloadCodec,
-        ctx=None,
-    ) -> "SharedTranspositionTable":
-        from multiprocessing import get_context, shared_memory
-
-        record = cls._META + codec.payload_len
-        nbuckets = _geometry(table_bytes, record)
-        size = _HEADER.size + nbuckets * WAYS * record
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        # POSIX shared memory is zero-initialized: every hash word reads
-        # 0 (empty) and every seqlock version reads 0 (even/stable).
-        _HEADER.pack_into(
-            shm.buf,
-            0,
-            _MAGIC,
-            codec.n,
-            codec.m,
-            int(codec.uniform),
-            nbuckets,
-            codec.payload_len,
-        )
-        ctx = ctx or get_context()
-        locks = tuple(ctx.Lock() for _ in range(min(64, nbuckets)))
-        table = cls(shm, locks, codec)
-        table._owner = True
-        return table
-
-    @classmethod
-    def attach(
-        cls, name: str, locks, codec: PayloadCodec
-    ) -> "SharedTranspositionTable":
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-        table = cls(shm, locks, codec)
-        table._owner = False
-        return table
-
-    def close(self, *, unlink: bool | None = None) -> None:
-        # memoryview slices must be released before the segment closes.
-        self._buf = None
-        if unlink is None:
-            unlink = getattr(self, "_owner", False)
-        try:
-            self.shm.close()
-            if unlink:
-                self.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-    @property
-    def bytes_estimate(self) -> int:
-        return _HEADER.size + self.slots * self.record
-
-    # -- probing --------------------------------------------------------
-
-    def probe(self, h: int, depth: int, payload) -> bool:
-        h &= _MASK64
-        if h == 0:
-            h = 1
-        bucket = h & (self.nbuckets - 1)
-        base = _HEADER.size + bucket * WAYS * self.record
-        buf = self._buf
-        rec = self.record
-        plen = self.codec.payload_len
-        pay = None
-
-        # Lock-free fast path: prune only from a seqlock-consistent
-        # snapshot whose payload bytes match exactly.
-        for w in range(WAYS):
-            off = base + w * rec
-            eh = int.from_bytes(buf[off : off + 8], "little")
-            if eh == 0:
-                break
-            if eh != h:
-                continue
-            v1 = int.from_bytes(buf[off + 8 : off + 12], "little")
-            if v1 & 1:
-                continue  # writer mid-update; the locked path decides
-            if pay is None:
-                pay = payload()
-            stored = bytes(buf[off + self._META : off + self._META + plen])
-            v2 = int.from_bytes(buf[off + 8 : off + 12], "little")
-            if v1 == v2 and stored == pay:
-                self.hits += 1
-                return True
-
-        if pay is None:
-            pay = payload()
-        if depth > 255:
-            depth = 255
-        lock = self.locks[bucket % len(self.locks)]
-        with lock:
-            empty = -1
-            for w in range(WAYS):
-                off = base + w * rec
-                eh = int.from_bytes(buf[off : off + 8], "little")
-                if eh == 0:
-                    empty = w
-                    break
-                if eh == h:
-                    stored = bytes(
-                        buf[off + self._META : off + self._META + plen]
-                    )
-                    if stored == pay:
-                        self.hits += 1
-                        return True
-                    self.collisions += 1
-            self.misses += 1
-            if empty >= 0:
-                self._write_slot(base + empty * rec, h, depth, pay)
-                self.filled += 1
-                self.inserts += 1
-                return False
-            # Depth-preferred replacement, as in TranspositionTable.
-            victim = 0
-            worst_depth = buf[base + 12]
-            for w in range(1, WAYS):
-                d = buf[base + w * rec + 12]
-                if d > worst_depth:
-                    worst_depth = d
-                    victim = w
-            if depth > worst_depth:
-                self.rejects += 1
-                return False
-            self._write_slot(base + victim * rec, h, depth, pay)
-            self.inserts += 1
-            self.evictions += 1
-            return False
-
-    def _write_slot(self, off: int, h: int, depth: int, pay: bytes) -> None:
-        buf = self._buf
-        ver = int.from_bytes(buf[off + 8 : off + 12], "little")
-        buf[off + 8 : off + 12] = ((ver + 1) & 0xFFFFFFFF).to_bytes(4, "little")
-        buf[off : off + 8] = h.to_bytes(8, "little")
-        buf[off + 12] = depth
-        buf[off + self._META : off + self._META + len(pay)] = pay
-        buf[off + 8 : off + 12] = ((ver + 2) & 0xFFFFFFFF).to_bytes(4, "little")
-
-    # -- worker plumbing ------------------------------------------------
-
-    def handle(self) -> tuple:
-        """Picklable (name, locks, codec params) for a worker process."""
-        return (
-            self.shm.name,
-            self.locks,
-            (self.codec.n, self.codec.m, self.codec.uniform),
-        )
-
-    @classmethod
-    def from_handle(cls, handle: tuple) -> "SharedTranspositionTable":
-        name, locks, (n, m, uniform) = handle
-        return cls.attach(name, locks, PayloadCodec(n, m, uniform))
-
-
-# ---------------------------------------------------------------------------
 # Dominance-seam integration
 # ---------------------------------------------------------------------------
 
 
 class _TranspositionChecker(DominanceChecker):
-    """Per-solve checker over a (local or shared) transposition table.
+    """Per-solve checker over its own transposition table.
 
-    A local table lives exactly as long as its checker, i.e. one solve.
-    :meth:`telemetry` reports this solve's counters: deltas against the
-    table's state at bind time (a shared table outlives solves), plus
-    the table's ``tt_capacity``.
+    The table lives exactly as long as its checker, i.e. one solve, so
+    :meth:`telemetry` reports the table's counters as they stand, plus
+    its ``tt_capacity``.
 
     Honours the replay-consistent observation contract:
     :meth:`probe_placement` performs bit-for-bit the same signature
@@ -553,13 +303,11 @@ class _TranspositionChecker(DominanceChecker):
         self.duplicate_pruned = 0
         self._table = None
         self._codec = None
-        self._base: dict[str, int] = {}
 
     def _bind(self, problem):
         table = self.rule.table_for(problem)
         self._table = table
         self._codec = table.codec
-        self._base = dict(table.counters_dict())
         return table
 
     def is_dominated(self, state: SearchState) -> bool:
@@ -593,14 +341,19 @@ class _TranspositionChecker(DominanceChecker):
         return dup
 
     def telemetry(self) -> dict[str, int]:
-        out: dict[str, int] = {}
         table = self._table
-        if table is not None:
-            base = self._base
-            for key, value in table.counters_dict().items():
-                out[key] = value - base[key]
-            out["tt_capacity"] = table.slots
-        return out
+        if table is None:
+            return {}
+        return {
+            "tt_hits": table.hits,
+            "tt_misses": table.misses,
+            "tt_inserts": table.inserts,
+            "tt_evictions": table.evictions,
+            "tt_rejects": table.rejects,
+            "tt_collisions": table.collisions,
+            "tt_filled": table.filled,
+            "tt_capacity": table.slots,
+        }
 
 
 class TranspositionDominance(DominanceRule):
@@ -609,14 +362,10 @@ class TranspositionDominance(DominanceRule):
     Plugs into ``BnBParameters.dominance`` (alone, or composed with
     :class:`~repro.core.dominance.StateDominance` via
     :class:`~repro.core.dominance.ChainedDominance`).  Each solve gets a
-    fresh local :class:`TranspositionTable` sized by ``table_bytes``,
-    freed with the solve; the parallel driver instead binds one
-    :class:`SharedTranspositionTable` via :meth:`bind_shared` so all
-    shards prune against the same store.  A solve's table counters
-    arrive on its ``SearchStats`` (``tt_*``), not on the rule.
-
-    The bound shared table does not survive pickling — workers re-bind
-    after transport.
+    fresh :class:`TranspositionTable` sized by ``table_bytes``, freed
+    with the solve; a cluster worker's shard is one such solve.  A
+    solve's table counters arrive on its ``SearchStats`` (``tt_*``), not
+    on the rule, which holds nothing but ``table_bytes``.
     """
 
     name = "transposition"
@@ -625,32 +374,14 @@ class TranspositionDominance(DominanceRule):
         if table_bytes < 1:
             raise ConfigurationError("table_bytes must be positive")
         self.table_bytes = table_bytes
-        self._shared: SharedTranspositionTable | None = None
 
     def fresh(self) -> DominanceChecker:
         return _TranspositionChecker(self)
 
-    def bind_shared(self, table: SharedTranspositionTable | None) -> None:
-        self._shared = table
-
-    def table_for(self, problem):
-        shared = self._shared
-        if shared is not None:
-            if not shared.codec.matches_problem(problem):
-                raise ConfigurationError(
-                    "bound shared transposition table was created for a "
-                    "different problem geometry"
-                )
-            return shared
+    def table_for(self, problem) -> TranspositionTable:
         return TranspositionTable(
             self.table_bytes, PayloadCodec.for_problem(problem)
         )
-
-    def __getstate__(self):
-        return {"table_bytes": self.table_bytes}
-
-    def __setstate__(self, state):
-        self.__init__(**state)
 
     def __repr__(self) -> str:
         return f"TranspositionDominance(table_bytes={self.table_bytes})"

@@ -162,10 +162,6 @@ class ZeroCost(Interconnect):
         return 0.0
 
 
-def _is_power_of_two(x: int) -> bool:
-    return x > 0 and (x & (x - 1)) == 0
-
-
 def square_mesh(num_processors: int, delay_per_hop: float = 1.0) -> Mesh2D:
     """Build the most square mesh holding exactly ``num_processors`` nodes."""
     side = int(math.isqrt(num_processors))

@@ -7,14 +7,14 @@ Covers the three halves of the subsystem separately and together:
   interconnects (and deliberate label sensitivity on non-uniform ones),
   and the packed-payload codec;
 * the memory-bounded table — hit/miss/insert accounting, hash-collision
-  verification, the capacity bound and depth-preferred replacement,
-  plus the shared-memory variant's create/attach/probe lifecycle;
+  verification, the capacity bound and depth-preferred replacement;
 * engine integration — a full differential sweep over the ⟨B,S,E,L⟩
   registry asserting the table never changes the reported cost and
   never increases the searched-vertex count, fused/reference parity
   with the table on, composition with :class:`StateDominance`, one
   table per solve (freed with it, its counters on the solve's stats),
-  and the parallel driver's shared-table mode.
+  and the parallel driver, whose workers search each shard on a private
+  table.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.core.state import root_state
 from repro.core.transposition import (
     WAYS,
     PayloadCodec,
-    SharedTranspositionTable,
     TranspositionDominance,
     TranspositionTable,
     child_signature,
@@ -227,62 +226,11 @@ def test_unknown_policy_rejected():
         BnBParameters().with_transposition(policy="depth")
 
 
-def test_shared_table_create_attach_probe():
-    codec = _codec()
-    owner = SharedTranspositionTable.create(1 << 16, codec)
-    try:
-        assert owner.probe(11, 1, lambda: _pay(11, codec)) is False
-        other = SharedTranspositionTable.from_handle(owner.handle())
-        try:
-            # The attached view sees the owner's insert...
-            assert other.probe(11, 1, lambda: _pay(11, codec)) is True
-            assert other.probe(12, 1, lambda: _pay(12, codec)) is False
-        finally:
-            other.close()
-        # ...and the owner sees the attached view's.
-        assert owner.probe(12, 1, lambda: _pay(12, codec)) is True
-    finally:
-        owner.close()
-
-
-def test_shared_table_depth_policy_keeps_shallow_entries():
-    """The shared store replaces exactly as the in-process one does."""
-    owner = SharedTranspositionTable.create(1, _codec())
-    try:
-        assert owner.slots == WAYS
-        for i in range(WAYS):
-            owner.probe(i + 1, 2, lambda i=i: _pay(i))
-        assert owner.probe(100, 5, lambda: _pay(100)) is False
-        assert owner.rejects == 1 and owner.evictions == 0
-        assert owner.probe(101, 1, lambda: _pay(101)) is False
-        assert owner.evictions == 1
-        assert owner.probe(101, 1, lambda: _pay(101)) is True
-    finally:
-        owner.close()
-
-
-def test_shared_table_geometry_mismatch_rejected():
-    owner = SharedTranspositionTable.create(1 << 16, _codec())
-    try:
-        rule = TranspositionDominance()
-        rule.bind_shared(owner)
-        problem = compile_problem(make_independent(3), shared_bus_platform(3))
-        with pytest.raises(ConfigurationError):
-            rule.table_for(problem)
-    finally:
-        owner.close()
-
-
 def test_rule_pickles_without_runtime_handles():
-    owner = SharedTranspositionTable.create(1 << 16, _codec())
-    try:
-        rule = TranspositionDominance(table_bytes=1 << 20)
-        rule.bind_shared(owner)
-        clone = pickle.loads(pickle.dumps(rule))
-    finally:
-        owner.close()
+    rule = TranspositionDominance(table_bytes=1 << 20)
+    clone = pickle.loads(pickle.dumps(rule))
     assert clone.table_bytes == 1 << 20
-    assert clone._shared is None
+    assert vars(clone) == {"table_bytes": 1 << 20}
     assert repr(clone) == "TranspositionDominance(table_bytes=1048576)"
 
 
@@ -427,7 +375,8 @@ def test_each_solve_frees_its_table():
 # ---------------------------------------------------------------------------
 
 
-def test_parallel_throughput_shares_the_table():
+def test_local_workers_search_shards_on_private_tables():
+    """Every shard gets a fresh table: the merged fill is one table's."""
     from repro.cluster import ClusterCoordinator
 
     problem = _search_problem("scaled", 0, 2)

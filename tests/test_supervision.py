@@ -16,6 +16,7 @@ from repro.cluster import ClusterCoordinator
 from repro.core import (
     BnBParameters,
     BranchAndBound,
+    LLBSelection,
     SolveStatus,
 )
 from repro.errors import ConfigurationError
@@ -106,6 +107,26 @@ class TestThroughputSupervision:
         assert result.best_cost == SEQ.best_cost
         assert report.shard_retries == 1
         assert report.quarantined == ()
+
+    def test_shard_retried_after_a_mid_search_crash_is_searched_again(self):
+        # The first attempt dies at its second bound poll, after it has
+        # filled its transposition table.  The retry must search the
+        # shard from an empty table: a table left behind by the dead
+        # attempt would prune the shard's children as already seen and
+        # end the solve "optimal" at a worse cost (-6.264982...).
+        problem = hard_problem(seed=19, processors=2)
+        params = BnBParameters(selection=LLBSelection())
+        seq = BranchAndBound(params).solve(problem)
+        assert seq.best_cost == pytest.approx(-6.922482707890303, abs=1e-12)
+        solver = _throughput(
+            FaultPlan((ShardFault("crash-mid", shard=0, attempt=1),)),
+            params.with_transposition(),
+        )
+        result = solver.solve(problem)
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.best_cost == seq.best_cost
+        assert solver.last_report.shard_retries == 1
+        result.schedule().validate()
 
     def test_hung_worker_is_detected_and_replaced(self):
         solver = _throughput(
